@@ -47,7 +47,7 @@ from .estimator import (
     decay_curve,
     estimate_marginal,
 )
-from .graphs import Boundary, Graph, load, loads
+from .graphs import Boundary, Graph, Instance, load, loads
 from .oracle import ENUMERATION_CAP, exact_marginal, exact_partition
 from .saw import dump_levels
 from .uniqueness import (
@@ -144,16 +144,6 @@ def _delta_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}")
 
 
-def _threads_arg(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError("thread count must be at least 1")
-    return n
-
-
 def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="same-spin coupling for blue")
     p.add_argument("--gamma", type=float, help="same-spin coupling for green")
@@ -170,8 +160,6 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="walk-tree node budget (default %(default)s)")
-    p.add_argument("--threads", type=_threads_arg, default=1,
-                   help="accepted for interface stability; evaluation is sequential")
 
 
 def _resolve_system(args, embedded: SpinSystem | None) -> SpinSystem:
@@ -200,7 +188,8 @@ def _parse_fixes(fixes: list[str]) -> dict[int, str]:
     return out
 
 
-def _load_instance(args) -> tuple[Graph, Boundary | None, SpinSystem]:
+def _load_boundary(args) -> tuple[Instance, Boundary | None]:
+    """The instance file and its boundary with the --fix pins added."""
     if args.graph == "-":
         inst = loads(sys.stdin.read())
     else:
@@ -212,8 +201,12 @@ def _load_instance(args) -> tuple[Graph, Boundary | None, SpinSystem]:
         fixed.update(extra)
         boundary = Boundary(fixed=fixed, S=boundary.S if boundary else frozenset())
         boundary.validate_against(inst.graph)
-    system = _resolve_system(args, inst.system)
-    return inst.graph, boundary, system
+    return inst, boundary
+
+
+def _load_instance(args) -> tuple[Graph, Boundary | None, SpinSystem]:
+    inst, boundary = _load_boundary(args)
+    return inst.graph, boundary, _resolve_system(args, inst.system)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +343,7 @@ def _cmd_marginal(args):
     inputs = {
         "graph": args.graph, "vertex": args.vertex, "eps": args.eps,
         "mode": args.mode, "depth": args.depth, "budget": args.budget,
-        "threads": args.threads, "beta": s0.beta, "gamma": s0.gamma,
-        "lambda": s0.lam,
+        "beta": s0.beta, "gamma": s0.gamma, "lambda": s0.lam,
     }
     return inputs, out
 
@@ -392,8 +384,8 @@ def _cmd_partition(args):
     }
     inputs = {
         "graph": args.graph, "eps": args.eps, "mode": args.mode,
-        "order": args.order, "budget": args.budget, "threads": args.threads,
-        "beta": s0.beta, "gamma": s0.gamma, "lambda": s0.lam,
+        "order": args.order, "budget": args.budget, "beta": s0.beta,
+        "gamma": s0.gamma, "lambda": s0.lam,
     }
     return inputs, outputs
 
@@ -420,8 +412,7 @@ def _cmd_exact(args):
         outputs["ratio"] = ratio
     inputs = {
         "graph": args.graph, "vertex": args.vertex, "cap": args.cap,
-        "threads": args.threads, "beta": s0.beta, "gamma": s0.gamma,
-        "lambda": s0.lam,
+        "beta": s0.beta, "gamma": s0.gamma, "lambda": s0.lam,
     }
     return inputs, outputs
 
@@ -438,24 +429,14 @@ def _cmd_decay(args):
         points.append({"t": pt.t, "width": pt.width, "p_lo": p_lo, "p_hi": p_hi})
     inputs = {
         "graph": args.graph, "vertex": args.vertex, "t_max": args.t_max,
-        "budget": args.budget, "threads": args.threads, "beta": s0.beta,
-        "gamma": s0.gamma, "lambda": s0.lam,
+        "budget": args.budget, "beta": s0.beta, "gamma": s0.gamma,
+        "lambda": s0.lam,
     }
     return inputs, {"points": points, "swapped": swapped}
 
 
 def _cmd_saw_dump(args):
-    if args.graph == "-":
-        inst = loads(sys.stdin.read())
-    else:
-        inst = load(args.graph)
-    boundary = inst.boundary
-    extra = _parse_fixes(args.fix)
-    if extra:
-        fixed = dict(boundary.fixed) if boundary else {}
-        fixed.update(extra)
-        boundary = Boundary(fixed=fixed, S=boundary.S if boundary else frozenset())
-        boundary.validate_against(inst.graph)
+    inst, boundary = _load_boundary(args)
     dump = dump_levels(inst.graph, args.vertex, args.depth, boundary)
     inputs = {"graph": args.graph, "vertex": args.vertex, "depth": args.depth}
     return inputs, dump
@@ -519,8 +500,6 @@ def build_parser() -> _Parser:
                    help="also report this vertex's exact marginal")
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                    help="largest tolerated free-vertex count (default %(default)s)")
-    p.add_argument("--threads", type=_threads_arg, default=1,
-                   help="accepted for interface stability; evaluation is sequential")
     p.set_defaults(handler=_cmd_exact)
 
     p = sub.add_parser("decay", help="interval width at every depth cutoff")

@@ -31,7 +31,7 @@ FERROMAGNETIC = "ferromagnetic"
 DEGENERATE = "degenerate"
 
 # Past this many children the recursion product is accumulated in log space.
-_LOG_PRODUCT_CUTOFF = 32
+LOG_PRODUCT_CUTOFF = 32
 
 
 @dataclass(frozen=True)
@@ -126,31 +126,35 @@ def edge_factor(s: SpinSystem, r: float) -> float:
     return (s.beta * r + 1.0) / (r + s.gamma)
 
 
+def guarded_exp(t: float) -> float:
+    """exp(t), saturating to +inf where the float range ends."""
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
 def recursion_f(s: SpinSystem, lam_v: float, children: Iterable[float]) -> float:
     """Ratio at a vertex with activity lam_v from its children's ratios.
 
     Empty child list gives lam_v.  Products over more than a few dozen
     children accumulate in log space so a long run of small factors cannot
-    underflow to zero prematurely; an exact zero factor (beta = 0 with a
-    forced-blue child) short-circuits the whole product.
+    underflow to zero prematurely.  An exact zero factor (beta = 0 with a
+    forced-blue child) makes the ratio exactly 0 in either mode; it never
+    enters the running product, which may have overflowed to +inf.
     """
     if lam_v <= 0 or not math.isfinite(lam_v):
         raise InvalidParameterError(f"vertex activity must be positive and finite, got {lam_v!r}")
     factors = [edge_factor(s, r) for r in children]
-    if len(factors) <= _LOG_PRODUCT_CUTOFF:
-        out = lam_v
-        for f in factors:
-            out *= f
-        return out
-    acc = math.log(lam_v)
+    if 0.0 in factors:
+        return 0.0
+    # the walk kernel accumulates in this order, so the two agree exactly
+    if len(factors) <= LOG_PRODUCT_CUTOFF:
+        return lam_v * math.prod(factors)
+    acc = 0.0
     for f in factors:
-        if f == 0.0:
-            return 0.0
         acc += math.log(f)
-    try:
-        return math.exp(acc)
-    except OverflowError:
-        return math.inf
+    return guarded_exp(math.log(lam_v) + acc)
 
 
 def symmetric_f(s: SpinSystem, d: int, x):

@@ -1,12 +1,12 @@
 """Deterministic marginal and partition-function estimation.
 
-Marginal ratios are bracketed by walking the self-avoiding-walk tree
-iteratively (an explicit stack, no recursion) and propagating intervals
-upward.  The recursion is decreasing in each child, so the upper end of a
-node's interval comes from its children's lower ends and vice versa.  Free
-nodes at the truncation frontier contribute the trivial interval [0, +inf];
-pinned leaves contribute exact points.  Interval width contracts by the
-certified alpha per level, which turns a target accuracy into a depth.
+Every interval comes from the walk kernel `saw._walk_single`, which walks the
+self-avoiding-walk tree once per call and propagates ratio intervals upward:
+free nodes at the truncation frontier contribute the trivial interval
+[0, +inf] and pinned leaves contribute exact points.  This module holds what
+is built on it: the truncation policies, the accuracy loop, the decay curve
+and the partition pipeline.  Interval width contracts by the certified
+alpha per level, which turns a target accuracy into a depth.
 
 Two truncation shapes are supported: a plain depth cutoff for bounded-degree
 graphs, and a degree-scaled cutoff where descending through a node with d
@@ -22,17 +22,13 @@ final configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import BLUE, GREEN, SpinSystem, ceil_log, require_antiferromagnetic
-from .errors import (
-    BudgetExceededError,
-    InvalidParameterError,
-    SpinDecayError,
-    UniquenessError,
-)
+from .errors import InvalidParameterError, SpinDecayError, UniquenessError
 from .graphs import Boundary, Graph, max_degree
-from .saw import closing_spin
+from .oracle import log_weight
+from .saw import _walk_single
 from .uniqueness import choose_M, contraction_bound, is_unique_up_to
 
 DEFAULT_BUDGET = 5_000_000
@@ -64,13 +60,6 @@ class MBased:
 
 
 @dataclass(frozen=True)
-class Auto:
-    """Pick the policy and level from a target accuracy."""
-
-    eps: float
-
-
-@dataclass(frozen=True)
 class MarginalBounds:
     r_lo: float
     r_hi: float
@@ -94,8 +83,11 @@ def _make_bounds(r_lo: float, r_hi: float, expanded: int, exact: bool,
                  policy: str, level: int) -> MarginalBounds:
     if r_lo > r_hi:  # only ever by accumulated rounding; keep the order sane
         r_lo, r_hi = r_hi, r_lo
+    # r / (1 + r) is not monotone in floating point: one ulp apart in r can
+    # invert in p, so take the ends' min and max to keep a certificate
+    p_a, p_b = _to_p(r_lo), _to_p(r_hi)
     return MarginalBounds(
-        r_lo=r_lo, r_hi=r_hi, p_lo=_to_p(r_lo), p_hi=_to_p(r_hi),
+        r_lo=r_lo, r_hi=r_hi, p_lo=min(p_a, p_b), p_hi=max(p_a, p_b),
         expanded=expanded, exact=exact, policy=policy, level=level,
     )
 
@@ -104,229 +96,41 @@ def _activities(g: Graph, s: SpinSystem) -> list[float]:
     return [g.activity(v, s) for v in range(g.n)]
 
 
-def _point_interval(spin: str) -> tuple[float, float]:
-    return (_INF, _INF) if spin == BLUE else (0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# single-interval walk
-
-# Frame slots (lists, not objects, for speed):
-# 0 origin | 1 children | 2 idx | 3 acc_lo | 4 acc_hi | 5 log_mode
-# 6 zero_lo | 7 zero_hi | 8 depth | 9 own_m | 10 parent_m | 11 child_m
-
-_LOG_CUTOFF = 32
-
-
-def _guarded_exp(t: float) -> float:
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return _INF
-
-
-def _walk_single(
-    g: Graph,
-    s: SpinSystem,
-    root: int,
-    lam: list[float],
-    fixed: dict[int, str],
-    s_set: frozenset[int],
-    depth_limit: int | None,
-    m_limit: int | None,
-    m_base: float | None,
-    budget: int | None,
-) -> tuple[float, float, int, bool]:
-    """Returns (r_lo, r_hi, frames expanded, any trivial leaf used)."""
-    beta, gamma = s.beta, s.gamma
-    adj = g.adj
-    inv_gamma = 1.0 / gamma
-
-    if depth_limit is not None and depth_limit <= 0:
-        return 0.0, _INF, 0, True
-
-    def open_frame(origin: int, parent: int | None, depth: int,
-                   own_m: int, parent_m: int) -> list:
-        kids = [w for w in adj[origin] if w != parent]
-        log_mode = len(kids) > _LOG_CUTOFF
-        child_m = own_m + ceil_log(m_base, len(kids) + 1) if m_base is not None else 0
-        if log_mode:
-            return [origin, kids, 0, 0.0, 0.0, True, False, False, depth,
-                    own_m, parent_m, child_m]
-        return [origin, kids, 0, 1.0, 1.0, False, False, False, depth,
-                own_m, parent_m, child_m]
-
-    expanded = 1
-    trivial_used = False
-    stack = [open_frame(root, None, 0, 0, -1)]
-    on_walk: dict[int, int] = {}
-
-    def apply(fr: list, f_lo: float, f_hi: float) -> None:
-        # f_lo multiplies the low product, f_hi the high one.
-        if fr[5]:
-            if f_lo == 0.0:
-                fr[6] = True
-            elif not fr[6]:
-                fr[3] += math.log(f_lo)
-            if f_hi == 0.0:
-                fr[7] = True
-            elif not fr[7]:
-                fr[4] += math.log(f_hi)
-        else:
-            fr[3] *= f_lo
-            fr[4] *= f_hi
-
-    while True:
-        fr = stack[-1]
-        kids = fr[1]
-        idx = fr[2]
-        if idx < len(kids):
-            fr[2] = idx + 1
-            w = kids[idx]
-            if w in on_walk:
-                # cycle-closing leaf; pinned spin from the edge-order rule
-                if closing_spin(on_walk[w], fr[0]) == BLUE:
-                    apply(fr, beta, beta)  # ratio +inf on both ends
-                else:
-                    apply(fr, inv_gamma, inv_gamma)  # ratio 0
-            elif w in s_set:
-                trivial_used = True
-                apply(fr, beta, inv_gamma)
-            elif w in fixed:
-                if fixed[w] == BLUE:
-                    apply(fr, beta, beta)
-                else:
-                    apply(fr, inv_gamma, inv_gamma)
-            elif depth_limit is not None and fr[8] + 1 >= depth_limit:
-                trivial_used = True
-                apply(fr, beta, inv_gamma)
-            elif m_limit is not None and fr[10] >= m_limit:
-                trivial_used = True
-                apply(fr, beta, inv_gamma)
-            else:
-                expanded += 1
-                if budget is not None and expanded > budget:
-                    raise BudgetExceededError(
-                        f"expansion exceeded {budget} nodes at vertex {root}"
-                    )
-                on_walk[fr[0]] = w
-                stack.append(open_frame(w, fr[0], fr[8] + 1, fr[11], fr[9]))
-        else:
-            stack.pop()
-            on_walk.pop(fr[0], None)
-            lam_v = lam[fr[0]]
-            if fr[5]:
-                lo = 0.0 if fr[6] else _guarded_exp(math.log(lam_v) + fr[3])
-                hi = 0.0 if fr[7] else _guarded_exp(math.log(lam_v) + fr[4])
-            else:
-                lo = lam_v * fr[3]
-                hi = lam_v * fr[4]
-            if not stack:
-                return lo, hi, expanded, trivial_used
-            parent = stack[-1]
-            f_lo = beta if math.isinf(hi) else (beta * hi + 1.0) / (hi + gamma)
-            f_hi = beta if math.isinf(lo) else (beta * lo + 1.0) / (lo + gamma)
-            apply(parent, f_lo, f_hi)
-
-
-# ---------------------------------------------------------------------------
-# profile walk: all depth cutoffs 0..t_max in one traversal
-
-# Frame slots: 0 origin | 1 children | 2 idx | 3 acc_lo | 4 acc_hi | 5 span
-
-
-def _walk_profile(
-    g: Graph,
-    s: SpinSystem,
-    root: int,
-    lam: list[float],
-    fixed: dict[int, str],
-    s_set: frozenset[int],
-    t_max: int,
-    budget: int | None,
-) -> tuple[list[float], list[float], int]:
-    """Interval endpoints (r_lo[t], r_hi[t]) for every cutoff t in 0..t_max."""
-    beta, gamma = s.beta, s.gamma
-    adj = g.adj
-    inv_gamma = 1.0 / gamma
-
-    if t_max == 0:
-        return [0.0], [_INF], 0
-
-    def open_frame(origin: int, parent: int | None, span: int) -> list:
-        kids = [w for w in adj[origin] if w != parent]
-        return [origin, kids, 0, [1.0] * span, [1.0] * span, span]
-
-    expanded = 1
-    stack = [open_frame(root, None, t_max)]
-    on_walk: dict[int, int] = {}
-
-    def apply_const(fr: list, f_lo: float, f_hi: float) -> None:
-        acc_lo, acc_hi = fr[3], fr[4]
-        for j in range(fr[5]):
-            acc_lo[j] *= f_lo
-            acc_hi[j] *= f_hi
-
-    while True:
-        fr = stack[-1]
-        kids = fr[1]
-        idx = fr[2]
-        if idx < len(kids):
-            fr[2] = idx + 1
-            w = kids[idx]
-            if w in on_walk:
-                if closing_spin(on_walk[w], fr[0]) == BLUE:
-                    apply_const(fr, beta, beta)
-                else:
-                    apply_const(fr, inv_gamma, inv_gamma)
-            elif w in s_set:
-                apply_const(fr, beta, inv_gamma)
-            elif w in fixed:
-                if fixed[w] == BLUE:
-                    apply_const(fr, beta, beta)
-                else:
-                    apply_const(fr, inv_gamma, inv_gamma)
-            elif fr[5] == 1:
-                # the child's value is only ever needed at cutoff 0
-                apply_const(fr, beta, inv_gamma)
-            else:
-                expanded += 1
-                if budget is not None and expanded > budget:
-                    raise BudgetExceededError(
-                        f"profile expansion exceeded {budget} nodes at vertex {root}"
-                    )
-                on_walk[fr[0]] = w
-                stack.append(open_frame(w, fr[0], fr[5] - 1))
-        else:
-            stack.pop()
-            on_walk.pop(fr[0], None)
-            lam_v = lam[fr[0]]
-            span = fr[5]
-            vlo = [0.0] * (span + 1)
-            vhi = [_INF] * (span + 1)
-            acc_lo, acc_hi = fr[3], fr[4]
-            for j in range(span):
-                vlo[j + 1] = lam_v * acc_lo[j]
-                vhi[j + 1] = lam_v * acc_hi[j]
-            if not stack:
-                return vlo, vhi, expanded
-            parent = stack[-1]
-            p_lo, p_hi = parent[3], parent[4]
-            for j in range(parent[5]):
-                child_hi = vhi[j]
-                child_lo = vlo[j]
-                p_lo[j] *= beta if math.isinf(child_hi) else (beta * child_hi + 1.0) / (child_hi + gamma)
-                p_hi[j] *= beta if math.isinf(child_lo) else (beta * child_lo + 1.0) / (child_lo + gamma)
-
-
-# ---------------------------------------------------------------------------
-# public interval evaluation
-
-
 def _boundary_parts(boundary: Boundary | None) -> tuple[dict[int, str], frozenset[int]]:
     if boundary is None:
         return {}, frozenset()
     return boundary.fixed, boundary.S
+
+
+def _pinned_root(g: Graph, v: int, fixed: dict[int, str],
+                 s_set: frozenset[int]) -> MarginalBounds | None:
+    """The interval of a root the boundary decides without a walk, else None."""
+    if not (0 <= v < g.n):
+        raise InvalidParameterError(f"vertex {v} outside 0..{g.n - 1}")
+    if v in s_set:
+        return _make_bounds(0.0, _INF, 0, False, "fixed", 0)
+    if v in fixed:
+        r = _INF if fixed[v] == BLUE else 0.0
+        return _make_bounds(r, r, 0, True, "fixed", 0)
+    return None
+
+
+def _walk(g: Graph, s: SpinSystem, v: int, lam: list[float], fixed: dict[int, str],
+          s_set: frozenset[int], policy: Depth | MBased,
+          budget: int | None) -> MarginalBounds:
+    """One kernel walk under a validated policy."""
+    if isinstance(policy, Depth):
+        name, level = "depth", policy.t
+        walked = _walk_single(g, s, v, lam, fixed, s_set, level, None, None, budget)
+    else:
+        name, level = "mbased", policy.ell
+        walked = _walk_single(g, s, v, lam, fixed, s_set, None, level, policy.m, budget)
+    r_lo, r_hi, expanded, trivial = walked
+    return _make_bounds(r_lo, r_hi, expanded, not trivial, name, level)
+
+
+# ---------------------------------------------------------------------------
+# public interval evaluation
 
 
 def bounds(
@@ -334,7 +138,7 @@ def bounds(
     s: SpinSystem,
     v: int,
     boundary: Boundary | None = None,
-    policy: Depth | MBased | Auto = Depth(0),
+    policy: Depth | MBased = Depth(0),
     budget: int | None = DEFAULT_BUDGET,
 ) -> MarginalBounds:
     """Certified ratio and probability interval for vertex v being blue.
@@ -343,34 +147,21 @@ def bounds(
     true marginal inside [p_lo, p_hi]; deeper policies only tighten it.
     """
     require_antiferromagnetic(s)
-    if not (0 <= v < g.n):
-        raise InvalidParameterError(f"vertex {v} outside 0..{g.n - 1}")
-    if isinstance(policy, Auto):
-        return estimate_marginal(g, s, v, boundary, eps=policy.eps, budget=budget)
     fixed, s_set = _boundary_parts(boundary)
-    if v in s_set:
-        return _make_bounds(0.0, _INF, 0, False, "fixed", 0)
-    if v in fixed:
-        r = _point_interval(fixed[v])[0]
-        return _make_bounds(r, r, 0, True, "fixed", 0)
-    lam = _activities(g, s)
+    pinned = _pinned_root(g, v, fixed, s_set)
+    if pinned is not None:
+        return pinned
     if isinstance(policy, Depth):
         if policy.t < 0:
             raise InvalidParameterError(f"depth cutoff must be nonnegative, got {policy.t}")
-        r_lo, r_hi, expanded, trivial = _walk_single(
-            g, s, v, lam, fixed, s_set, policy.t, None, None, budget
-        )
-        return _make_bounds(r_lo, r_hi, expanded, not trivial, "depth", policy.t)
-    if isinstance(policy, MBased):
+    elif isinstance(policy, MBased):
         if policy.m <= 1.0:
             raise InvalidParameterError(f"truncation base must exceed 1, got {policy.m}")
         if policy.ell < 1:
             raise InvalidParameterError(f"truncation budget must be positive, got {policy.ell}")
-        r_lo, r_hi, expanded, trivial = _walk_single(
-            g, s, v, lam, fixed, s_set, None, policy.ell, policy.m, budget
-        )
-        return _make_bounds(r_lo, r_hi, expanded, not trivial, "mbased", policy.ell)
-    raise InvalidParameterError(f"unknown truncation policy {policy!r}")
+    else:
+        raise InvalidParameterError(f"unknown truncation policy {policy!r}")
+    return _walk(g, s, v, _activities(g, s), fixed, s_set, policy, budget)
 
 
 def exhaustive_ratio(
@@ -389,8 +180,9 @@ def exhaustive_ratio(
     fixed, s_set = _boundary_parts(boundary)
     if s_set:
         raise InvalidParameterError("exhaustive evaluation needs an empty differing set")
-    if v in fixed:
-        return _point_interval(fixed[v])[0]
+    pinned = _pinned_root(g, v, fixed, s_set)
+    if pinned is not None:
+        return pinned.r_lo
     lam = _activities(g, s)
     r_lo, r_hi, expanded, trivial = _walk_single(
         g, s, v, lam, fixed, s_set, None, None, None, budget
@@ -500,23 +292,16 @@ def estimate_marginal(
             "estimate_marginal needs an empty differing set; width cannot "
             "shrink below the gap a differing set forces"
         )
-    if v in fixed:
-        r = _point_interval(fixed[v])[0]
-        return _make_bounds(r, r, 0, True, "fixed", 0)
+    pinned = _pinned_root(g, v, fixed, s_set)
+    if pinned is not None:
+        return pinned
 
     strat = _strategy if _strategy is not None else _resolve_strategy(g, s, mode)
     level = min(_level_for(eps, strat.alpha), strat.level_cap)
     lam = _activities(g, s)
     while True:
-        if strat.mode == "depth":
-            r_lo, r_hi, expanded, trivial = _walk_single(
-                g, s, v, lam, fixed, s_set, level, None, None, budget
-            )
-        else:
-            r_lo, r_hi, expanded, trivial = _walk_single(
-                g, s, v, lam, fixed, s_set, None, level, strat.m_base, budget
-            )
-        out = _make_bounds(r_lo, r_hi, expanded, not trivial, strat.mode, level)
+        policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
+        out = _walk(g, s, v, lam, fixed, s_set, policy, budget)
         if out.exact or out.width <= eps:
             return out
         if level >= strat.level_cap:
@@ -571,8 +356,6 @@ def approx_partition(
             )
     n_free = len(elim)
     if n_free == 0:
-        from .oracle import log_weight  # local import; oracle never imports us
-
         spins = tuple(fixed0[v] for v in range(g.n))
         lw = log_weight(g, s, spins)
         if lw == -_INF:
@@ -601,8 +384,6 @@ def approx_partition(
         if p <= 0.0:
             raise SpinDecayError(f"conditional probability degenerated at vertex {v}")
         chosen_p.append((v, p))
-
-    from .oracle import log_weight
 
     spins = tuple(sigma[v] for v in range(g.n))
     lw = log_weight(g, s, spins)
@@ -639,23 +420,20 @@ def decay_curve(
 ) -> list[DecayPoint]:
     """Probability-interval width at every depth cutoff 0..t_max.
 
-    All cutoffs come from one traversal of the depth-t_max tree, so the curve
-    costs barely more than its deepest point.  Widths are nonincreasing.
+    Each point is its own kernel walk, equal to bounds() at Depth(t), with
+    the budget applying to each walk.  The curve costs t_max + 1 walks, about
+    twice its deepest point on trees of branching 2.  Widths are nonincreasing.
     """
     require_antiferromagnetic(s)
     if t_max < 0:
         raise InvalidParameterError(f"t_max must be nonnegative, got {t_max}")
     fixed, s_set = _boundary_parts(boundary)
-    if v in s_set:
-        return [DecayPoint(t, 1.0, 0.0, 1.0) for t in range(t_max + 1)]
-    if v in fixed:
-        p = 1.0 if fixed[v] == BLUE else 0.0
-        return [DecayPoint(t, 0.0, p, p) for t in range(t_max + 1)]
+    pinned = _pinned_root(g, v, fixed, s_set)
     lam = _activities(g, s)
-    vlo, vhi, _ = _walk_profile(g, s, v, lam, fixed, s_set, t_max, budget)
     out = []
     for t in range(t_max + 1):
-        p_lo = _to_p(vlo[t])
-        p_hi = _to_p(vhi[t])
-        out.append(DecayPoint(t=t, width=p_hi - p_lo, p_lo=p_lo, p_hi=p_hi))
+        b = pinned if pinned is not None else _walk(
+            g, s, v, lam, fixed, s_set, Depth(t), budget
+        )
+        out.append(DecayPoint(t=t, width=b.width, p_lo=b.p_lo, p_hi=b.p_hi))
     return out

@@ -20,7 +20,6 @@ from .errors import (
     InvalidParameterError,
     ZeroWeightError,
 )
-from .estimator import DEFAULT_BUDGET, exhaustive_ratio
 from .graphs import Boundary, Graph
 
 ENUMERATION_CAP = 25
@@ -252,17 +251,3 @@ def exact_marginal(
     ratio = math.exp(-diff) if -diff < 700.0 else math.inf
     return ExactMarginal(p=p, ratio=ratio, log_z_blue=lzb, log_z_green=lzg)
 
-
-def exact_saw_ratio(
-    g: Graph,
-    s: SpinSystem,
-    v: int,
-    boundary: Boundary | None = None,
-    budget: int | None = DEFAULT_BUDGET,
-) -> float:
-    """Ratio from the fully expanded walk tree (finite, so exact).
-
-    The independent check for this value is exact_marginal; the two agreeing
-    is what certifies the tree construction on graphs with cycles.
-    """
-    return exhaustive_ratio(g, s, v, boundary=boundary, budget=budget)

@@ -1,4 +1,4 @@
-"""Self-avoiding-walk tree construction.
+"""The self-avoiding-walk tree and the one kernel that walks it.
 
 The tree rooted at a free vertex v enumerates the non-backtracking walks out
 of v: each node stands for a walk, and its children extend the walk along
@@ -14,12 +14,18 @@ canonical order: blue when the closing edge ranks higher, green otherwise.
 Flipping the comparison corresponds to ranking every adjacency descending
 instead of ascending, which is just a different (equally valid) canonical
 order; the constant below picks ours in one place.
+
+`_walk_single` is the only traversal of the tree.  It walks it iteratively
+(an explicit stack, no recursion) and propagates ratio intervals upward
+through the recursion of `core`; the estimator calls it for every interval
+it reports, and `dump_levels` runs it with a visitor, so the tree
+that is dumped is the tree that is evaluated.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
-from .core import BLUE, GREEN
+from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, guarded_exp
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Boundary, Graph
 
@@ -29,6 +35,8 @@ CLOSE_BLUE_WHEN_CLOSING_EDGE_RANKS_HIGHER = True
 
 FREE = "free"
 FIXED = "fixed"
+
+_INF = math.inf
 
 
 def closing_spin(departed_to: int, closing_from: int) -> str:
@@ -40,116 +48,159 @@ def closing_spin(departed_to: int, closing_from: int) -> str:
     return GREEN if higher else BLUE
 
 
-@dataclass(frozen=True)
-class SawNode:
-    """One walk in the tree; `walk` lists the origins root..self."""
-
-    origin: int
-    parent: "SawNode | None"
-    kind: str  # FREE | FIXED
-    spin: str | None
-    depth: int
-    walk: tuple[int, ...]
-    _walk_set: frozenset[int] = field(repr=False, default=frozenset())
-
-    @property
-    def is_leaf_spin(self) -> bool:
-        return self.kind == FIXED
+# Frame slots (lists, not objects, for speed):
+# 0 origin | 1 children | 2 idx | 3 acc_lo | 4 acc_hi | 5 log_mode
+# 6 zero_lo | 7 zero_hi | 8 depth | 9 own_m | 10 child_m | 11 kids_at_frontier
+#
+# The upper end of a node's interval comes from its children's lower ends and
+# vice versa (the recursion is decreasing in each child), so acc_lo collects
+# the factors f_lo and acc_hi the factors f_hi.  Exact-zero factors only set
+# zero_lo / zero_hi and never enter the running product, so an overflowed
+# product is never multiplied by zero.
 
 
-def root_node(g: Graph, v: int) -> SawNode:
-    if not (0 <= v < g.n):
-        raise InvalidParameterError(f"root vertex {v} outside 0..{g.n - 1}")
-    return SawNode(
-        origin=v, parent=None, kind=FREE, spin=None, depth=0,
-        walk=(v,), _walk_set=frozenset((v,)),
-    )
-
-
-def expand(g: Graph, node: SawNode, boundary: Boundary | None = None) -> list[SawNode]:
-    """Children of a free node, in canonical order.
-
-    Fixed leaves (cycle-closing or boundary) come back with kind FIXED and a
-    spin; they are never expanded further.
-    """
-    if node.kind != FREE:
-        raise InvalidParameterError("only free nodes expand")
-    fixed = boundary.fixed if boundary is not None else {}
-    parent_origin = node.walk[-2] if len(node.walk) >= 2 else None
-    out = []
-    for w in g.adj[node.origin]:
-        if w == parent_origin:
-            continue
-        walk = node.walk + (w,)
-        if w in node._walk_set:
-            departed_to = node.walk[node.walk.index(w) + 1]
-            out.append(
-                SawNode(
-                    origin=w, parent=node, kind=FIXED,
-                    spin=closing_spin(departed_to, node.origin),
-                    depth=node.depth + 1, walk=walk,
-                )
-            )
-        elif w in fixed:
-            out.append(
-                SawNode(
-                    origin=w, parent=node, kind=FIXED, spin=fixed[w],
-                    depth=node.depth + 1, walk=walk,
-                )
-            )
-        else:
-            out.append(
-                SawNode(
-                    origin=w, parent=node, kind=FREE, spin=None,
-                    depth=node.depth + 1, walk=walk,
-                    _walk_set=node._walk_set | {w},
-                )
-            )
-    return out
-
-
-def saw_tree_size(
+def _walk_single(
     g: Graph,
-    v: int,
-    depth: int | None = None,
-    boundary: Boundary | None = None,
-    cap: int | None = None,
-) -> int:
-    """Number of tree nodes (root included) with depth <= depth.
+    s: SpinSystem,
+    root: int,
+    lam: list[float],
+    fixed: dict[int, str],
+    s_set: frozenset[int],
+    depth_limit: int | None,
+    m_limit: int | None,
+    m_base: float | None,
+    budget: int | None,
+    visit=None,
+) -> tuple[float, float, int, bool]:
+    """Returns (r_lo, r_hi, frames expanded, any trivial leaf used).
 
-    depth None means the whole tree.  With a cap the count aborts early and
-    raises once it would exceed the cap, so callers can budget before
-    committing to an expansion.
+    A child is, in this order: a cycle-closing leaf, a member of the
+    differing set s_set (the trivial interval [0, +inf]), a fixed leaf, a
+    frontier leaf (also trivial), or a free node that is expanded.  The
+    frontier is a depth cutoff, a degree-scaled cutoff (a node's scaled depth
+    grows by ceil_log(m_base, d+1) below a parent with d children), or none.
+    visit(depth, vertex, spin, expanded), when given, is called on every node
+    below the root in depth-first order; spin is None on free nodes.
     """
-    fixed = boundary.fixed if boundary is not None else {}
-    if v in fixed:
-        return 1
-    count = 0
-    stack = [root_node(g, v)]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if cap is not None and count > cap:
-            raise BudgetExceededError(
-                f"walk tree at vertex {v} exceeds {cap} nodes"
-            )
-        if node.kind == FREE and (depth is None or node.depth < depth):
-            stack.extend(expand(g, node, boundary))
-    return count
+    beta, gamma = s.beta, s.gamma
+    adj = g.adj
+    inv_gamma = 1.0 / gamma
+    log = math.log
+    isinf = math.isinf
+
+    if depth_limit is not None and depth_limit <= 0:
+        return 0.0, _INF, 0, True
+
+    def open_frame(origin: int, parent: int | None, depth: int,
+                   own_m: int, parent_m: int) -> list:
+        kids = [w for w in adj[origin] if w != parent]
+        log_mode = len(kids) > LOG_PRODUCT_CUTOFF
+        child_m = own_m + ceil_log(m_base, len(kids) + 1) if m_base is not None else 0
+        at_frontier = ((depth_limit is not None and depth + 1 >= depth_limit)
+                       or (m_limit is not None and parent_m >= m_limit))
+        acc = 0.0 if log_mode else 1.0
+        return [origin, kids, 0, acc, acc, log_mode, False, False, depth,
+                own_m, child_m, at_frontier]
+
+    expanded = 1
+    trivial_used = False
+    stack = [open_frame(root, None, 0, 0, -1)]
+    on_walk: dict[int, int] = {}
+
+    while True:
+        fr = stack[-1]
+        kids = fr[1]
+        idx = fr[2]
+        if idx < len(kids):
+            fr[2] = idx + 1
+            w = kids[idx]
+            if w in on_walk:
+                spin = closing_spin(on_walk[w], fr[0])
+            elif w in s_set:
+                spin = None
+            elif w in fixed:
+                spin = fixed[w]
+            elif fr[11]:
+                spin = None
+            else:
+                expanded += 1
+                if budget is not None and expanded > budget:
+                    raise BudgetExceededError(
+                        f"expansion exceeded {budget} nodes at vertex {root}"
+                    )
+                if visit is not None:
+                    visit(fr[8] + 1, w, None, True)
+                on_walk[fr[0]] = w
+                stack.append(open_frame(w, fr[0], fr[8] + 1, fr[10], fr[9]))
+                continue
+            if visit is not None:
+                visit(fr[8] + 1, w, spin, False)
+            if spin is None:
+                trivial_used = True
+                f_lo, f_hi = beta, inv_gamma
+            elif spin == BLUE:
+                f_lo = f_hi = beta  # ratio +inf on both ends
+            else:
+                f_lo = f_hi = inv_gamma  # ratio 0
+        else:
+            stack.pop()
+            on_walk.pop(fr[0], None)
+            lam_v = lam[fr[0]]
+            if fr[5]:
+                lo = 0.0 if fr[6] else guarded_exp(log(lam_v) + fr[3])
+                hi = 0.0 if fr[7] else guarded_exp(log(lam_v) + fr[4])
+            else:
+                lo = 0.0 if fr[6] else lam_v * fr[3]
+                hi = 0.0 if fr[7] else lam_v * fr[4]
+            if not stack:
+                return lo, hi, expanded, trivial_used
+            fr = stack[-1]
+            f_lo = beta if isinf(hi) else (beta * hi + 1.0) / (hi + gamma)
+            f_hi = beta if isinf(lo) else (beta * lo + 1.0) / (lo + gamma)
+        if f_lo == 0.0:
+            fr[6] = True
+        elif fr[5]:
+            fr[3] += log(f_lo)
+        else:
+            fr[3] *= f_lo
+        if f_hi == 0.0:
+            fr[7] = True
+        elif fr[5]:
+            fr[4] += log(f_hi)
+        else:
+            fr[4] *= f_hi
+
+
+# Any system serves for dump_levels: the tree's shape does not depend on it.
+_SHAPE_ONLY = SpinSystem(0.5, 1.0, 1.0)
 
 
 def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None) -> dict:
-    """JSON-ready dump of the first `depth` levels, for debugging."""
+    """JSON-ready dump of the tree that a depth-`depth` cutoff evaluates.
 
-    def encode(node: SawNode) -> dict:
-        doc: dict = {"origin": node.origin, "kind": node.kind, "depth": node.depth}
-        if node.spin is not None:
-            doc["spin"] = node.spin
-        if node.kind == FREE and node.depth < depth:
-            doc["children"] = [encode(c) for c in expand(g, node, boundary)]
-        return doc
-
+    Nodes above the cutoff carry their children; differing-set members are
+    shown as the fixed leaves they are in the boundary.
+    """
+    if not (0 <= v < g.n):
+        raise InvalidParameterError(f"root vertex {v} outside 0..{g.n - 1}")
     fixed = boundary.fixed if boundary is not None else {}
     if v in fixed:
         return {"origin": v, "kind": FIXED, "depth": 0, "spin": fixed[v]}
-    return encode(root_node(g, v))
+    root: dict = {"origin": v, "kind": FREE, "depth": 0}
+    if depth > 0:
+        root["children"] = []
+    open_nodes = [root]  # open_nodes[d]: the expanded node at depth d on the current walk
+
+    def visit(d: int, w: int, spin: str | None, is_expanded: bool) -> None:
+        node: dict = {"origin": w, "kind": FREE if spin is None else FIXED, "depth": d}
+        if spin is not None:
+            node["spin"] = spin
+        open_nodes[d - 1]["children"].append(node)
+        if is_expanded:
+            node["children"] = []
+            del open_nodes[d:]
+            open_nodes.append(node)
+
+    _walk_single(g, _SHAPE_ONLY, v, [1.0] * g.n, fixed, frozenset(), depth,
+                 None, None, None, visit)
+    return root

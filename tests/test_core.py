@@ -134,6 +134,9 @@ def test_recursion_zero_and_infinite_children():
     assert recursion_f(s, s.lam, [0.0]) == pytest.approx(3.0)
     many = [math.inf] + [1.0] * 40
     assert recursion_f(s, s.lam, many) == 0.0
+    # 31 factors of 1/gamma overflow a direct product before the zero arrives
+    wide = [0.0] * 31 + [math.inf]
+    assert recursion_f(SpinSystem(0.0, 1e-12, 1.0), 1.0, wide) == 0.0
 
 
 def test_potential_reference_value():

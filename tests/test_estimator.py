@@ -5,16 +5,16 @@ import math
 
 import pytest
 
-from spindecay.core import BLUE, GREEN, SpinSystem
+from spindecay.core import BLUE, GREEN, SpinSystem, recursion_f
 from spindecay.errors import (
     BudgetExceededError,
     InvalidParameterError,
     UniquenessError,
 )
 from spindecay.estimator import (
-    Auto,
     Depth,
     MBased,
+    _make_bounds,
     approx_partition,
     bounds,
     decay_curve,
@@ -103,8 +103,8 @@ def test_policy_validation():
         bounds(g, HARDCORE, 5, policy=Depth(1))
 
 
-def test_auto_policy_delegates_to_the_accuracy_loop():
-    est = bounds(cycle(4), HARDCORE, 0, policy=Auto(1e-3))
+def test_accuracy_loop_meets_a_tight_target():
+    est = estimate_marginal(cycle(4), HARDCORE, 0, eps=1e-3)
     assert est.width <= 1e-3
 
 
@@ -115,6 +115,8 @@ def test_exhaustive_ratio_matches_enumeration():
     )
     with pytest.raises(InvalidParameterError):
         exhaustive_ratio(g, SOFT, 0, Boundary(fixed={1: BLUE}, S=frozenset({1})))
+    with pytest.raises(InvalidParameterError):
+        exhaustive_ratio(g, SOFT, -1)  # not a vertex, even though adj[-1] exists
 
 
 def test_estimate_marginal_meets_the_width_target():
@@ -134,6 +136,9 @@ def test_estimate_marginal_validation():
     b = Boundary(fixed={2: BLUE}, S=frozenset({2}))
     with pytest.raises(InvalidParameterError):
         estimate_marginal(g, HARDCORE, 0, b, eps=0.1)
+    for v in (-1, 3):
+        with pytest.raises(InvalidParameterError):
+            estimate_marginal(g, HARDCORE, v, eps=0.1)
 
 
 def test_estimate_marginal_rejects_non_unique_systems():
@@ -224,3 +229,40 @@ def test_decay_curve_on_pinned_roots():
     b = Boundary(fixed={0: BLUE}, S=frozenset({0}))
     curve = decay_curve(g, HARDCORE, 0, b, t_max=3)
     assert all(pt.width == 1.0 for pt in curve)
+
+
+def test_decay_curve_validates_the_vertex():
+    with pytest.raises(InvalidParameterError):
+        decay_curve(path(3), HARDCORE, 5, t_max=2)
+
+
+def test_wide_products_with_a_zero_factor_stay_exact():
+    # the centre has a blue-pinned neighbour and beta = 0, so its ratio is 0;
+    # the other factors, 1/gamma each, overflow the running product first
+    b = bounds(star(32), SpinSystem(0.0, 1e-12, 1.0), 0, Boundary(fixed={32: BLUE}),
+               Depth(1))
+    assert (b.r_lo, b.r_hi, b.p_lo, b.p_hi) == (0.0, 0.0, 0.0, 0.0)
+    curve = decay_curve(star(200), SpinSystem(0.0, 0.01, 1.0), 0,
+                        Boundary(fixed={200: BLUE}), t_max=2)
+    assert (curve[0].p_lo, curve[0].p_hi) == (0.0, 1.0)
+    assert all((pt.p_lo, pt.p_hi, pt.width) == (0.0, 0.0, 0.0) for pt in curve[1:])
+
+
+def test_probability_interval_stays_ordered_where_r_over_1_plus_r_inverts():
+    r_lo = 0.42017085930776654
+    r_hi = math.nextafter(r_lo, math.inf)
+    assert r_lo / (1.0 + r_lo) > r_hi / (1.0 + r_hi)  # the rounding this guards
+    b = _make_bounds(r_lo, r_hi, 1, False, "depth", 1)
+    assert (b.r_lo, b.r_hi) == (r_lo, r_hi)
+    assert b.p_lo < b.p_hi
+    assert {b.p_lo, b.p_hi} == {r_lo / (1.0 + r_lo), r_hi / (1.0 + r_hi)}
+
+
+@pytest.mark.parametrize("leaves", [20, 40])
+def test_kernel_and_recursion_f_agree_on_a_star(leaves):
+    # 40 leaves put the centre's product in log mode
+    lam = {v: 0.5 + v / leaves for v in range(leaves + 1)}
+    g = Graph(n=leaves + 1, adj=star(leaves).adj, lambda_v=lam)
+    b = bounds(g, SOFT, 0, policy=Depth(2))
+    expected = recursion_f(SOFT, lam[0], [lam[v] for v in range(1, leaves + 1)])
+    assert b.exact and b.r_lo == b.r_hi == expected

@@ -1,62 +1,67 @@
-"""Walk-tree construction: child order, cycle closures, boundary leaves."""
+"""Walk-tree construction: child order, cycle closures, boundary leaves.
+
+The tree is read through dump_levels, which records the nodes the walk
+kernel visits, so every property here is a property of the evaluated tree.
+"""
 from __future__ import annotations
 
 import pytest
 
-from spindecay.core import BLUE, GREEN
+from spindecay.core import BLUE, GREEN, SpinSystem
 from spindecay.errors import BudgetExceededError, InvalidParameterError
-from spindecay.graphs import Boundary, complete, cycle, from_edges, path
-from spindecay.saw import (
-    FIXED,
-    FREE,
-    closing_spin,
-    dump_levels,
-    expand,
-    root_node,
-    saw_tree_size,
-)
+from spindecay.estimator import Depth, bounds, decay_curve
+from spindecay.graphs import Boundary, complete, cycle, from_edges, path, random_regular
+from spindecay.saw import FIXED, FREE, closing_spin, dump_levels
+
+HARDCORE = SpinSystem(0.0, 1.0, 1.0)
+SOFT = SpinSystem(0.3, 1.2, 0.8)
+
+
+def _child(node, origin):
+    return [c for c in node["children"] if c["origin"] == origin][0]
+
+
+def _size(node):
+    return 1 + sum(_size(c) for c in node.get("children", ()))
+
+
+def _expanded(node):
+    kids = node.get("children")
+    return 0 if kids is None else 1 + sum(_expanded(c) for c in kids)
 
 
 def test_children_come_in_ascending_vertex_order():
     g = from_edges(4, [(0, 3), (0, 1), (0, 2)])
-    kids = expand(g, root_node(g, 0))
-    assert [c.origin for c in kids] == [1, 2, 3]
-    assert all(c.kind == FREE and c.depth == 1 for c in kids)
+    kids = dump_levels(g, 0, 1)["children"]
+    assert [c["origin"] for c in kids] == [1, 2, 3]
+    assert all(c["kind"] == FREE and c["depth"] == 1 for c in kids)
 
 
 def test_parent_edge_is_not_walked_back():
-    g = path(3)
-    mid = expand(g, root_node(g, 1))
-    child0 = [c for c in mid if c.origin == 0][0]
-    assert expand(g, child0) == []
+    mid = dump_levels(path(3), 1, 3)
+    assert _child(mid, 0)["children"] == []
 
 
 def test_triangle_closures_pin_opposite_spins():
-    g = complete(3)
-    root = root_node(g, 0)
-    via1 = [c for c in expand(g, root) if c.origin == 1][0]
-    via2 = [c for c in expand(g, root) if c.origin == 2][0]
+    root = dump_levels(complete(3), 0, 3)
 
     # 0 -> 1 -> 2 -> 0: the closing edge (2,0) outranks the departure (0,1)
-    deep = expand(g, [c for c in expand(g, via1) if c.origin == 2][0])
-    assert len(deep) == 1 and deep[0].kind == FIXED and deep[0].spin == BLUE
+    deep = _child(_child(root, 1), 2)["children"]
+    assert len(deep) == 1 and deep[0]["kind"] == FIXED and deep[0]["spin"] == BLUE
 
     # 0 -> 2 -> 1 -> 0: closing from 1, departure went to 2
-    deep = expand(g, [c for c in expand(g, via2) if c.origin == 1][0])
-    assert len(deep) == 1 and deep[0].kind == FIXED and deep[0].spin == GREEN
+    deep = _child(_child(root, 2), 1)["children"]
+    assert len(deep) == 1 and deep[0]["kind"] == FIXED and deep[0]["spin"] == GREEN
 
     assert closing_spin(1, 2) == BLUE
     assert closing_spin(2, 1) == GREEN
 
 
 def test_boundary_vertices_become_fixed_leaves():
-    g = path(3)
     b = Boundary(fixed={2: GREEN})
-    kids = expand(g, root_node(g, 1), b)
-    leaf = [c for c in kids if c.origin == 2][0]
-    assert leaf.kind == FIXED and leaf.spin == GREEN
-    with pytest.raises(InvalidParameterError):
-        expand(g, leaf, b)
+    leaf = _child(dump_levels(path(3), 1, 3, b), 2)
+    assert leaf["kind"] == FIXED and leaf["spin"] == GREEN
+    assert "children" not in leaf  # fixed leaves are never expanded
 
 
 def _brute_size(adj, v, depth):
@@ -81,23 +86,23 @@ def _brute_size(adj, v, depth):
 @pytest.mark.parametrize("g", [complete(4), cycle(5), path(4),
                                from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)])])
 def test_tree_size_matches_independent_recount(g):
-    for depth in (0, 1, 2, None):
-        d = depth if depth is not None else g.n + 2
-        assert saw_tree_size(g, 0, depth=depth) == _brute_size(g.adj, 0, d)
+    # depth n + 2 lies past the longest walk, so it is the whole tree
+    for depth in (0, 1, 2, g.n + 2):
+        assert _size(dump_levels(g, 0, depth)) == _brute_size(g.adj, 0, depth)
 
 
 def test_tree_size_respects_boundaries_and_caps():
     g = complete(4)
     b = Boundary(fixed={1: BLUE, 2: BLUE, 3: BLUE})
-    assert saw_tree_size(g, 0, boundary=b) == 4  # root plus three leaves
-    assert saw_tree_size(g, 1, boundary=b) == 1  # a pinned root never expands
+    assert _size(dump_levels(g, 0, 6, b)) == 4  # root plus three leaves
+    assert _size(dump_levels(g, 1, 6, b)) == 1  # a pinned root never expands
     with pytest.raises(BudgetExceededError):
-        saw_tree_size(g, 0, cap=3)
+        bounds(g, HARDCORE, 0, policy=Depth(6), budget=3)
 
 
 def test_root_node_validation():
     with pytest.raises(InvalidParameterError):
-        root_node(path(2), 5)
+        dump_levels(path(2), 5, 1)
 
 
 def test_dump_levels_shape():
@@ -107,3 +112,23 @@ def test_dump_levels_shape():
     grand = doc["children"][0]["children"]
     assert all(set(node) <= {"origin", "kind", "spin", "depth", "children"}
                for node in grand)
+
+
+@pytest.mark.parametrize("boundary", [None, Boundary(fixed={3: BLUE, 5: GREEN}),
+                                      Boundary(fixed={3: BLUE, 5: GREEN}, S=frozenset({5}))])
+def test_dumped_tree_is_the_evaluated_tree(boundary):
+    g = random_regular(10, 3, seed=3)
+    for v in (0, 3, 7):
+        for t in range(6):
+            expanded = bounds(g, SOFT, v, boundary, Depth(t)).expanded
+            assert _expanded(dump_levels(g, v, t, boundary)) == expanded
+
+
+def test_decay_curve_points_are_depth_walks():
+    g = random_regular(16, 3, seed=5)
+    b = Boundary(fixed={9: BLUE})
+    for v, boundary in ((0, None), (4, b)):
+        curve = decay_curve(g, SOFT, v, boundary, t_max=7)
+        for pt in curve:
+            single = bounds(g, SOFT, v, boundary, Depth(pt.t))
+            assert (pt.p_lo, pt.p_hi, pt.width) == (single.p_lo, single.p_hi, single.width)
