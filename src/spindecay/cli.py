@@ -4,11 +4,11 @@ Every command prints one JSON document to stdout:
 
     {"command": ..., "inputs": ..., "outputs": ..., "wall_time_s": ...}
 
-Floats are rendered with 17 significant digits so round-tripping through the
-output loses nothing.  Errors go to stderr as plain text, and the exit code
-tells the caller what went wrong: 0 success, 1 usage or input problems,
-2 violated preconditions (non-uniqueness, bad parameters, empty supports),
-3 exhausted budgets.
+Floats are rendered by Python's repr, the shortest text that parses back to
+the same double, so round-tripping through the output loses nothing.  Errors
+go to stderr as plain text, and the exit code tells the caller what went
+wrong: 0 success, 1 usage or input problems, 2 violated preconditions
+(non-uniqueness, bad parameters, empty supports), 3 exhausted budgets.
 
 Systems with beta > gamma are accepted here and handled by swapping the two
 spin states (and inverting activities) before calling the library, then
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json.encoder
+import json
 import math
 import sys
 import time
@@ -66,35 +66,7 @@ class _UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# JSON with full-precision floats
-
-
-def _float_str(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return format(x, ".17g")
-
-
-class _Encoder(json.JSONEncoder):
-    """Standard encoder, but floats carry 17 significant digits."""
-
-    def iterencode(self, o, _one_shot=False):
-        return json.encoder._make_iterencode(
-            {} if self.check_circular else None,
-            self.default,
-            json.encoder.encode_basestring_ascii,
-            self.indent,
-            _float_str,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            False,
-        )(o, 0)
+# JSON output
 
 
 def _plain(x):
@@ -119,7 +91,7 @@ def _emit(command: str, inputs: dict, outputs, started: float) -> None:
         "outputs": _plain(outputs),
         "wall_time_s": time.perf_counter() - started,
     }
-    print(json.dumps(doc, cls=_Encoder, indent=2))
+    print(json.dumps(doc, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +116,16 @@ def _delta_arg(text: str):
         raise argparse.ArgumentTypeError(f"expected an integer or 'inf', got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_system_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="same-spin coupling for blue")
     p.add_argument("--gamma", type=float, help="same-spin coupling for green")
@@ -158,7 +140,7 @@ def _add_graph_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                    help="walk-tree node budget (default %(default)s)")
 
 
@@ -477,7 +459,7 @@ def build_parser() -> _Parser:
     _add_system_args(p)
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--eps", type=float, default=1e-2, help="target interval width")
-    p.add_argument("--mode", choices=["auto", "depth", "mbased"], default="auto")
+    p.add_argument("--mode", choices=["depth", "mbased"], default="depth")
     p.add_argument("--depth", type=int, default=None,
                    help="evaluate one fixed depth cutoff instead of chasing eps")
     _add_run_args(p)
@@ -487,7 +469,7 @@ def build_parser() -> _Parser:
     _add_graph_args(p)
     _add_system_args(p)
     p.add_argument("--eps", type=float, default=0.05, help="relative accuracy target")
-    p.add_argument("--mode", choices=["auto", "depth", "mbased"], default="auto")
+    p.add_argument("--mode", choices=["depth", "mbased"], default="depth")
     p.add_argument("--order", default=None,
                    help="vertex elimination order: input, reverse, or v0,v1,...")
     _add_run_args(p)
@@ -498,7 +480,7 @@ def build_parser() -> _Parser:
     _add_system_args(p)
     p.add_argument("--vertex", type=int, default=None,
                    help="also report this vertex's exact marginal")
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP,
+    p.add_argument("--cap", type=_positive_int, default=ENUMERATION_CAP,
                    help="largest tolerated free-vertex count (default %(default)s)")
     p.set_defaults(handler=_cmd_exact)
 

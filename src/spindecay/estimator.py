@@ -4,14 +4,15 @@ Every interval comes from the walk kernel `saw._walk_single`, which walks the
 self-avoiding-walk tree once per call and propagates ratio intervals upward:
 free nodes at the truncation frontier contribute the trivial interval
 [0, +inf] and pinned leaves contribute exact points.  This module holds what
-is built on it: the truncation policies, the accuracy loop, the decay curve
-and the partition pipeline.  Interval width contracts by the certified
-alpha per level, which turns a target accuracy into a depth.
+is built on it: the accuracy loop, the decay curve and the partition
+pipeline.  Interval width contracts by the certified alpha per level, which
+turns a target accuracy into a depth.
 
-Two truncation shapes are supported: a plain depth cutoff for bounded-degree
-graphs, and a degree-scaled cutoff where descending through a node with d
-children costs ceil_log(M, d+1) levels, which keeps the expanded tree
-polynomial on unbounded-degree graphs.
+Two truncation policies are supported (both live in `saw`): `Depth`, a plain
+depth cutoff for systems unique up to the graph's degree bound, and `MBased`,
+a degree-scaled cutoff where descending through a node with d children costs
+ceil_log(M, d+1) levels, which keeps the expanded tree polynomial on
+unbounded-degree graphs of universally unique systems.
 
 The partition function is assembled by fixing vertices one at a time: each
 conditional marginal is estimated to within eps/(4n), the likelier spin is
@@ -25,11 +26,11 @@ import math
 from dataclasses import dataclass
 
 from .core import BLUE, GREEN, SpinSystem, ceil_log, require_antiferromagnetic
-from .errors import InvalidParameterError, SpinDecayError, UniquenessError
+from .errors import InvalidParameterError, SpinDecayError, ZeroWeightError
 from .graphs import Boundary, Graph, max_degree
 from .oracle import log_weight
-from .saw import _walk_single
-from .uniqueness import choose_M, contraction_bound, is_unique_up_to
+from .saw import Depth, MBased, _walk_single
+from .uniqueness import choose_M, contraction_bound
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -37,26 +38,7 @@ _INF = math.inf
 
 
 # ---------------------------------------------------------------------------
-# policies and result records
-
-
-@dataclass(frozen=True)
-class Depth:
-    """Expand free nodes strictly above depth t; the rest get [0, +inf]."""
-
-    t: int
-
-
-@dataclass(frozen=True)
-class MBased:
-    """Degree-scaled truncation with base m and budget ell.
-
-    A node's scaled depth grows by ceil_log(m, d+1) when its parent has d
-    children; nodes whose grandparent's scaled depth reaches ell are trivial.
-    """
-
-    m: float
-    ell: int
+# result records
 
 
 @dataclass(frozen=True)
@@ -118,14 +100,9 @@ def _pinned_root(g: Graph, v: int, fixed: dict[int, str],
 def _walk(g: Graph, s: SpinSystem, v: int, lam: list[float], fixed: dict[int, str],
           s_set: frozenset[int], policy: Depth | MBased,
           budget: int | None) -> MarginalBounds:
-    """One kernel walk under a validated policy."""
-    if isinstance(policy, Depth):
-        name, level = "depth", policy.t
-        walked = _walk_single(g, s, v, lam, fixed, s_set, level, None, None, budget)
-    else:
-        name, level = "mbased", policy.ell
-        walked = _walk_single(g, s, v, lam, fixed, s_set, None, level, policy.m, budget)
-    r_lo, r_hi, expanded, trivial = walked
+    """One kernel walk under a truncation policy."""
+    r_lo, r_hi, expanded, trivial = _walk_single(g, s, v, lam, fixed, s_set, policy, budget)
+    name, level = ("depth", policy.t) if isinstance(policy, Depth) else ("mbased", policy.ell)
     return _make_bounds(r_lo, r_hi, expanded, not trivial, name, level)
 
 
@@ -151,15 +128,7 @@ def bounds(
     pinned = _pinned_root(g, v, fixed, s_set)
     if pinned is not None:
         return pinned
-    if isinstance(policy, Depth):
-        if policy.t < 0:
-            raise InvalidParameterError(f"depth cutoff must be nonnegative, got {policy.t}")
-    elif isinstance(policy, MBased):
-        if policy.m <= 1.0:
-            raise InvalidParameterError(f"truncation base must exceed 1, got {policy.m}")
-        if policy.ell < 1:
-            raise InvalidParameterError(f"truncation budget must be positive, got {policy.ell}")
-    else:
+    if not isinstance(policy, (Depth, MBased)):
         raise InvalidParameterError(f"unknown truncation policy {policy!r}")
     return _walk(g, s, v, _activities(g, s), fixed, s_set, policy, budget)
 
@@ -184,9 +153,7 @@ def exhaustive_ratio(
     if pinned is not None:
         return pinned.r_lo
     lam = _activities(g, s)
-    r_lo, r_hi, expanded, trivial = _walk_single(
-        g, s, v, lam, fixed, s_set, None, None, None, budget
-    )
+    r_lo, r_hi, expanded, trivial = _walk_single(g, s, v, lam, fixed, s_set, None, budget)
     if trivial:
         raise SpinDecayError("exhaustive walk unexpectedly hit a frontier")
     if r_lo != r_hi:
@@ -209,53 +176,22 @@ class _Strategy:
 
 
 def _resolve_strategy(g: Graph, s: SpinSystem, mode: str) -> _Strategy:
-    delta = max(2, max_degree(g) + 1)
-    lams = sorted({g.activity(v, s) for v in range(g.n)})
-
-    def finite_ok() -> bool:
-        return all(is_unique_up_to(s.with_field(l), delta) for l in lams)
-
-    def universal_ok() -> bool:
-        return s.gamma > 1.0 and all(
-            is_unique_up_to(s.with_field(l), math.inf) for l in lams
-        )
-
-    if mode == "auto":
-        mode = "depth" if finite_ok() else "mbased" if universal_ok() else "none"
-    if mode in ("depth", "none"):
-        if not finite_ok():
-            bad = next(
-                (l, is_unique_up_to(s.with_field(l), delta))
-                for l in lams
-                if not is_unique_up_to(s.with_field(l), delta)
-            )
-            d_bad = bad[1].violating.d if bad[1].violating else None
-            suffix = "" if mode == "depth" else "; degree-scaled truncation does not apply either"
-            raise UniquenessError(
-                f"activity {bad[0]} is not unique up to {delta}"
-                + (f" (fails at arity {d_bad})" if d_bad else "")
-                + suffix,
-                violating_d=d_bad,
-            )
-        alpha = max(contraction_bound(s.with_field(l), delta).alpha for l in lams)
+    """The certified decay rate and level cap of a mode; raises UniquenessError
+    (with the failing arity) when some per-vertex activity is not unique up
+    to the mode's degree bound: the graph's for "depth", none for "mbased"."""
+    if mode not in ("depth", "mbased"):
+        raise InvalidParameterError(f"mode must be 'depth' or 'mbased', got {mode!r}")
+    degree_bound = max(2, max_degree(g) + 1)
+    delta = degree_bound if mode == "depth" else math.inf
+    systems = [s.with_field(l) for l in sorted({g.activity(v, s) for v in range(g.n)})]
+    alpha = max(contraction_bound(sl, delta).alpha for sl in systems)
+    if mode == "depth":
         # walks are self-avoiding, so no free node sits deeper than n - 1
-        return _Strategy(mode="depth", alpha=alpha, m_base=None, level_cap=g.n + 1)
-    if mode == "mbased":
-        if not universal_ok():
-            raise UniquenessError(
-                "degree-scaled truncation needs gamma > 1 and universal "
-                "uniqueness at every per-vertex activity"
-            )
-        alpha = max(contraction_bound(s.with_field(l), math.inf).alpha for l in lams)
-        m_base = max(choose_M(s.with_field(l), alpha) for l in lams)
-        per_level = ceil_log(m_base, max(2, max_degree(g) + 1))
-        return _Strategy(
-            mode="mbased", alpha=alpha, m_base=m_base,
-            level_cap=g.n * max(1, per_level) + 1,
-        )
-    raise UniquenessError(
-        "no truncation strategy applies: the system is neither unique for the "
-        "graph's degree bound nor universally unique"
+        return _Strategy(mode=mode, alpha=alpha, m_base=None, level_cap=g.n + 1)
+    m_base = max(choose_M(sl, alpha) for sl in systems)
+    per_level = ceil_log(m_base, degree_bound)
+    return _Strategy(
+        mode=mode, alpha=alpha, m_base=m_base, level_cap=g.n * max(1, per_level) + 1,
     )
 
 
@@ -271,7 +207,7 @@ def estimate_marginal(
     v: int,
     boundary: Boundary | None = None,
     eps: float = 1e-2,
-    mode: str = "auto",
+    mode: str = "depth",
     budget: int | None = DEFAULT_BUDGET,
     _strategy: _Strategy | None = None,
 ) -> MarginalBounds:
@@ -279,9 +215,10 @@ def estimate_marginal(
 
     The certified contraction turns eps into a starting level; the level then
     deepens by 2 until the measured width complies (an exactly evaluated tree
-    stops immediately, whatever eps).  Raises UniquenessError when no decay
-    regime covers the instance, and BudgetExceededError when the node budget
-    runs out first.
+    stops immediately, whatever eps).  mode is "depth" (needs uniqueness up
+    to the graph's degree bound) or "mbased" (needs universal uniqueness).
+    Raises UniquenessError when the mode's regime does not cover the
+    instance, and BudgetExceededError when the node budget runs out first.
     """
     require_antiferromagnetic(s)
     if not (eps > 0.0) or not math.isfinite(eps):
@@ -328,7 +265,7 @@ def approx_partition(
     eps: float,
     boundary: Boundary | None = None,
     order: list[int] | None = None,
-    mode: str = "auto",
+    mode: str = "depth",
     budget: int | None = DEFAULT_BUDGET,
 ) -> PartitionEstimate:
     """Deterministic approximation of the (boundary-conditioned) partition sum.
@@ -337,6 +274,7 @@ def approx_partition(
     conditioning; each marginal is estimated to within eps/(4n), so each used
     probability is at least 1/3 and the accumulated relative error stays
     under eps.  The reported bound 3*n*eps' is deliberately conservative.
+    Raises ZeroWeightError when two pinned neighbours share a zero coupling.
     """
     require_antiferromagnetic(s)
     if not (eps > 0.0) or not math.isfinite(eps):
@@ -344,6 +282,9 @@ def approx_partition(
     fixed0, s_set = _boundary_parts(boundary)
     if s_set:
         raise InvalidParameterError("approx_partition needs an empty differing set")
+    for u, w in g.edges():  # gamma > 0, so only a blue-blue pair can weigh 0
+        if s.beta == 0.0 and fixed0.get(u) == fixed0.get(w) == BLUE:
+            raise ZeroWeightError(f"pinned blue neighbours {u} and {w} have weight 0")
 
     free = [v for v in range(g.n) if v not in fixed0]
     if order is None:
@@ -357,11 +298,8 @@ def approx_partition(
     n_free = len(elim)
     if n_free == 0:
         spins = tuple(fixed0[v] for v in range(g.n))
-        lw = log_weight(g, s, spins)
-        if lw == -_INF:
-            raise SpinDecayError("boundary configuration has zero weight")
         return PartitionEstimate(
-            log_z=lw, rel_error_bound=0.0, chosen_config=spins,
+            log_z=log_weight(g, s, spins), rel_error_bound=0.0, chosen_config=spins,
             per_vertex_p=(), eps=eps, mode="exact",
         )
 

@@ -216,13 +216,6 @@ def dumps(g: Graph, boundary: Boundary | None = None, system: SpinSystem | None 
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def save(path: str, g: Graph, boundary: Boundary | None = None,
-         system: SpinSystem | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(g, boundary, system))
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # generators (deterministic for a given seed)
 

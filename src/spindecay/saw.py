@@ -13,25 +13,23 @@ walk originally left the revisited vertex, both ranked in that vertex's
 canonical order: blue when the closing edge ranks higher, green otherwise.
 Flipping the comparison corresponds to ranking every adjacency descending
 instead of ascending, which is just a different (equally valid) canonical
-order; the constant below picks ours in one place.
+order.
 
 `_walk_single` is the only traversal of the tree.  It walks it iteratively
 (an explicit stack, no recursion) and propagates ratio intervals upward
-through the recursion of `core`; the estimator calls it for every interval
-it reports, and `dump_levels` runs it with a visitor, so the tree
-that is dumped is the tree that is evaluated.
+through the recursion of `core`, truncated by one of the two policies below
+(or not at all); the estimator calls it for every interval it reports, and
+`dump_levels` runs it with a visitor, so the tree that is dumped is the tree
+that is evaluated.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, guarded_exp
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Boundary, Graph
-
-# Blue exactly when the closing edge outranks the departing edge at the
-# revisited vertex.  Adjacency lists are ascending, so rank order is id order.
-CLOSE_BLUE_WHEN_CLOSING_EDGE_RANKS_HIGHER = True
 
 FREE = "free"
 FIXED = "fixed"
@@ -39,13 +37,41 @@ FIXED = "fixed"
 _INF = math.inf
 
 
+@dataclass(frozen=True)
+class Depth:
+    """Expand free nodes strictly above depth t; the rest get [0, +inf]."""
+
+    t: int
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise InvalidParameterError(f"depth cutoff must be nonnegative, got {self.t}")
+
+
+@dataclass(frozen=True)
+class MBased:
+    """Degree-scaled truncation with base m and budget ell.
+
+    A node's scaled depth grows by ceil_log(m, d+1) when its parent has d
+    children; nodes whose grandparent's scaled depth reaches ell are trivial.
+    """
+
+    m: float
+    ell: int
+
+    def __post_init__(self):
+        if not self.m > 1.0:
+            raise InvalidParameterError(f"truncation base must exceed 1, got {self.m}")
+        if self.ell < 1:
+            raise InvalidParameterError(f"truncation budget must be positive, got {self.ell}")
+
+
 def closing_spin(departed_to: int, closing_from: int) -> str:
     """Spin of a cycle-closing leaf at a vertex the walk left via departed_to
     and is re-entered from closing_from."""
-    higher = closing_from > departed_to
-    if CLOSE_BLUE_WHEN_CLOSING_EDGE_RANKS_HIGHER:
-        return BLUE if higher else GREEN
-    return GREEN if higher else BLUE
+    # Blue exactly when the closing edge outranks the departing edge at the
+    # revisited vertex.  Adjacency lists are ascending, so rank order is id order.
+    return BLUE if closing_from > departed_to else GREEN
 
 
 # Frame slots (lists, not objects, for speed):
@@ -66,9 +92,7 @@ def _walk_single(
     lam: list[float],
     fixed: dict[int, str],
     s_set: frozenset[int],
-    depth_limit: int | None,
-    m_limit: int | None,
-    m_base: float | None,
+    policy: Depth | MBased | None,
     budget: int | None,
     visit=None,
 ) -> tuple[float, float, int, bool]:
@@ -77,8 +101,8 @@ def _walk_single(
     A child is, in this order: a cycle-closing leaf, a member of the
     differing set s_set (the trivial interval [0, +inf]), a fixed leaf, a
     frontier leaf (also trivial), or a free node that is expanded.  The
-    frontier is a depth cutoff, a degree-scaled cutoff (a node's scaled depth
-    grows by ceil_log(m_base, d+1) below a parent with d children), or none.
+    frontier is the policy's: a depth cutoff, a degree-scaled cutoff, or,
+    for policy None, no frontier at all.
     visit(depth, vertex, spin, expanded), when given, is called on every node
     below the root in depth-first order; spin is None on free nodes.
     """
@@ -87,8 +111,10 @@ def _walk_single(
     inv_gamma = 1.0 / gamma
     log = math.log
     isinf = math.isinf
+    depth_limit = policy.t if isinstance(policy, Depth) else None
+    m_limit, m_base = (policy.ell, policy.m) if isinstance(policy, MBased) else (None, None)
 
-    if depth_limit is not None and depth_limit <= 0:
+    if depth_limit == 0:
         return 0.0, _INF, 0, True
 
     def open_frame(origin: int, parent: int | None, depth: int,
@@ -181,6 +207,7 @@ def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None) 
     Nodes above the cutoff carry their children; differing-set members are
     shown as the fixed leaves they are in the boundary.
     """
+    policy = Depth(depth)
     if not (0 <= v < g.n):
         raise InvalidParameterError(f"root vertex {v} outside 0..{g.n - 1}")
     fixed = boundary.fixed if boundary is not None else {}
@@ -201,6 +228,5 @@ def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None) 
             del open_nodes[d:]
             open_nodes.append(node)
 
-    _walk_single(g, _SHAPE_ONLY, v, [1.0] * g.n, fixed, frozenset(), depth,
-                 None, None, None, visit)
+    _walk_single(g, _SHAPE_ONLY, v, [1.0] * g.n, fixed, frozenset(), policy, None, visit)
     return root

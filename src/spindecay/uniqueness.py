@@ -68,7 +68,11 @@ class FixedPointResult:
     residual: float
 
 
-@lru_cache(maxsize=None)
+# The three certificate memos are bounded so that a long-lived caller stays
+# at constant memory.  One universally unique system with its gamma and
+# activity thresholds solves about 750 distinct fixed points over some 40
+# uniqueness checks, all of which fit.
+@lru_cache(maxsize=2048)
 def fixed_point(s: SpinSystem, d: int) -> FixedPointResult:
     """The unique positive fixed point of the d-ary symmetric recursion.
 
@@ -148,7 +152,7 @@ def _envelope_start(s: SpinSystem) -> tuple[int, float]:
     raise SpinDecayError("uniqueness tail search failed to terminate")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
     """Whether |f_d'(x_hat_d)| < 1 for every 1 <= d < delta (delta may be inf).
 
@@ -289,10 +293,11 @@ def _alpha_max_point(s: SpinSystem, d: int) -> float:
     return _bisect_decreasing(h, lo, hi)
 
 
-def _contraction_entry(s: SpinSystem, d: int) -> ContractionEntry:
+def _contraction_entry(s: SpinSystem, fp: FixedPointResult) -> ContractionEntry:
+    d = fp.d
     x_max = _alpha_max_point(s, d)
     a_d = alpha_sym(s, d, x_max)
-    sqrt_deriv = math.sqrt(fixed_point(s, d).derivative_abs)
+    sqrt_deriv = math.sqrt(fp.derivative_abs)
     if a_d > sqrt_deriv + 1e-9:
         raise SpinDecayError(
             f"contraction maximum {a_d!r} exceeds sqrt of fixed-point "
@@ -306,7 +311,7 @@ def _log_envelope(s: SpinSystem, d: int) -> float:
     return math.log(d) + 0.5 * (math.log(s.lam) - (d + 1) * math.log(s.gamma))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
     """The decay rate certified for all arities below delta.
 
@@ -315,7 +320,8 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
     child vectors are dominated by the symmetric maximum.  For delta = inf
     the explicit range extends until the unconditional envelope
     d*sqrt(lam/gamma**(d+1)) is decreasing and below the explicit maximum,
-    which certifies every remaining arity.
+    which certifies every remaining arity.  The fixed points the uniqueness
+    check solved are reused, not looked up again.
     """
     require_antiferromagnetic(s)
     delta = _validate_delta(delta)
@@ -324,21 +330,25 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
         d_bad = uni.violating.d if uni.violating is not None else None
         raise UniquenessError(
             f"system (beta={s.beta}, gamma={s.gamma}, lam={s.lam}) is not unique "
-            f"up to delta={delta}" + (f" (fails at arity {d_bad})" if d_bad else ""),
+            f"up to delta={delta}: {uni.reason}",
             violating_d=d_bad,
         )
+
+    def entry(d: int) -> ContractionEntry:
+        fp = uni.checked[d - 1] if d <= len(uni.checked) else fixed_point(s, d)
+        return _contraction_entry(s, fp)
 
     entries: list[ContractionEntry] = []
     if delta != math.inf:
         for d in range(1, int(delta)):
-            entries.append(_contraction_entry(s, d))
+            entries.append(entry(d))
         alpha = max(e.alpha_d for e in entries)
         tail_start = tail_bound = None
     else:
         # gamma > 1 is guaranteed here (universal uniqueness holds).
         g = s.gamma
         monotone_from = max(1, math.floor(1.0 / (math.sqrt(g) - 1.0)) + 1)
-        entries.append(_contraction_entry(s, 1))
+        entries.append(entry(1))
         best = entries[0].alpha_d
         d = 1
         while True:
@@ -348,7 +358,7 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
             d += 1
             if d > 100_000:
                 raise SpinDecayError("contraction tail extension failed to terminate")
-            entries.append(_contraction_entry(s, d))
+            entries.append(entry(d))
             best = max(best, entries[-1].alpha_d)
         alpha = best
         tail_start = d + 1
@@ -375,7 +385,7 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
 class ThresholdReport:
     """Uniform result record for the threshold family of operations."""
 
-    kind: str  # hardcore_lambda | soft_lambda_pair | gamma_c | universal_lambda | contraction | M_constant
+    kind: str  # hardcore_lambda | soft_lambda_pair | gamma_c | universal_lambda
     values: tuple[float, ...]
     delta: float
     witness_d: int | None = None

@@ -9,6 +9,7 @@ import pytest
 
 from spindecay.cli import main
 from spindecay.core import SpinSystem
+from spindecay.estimator import estimate_marginal
 from spindecay.graphs import cycle, dumps, path, star
 from spindecay.oracle import exact_partition
 
@@ -89,13 +90,26 @@ def test_marginal_command(capsys, c4_file):
     assert out["p_hi"] - out["p_lo"] <= 1e-3
 
 
-def test_float_rendering_round_trips():
-    from spindecay.cli import _float_str
-
-    for x in (1 / 3, 2 / 7, 1e-300, 6.02e23, -0.1):
-        assert float(_float_str(x)) == x
-    assert _float_str(math.inf) == "Infinity"
-    assert json.loads(f'[{_float_str(math.inf)}]') == [math.inf]
+def test_floats_print_shortest_and_round_trip(capsys, c4_file):
+    argv = ["marginal", "--graph", c4_file, "--vertex", "0", "--eps", "0.001",
+            "--beta", "0.3", "--gamma", "1.2", "--lambda", "0.8"]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    texts = []
+    doc = json.loads(out, parse_float=lambda text: texts.append(text) or float(text))
+    assert texts and all(text == repr(float(text)) for text in texts)
+    est = estimate_marginal(cycle(4), SpinSystem(0.3, 1.2, 0.8), 0, eps=0.001)
+    outputs = doc["outputs"]
+    for key in ("r_lo", "r_hi", "p_lo", "p_hi"):
+        assert outputs[key] == getattr(est, key)
+    assert outputs["width"] == est.p_hi - est.p_lo
+    assert [doc["inputs"][k] for k in ("eps", "beta", "gamma", "lambda")] == [
+        0.001, 0.3, 1.2, 0.8]
+    # a blue-pinned root has ratio +inf at both ends
+    rc, out, err = run(capsys, *argv, "--fix", "0=blue")
+    assert rc == 0, err
+    assert '"r_lo": Infinity' in out
+    assert json.loads(out)["outputs"]["r_hi"] == math.inf
 
 
 def test_marginal_is_deterministic(capsys, c4_file):
@@ -189,6 +203,17 @@ def test_exit_code_usage_errors(capsys, k2_file, tmp_path):
     rc, _, _ = run(capsys, "marginal", "--graph", k2_file, "--vertex", "0", "--beta",
                    "0", "--gamma", "1", "--lambda", "1", "--threads", "2")
     assert rc == 1  # no such flag: evaluation is sequential
+    rc, _, _ = run(capsys, "marginal", "--graph", k2_file, "--vertex", "0", "--beta",
+                   "0", "--gamma", "1", "--lambda", "1", "--mode", "auto")
+    assert rc == 1  # the modes are depth and mbased
+    for flag, value in (("--budget", "0"), ("--budget", "-5"), ("--budget", "x")):
+        rc, _, err = run(capsys, "partition", "--graph", k2_file, "--beta", "0",
+                         "--gamma", "1", "--lambda", "1", flag, value)
+        assert rc == 1 and "positive integer" in err
+    for value in ("0", "-1"):
+        rc, _, err = run(capsys, "exact", "--graph", k2_file, "--beta", "0",
+                         "--gamma", "1", "--lambda", "1", "--cap", value)
+        assert rc == 1 and "positive integer" in err
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     rc, _, err = run(capsys, "exact", "--graph", str(bad), "--beta", "0",
@@ -209,9 +234,23 @@ def test_exit_code_precondition_errors(capsys, tmp_path, k2_file):
                    "--gamma", "1", "--lambda", "1",
                    "--fix", "0=blue", "--fix", "1=blue")
     assert rc == 2  # every configuration has zero weight
+    rc, _, _ = run(capsys, "saw-dump", "--graph", k2_file, "--vertex", "0",
+                   "--depth", "-1")
+    assert rc == 2
     rc, _, _ = run(capsys, "thresholds", "--kind", "hardcore", "--gamma", "1",
                    "--delta", "inf")
     assert rc == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_partition_with_a_zero_weight_boundary(capsys, tmp_path, n):
+    # 0 and 1 pinned blue at beta = 0: with n = 3 vertex 2 stays free
+    f = tmp_path / "p.json"
+    f.write_text(dumps(path(n)))
+    rc, out, err = run(capsys, "partition", "--graph", str(f), "--beta", "0",
+                       "--gamma", "1", "--lambda", "1", "--fix", "0=blue", "--fix", "1=blue")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "weight 0" in err
 
 
 def test_exit_code_budget_errors(capsys, c4_file, tmp_path):

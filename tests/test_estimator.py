@@ -10,6 +10,7 @@ from spindecay.errors import (
     BudgetExceededError,
     InvalidParameterError,
     UniquenessError,
+    ZeroWeightError,
 )
 from spindecay.estimator import (
     Depth,
@@ -100,6 +101,8 @@ def test_policy_validation():
     with pytest.raises(InvalidParameterError):
         bounds(g, HARDCORE, 0, policy=MBased(2.0, 0))
     with pytest.raises(InvalidParameterError):
+        bounds(g, HARDCORE, 0, policy=None)  # None walks the whole tree in the kernel only
+    with pytest.raises(InvalidParameterError):
         bounds(g, HARDCORE, 5, policy=Depth(1))
 
 
@@ -159,6 +162,14 @@ def test_mbased_mode_agrees_with_depth_mode():
         assert est.width <= 1e-4
 
 
+def test_unknown_modes_are_parameter_errors():
+    for mode in ("auto", "none", "bogus"):
+        with pytest.raises(InvalidParameterError):
+            estimate_marginal(path(4), HARDCORE, 0, eps=0.1, mode=mode)
+        with pytest.raises(InvalidParameterError):
+            approx_partition(path(4), HARDCORE, eps=0.1, mode=mode)
+
+
 def test_mbased_requires_growing_gamma():
     with pytest.raises(UniquenessError):
         estimate_marginal(path(4), HARDCORE, 0, eps=0.1, mode="mbased")
@@ -202,6 +213,14 @@ def test_approx_partition_all_fixed_is_exact():
     pe = approx_partition(g, HARDCORE, eps=0.5, boundary=b)
     assert pe.rel_error_bound == 0.0
     assert pe.log_z == pytest.approx(0.0, abs=1e-12)  # single weight lam = 1
+
+
+def test_approx_partition_rejects_zero_weight_boundaries():
+    blue_pair = {0: BLUE, 1: BLUE}
+    # every vertex pinned, and pinned vertices beside a free one
+    for g in (path(2), path(3)):
+        with pytest.raises(ZeroWeightError):
+            approx_partition(g, HARDCORE, eps=0.1, boundary=Boundary(fixed=blue_pair))
 
 
 def test_approx_partition_probabilities_stay_away_from_zero():

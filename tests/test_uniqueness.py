@@ -118,6 +118,22 @@ def test_contraction_refuses_non_unique_systems():
     assert exc.value.violating_d == 2
 
 
+def test_certificate_memos_are_bounded():
+    memos = (fixed_point, is_unique_up_to, contraction_bound)
+    for memo in memos:
+        memo.cache_clear()
+    # the bound reuses the fixed points the uniqueness check solved
+    contraction_bound(HARDCORE, 4)
+    assert fixed_point.cache_info().hits == 0
+    # eleven arities per system overflow the fixed-point memo
+    for i in range(200):
+        contraction_bound(SpinSystem(0.1, 3.5, 0.8 + i / 400), 12)
+    for memo in memos:
+        info = memo.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert fixed_point.cache_info().currsize == fixed_point.cache_info().maxsize
+
+
 def test_contraction_universal_reference_value():
     cb = contraction_bound(SpinSystem(0.2, 4.0, 1.0), math.inf)
     assert cb.alpha == pytest.approx(0.023796041628638284, rel=1e-6)
