@@ -46,6 +46,7 @@ from .estimator import (
     bounds,
     decay_curve,
     estimate_marginal,
+    require_positive_weight,
 )
 from .graphs import Boundary, Graph, Instance, load, loads
 from .oracle import ENUMERATION_CAP, exact_marginal, exact_partition
@@ -419,6 +420,9 @@ def _cmd_decay(args):
 
 def _cmd_saw_dump(args):
     inst, boundary = _load_boundary(args)
+    if inst.system is not None:  # the tree's shape does not need one
+        g2, b2, s, _ = _canonical(inst.graph, boundary, inst.system)
+        require_positive_weight(g2, s, b2)
     dump = dump_levels(inst.graph, args.vertex, args.depth, boundary)
     inputs = {"graph": args.graph, "vertex": args.vertex, "depth": args.depth}
     return inputs, dump

@@ -5,8 +5,14 @@ self-avoiding-walk tree once per call and propagates ratio intervals upward:
 free nodes at the truncation frontier contribute the trivial interval
 [0, +inf] and pinned leaves contribute exact points.  This module holds what
 is built on it: the accuracy loop, the decay curve and the partition
-pipeline.  Interval width contracts by the certified alpha per level, which
-turns a target accuracy into a depth.
+pipeline.
+
+The interval of every walk is a certificate, whatever its depth, so the
+accuracy loop starts at level 1 and deepens by 2 until the measured width
+complies.  Interval width contracts by the certified alpha per level, which
+turns a target accuracy into the a-priori level ceil(log(4/eps)/log(1/alpha)):
+the loop never steps past it, and reaching it proves that the loop ends.
+It is only a cap; the measured width usually complies many levels earlier.
 
 Two truncation policies are supported (both live in `saw`): `Depth`, a plain
 depth cutoff for systems unique up to the graph's degree bound, and `MBased`,
@@ -23,7 +29,7 @@ final configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import BLUE, GREEN, SpinSystem, ceil_log, require_antiferromagnetic
 from .errors import InvalidParameterError, SpinDecayError, ZeroWeightError
@@ -84,6 +90,18 @@ def _boundary_parts(boundary: Boundary | None) -> tuple[dict[int, str], frozense
     return boundary.fixed, boundary.S
 
 
+def require_positive_weight(g: Graph, s: SpinSystem, boundary: Boundary | None) -> None:
+    """Raise ZeroWeightError when two pinned neighbours, neither in the
+    differing set, share a zero coupling: every configuration extending such
+    a boundary weighs 0, so no conditional marginal exists."""
+    if s.beta != 0.0 or boundary is None:  # gamma > 0: only blue-blue can weigh 0
+        return
+    fixed, s_set = boundary.fixed, boundary.S
+    for u, w in g.edges():
+        if fixed.get(u) == fixed.get(w) == BLUE and not {u, w} & s_set:
+            raise ZeroWeightError(f"pinned blue neighbours {u} and {w} have weight 0")
+
+
 def _pinned_root(g: Graph, v: int, fixed: dict[int, str],
                  s_set: frozenset[int]) -> MarginalBounds | None:
     """The interval of a root the boundary decides without a walk, else None."""
@@ -122,8 +140,10 @@ def bounds(
 
     Every assignment extending the boundary off its differing set has its
     true marginal inside [p_lo, p_hi]; deeper policies only tighten it.
+    Raises ZeroWeightError when the boundary has zero weight.
     """
     require_antiferromagnetic(s)
+    require_positive_weight(g, s, boundary)
     fixed, s_set = _boundary_parts(boundary)
     pinned = _pinned_root(g, v, fixed, s_set)
     if pinned is not None:
@@ -175,12 +195,15 @@ class _Strategy:
     level_cap: int
 
 
+def _require_mode(mode: str) -> None:
+    if mode not in ("depth", "mbased"):
+        raise InvalidParameterError(f"mode must be 'depth' or 'mbased', got {mode!r}")
+
+
 def _resolve_strategy(g: Graph, s: SpinSystem, mode: str) -> _Strategy:
     """The certified decay rate and level cap of a mode; raises UniquenessError
     (with the failing arity) when some per-vertex activity is not unique up
     to the mode's degree bound: the graph's for "depth", none for "mbased"."""
-    if mode not in ("depth", "mbased"):
-        raise InvalidParameterError(f"mode must be 'depth' or 'mbased', got {mode!r}")
     degree_bound = max(2, max_degree(g) + 1)
     delta = degree_bound if mode == "depth" else math.inf
     systems = [s.with_field(l) for l in sorted({g.activity(v, s) for v in range(g.n)})]
@@ -213,16 +236,25 @@ def estimate_marginal(
 ) -> MarginalBounds:
     """Blue-marginal interval of width at most eps.
 
-    The certified contraction turns eps into a starting level; the level then
-    deepens by 2 until the measured width complies (an exactly evaluated tree
-    stops immediately, whatever eps).  mode is "depth" (needs uniqueness up
-    to the graph's degree bound) or "mbased" (needs universal uniqueness).
-    Raises UniquenessError when the mode's regime does not cover the
-    instance, and BudgetExceededError when the node budget runs out first.
+    Every walk's interval is a certificate, so levels start at 1 and deepen
+    by 2 until the measured width complies (an exactly evaluated tree stops
+    immediately, whatever eps).  The steps never pass the level that the
+    certified contraction assigns to eps, where the width provably complies,
+    so the loop ends; past that cap it would go on only to the level where
+    no free node is left, which a certified strategy never needs.
+
+    mode is "depth" (needs uniqueness up to the graph's degree bound) or
+    "mbased" (needs universal uniqueness).  `expanded` is the total over all
+    walks, and the budget applies to each walk, as in decay_curve.  Raises
+    UniquenessError when the mode's regime does not cover the instance,
+    ZeroWeightError when the boundary has zero weight, and
+    BudgetExceededError when a walk runs out of budget.
     """
     require_antiferromagnetic(s)
+    _require_mode(mode)
     if not (eps > 0.0) or not math.isfinite(eps):
         raise InvalidParameterError(f"eps must be positive and finite, got {eps!r}")
+    require_positive_weight(g, s, boundary)
     fixed, s_set = _boundary_parts(boundary)
     if s_set:
         raise InvalidParameterError(
@@ -234,19 +266,21 @@ def estimate_marginal(
         return pinned
 
     strat = _strategy if _strategy is not None else _resolve_strategy(g, s, mode)
-    level = min(_level_for(eps, strat.alpha), strat.level_cap)
+    cap = min(_level_for(eps, strat.alpha), strat.level_cap)
     lam = _activities(g, s)
+    level, expanded = 1, 0
     while True:
         policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
         out = _walk(g, s, v, lam, fixed, s_set, policy, budget)
+        expanded += out.expanded
         if out.exact or out.width <= eps:
-            return out
+            return replace(out, expanded=expanded)
         if level >= strat.level_cap:
             raise SpinDecayError(
                 f"width {out.width} still above eps={eps} at the level cap; "
                 "this should be unreachable for a certified strategy"
             )
-        level = min(level + 2, strat.level_cap)
+        level = min(level + 2, cap if level < cap else strat.level_cap)
 
 
 @dataclass(frozen=True)
@@ -277,14 +311,13 @@ def approx_partition(
     Raises ZeroWeightError when two pinned neighbours share a zero coupling.
     """
     require_antiferromagnetic(s)
+    _require_mode(mode)
     if not (eps > 0.0) or not math.isfinite(eps):
         raise InvalidParameterError(f"eps must be positive and finite, got {eps!r}")
     fixed0, s_set = _boundary_parts(boundary)
     if s_set:
         raise InvalidParameterError("approx_partition needs an empty differing set")
-    for u, w in g.edges():  # gamma > 0, so only a blue-blue pair can weigh 0
-        if s.beta == 0.0 and fixed0.get(u) == fixed0.get(w) == BLUE:
-            raise ZeroWeightError(f"pinned blue neighbours {u} and {w} have weight 0")
+    require_positive_weight(g, s, boundary)
 
     free = [v for v in range(g.n) if v not in fixed0]
     if order is None:
@@ -361,10 +394,12 @@ def decay_curve(
     Each point is its own kernel walk, equal to bounds() at Depth(t), with
     the budget applying to each walk.  The curve costs t_max + 1 walks, about
     twice its deepest point on trees of branching 2.  Widths are nonincreasing.
+    Raises ZeroWeightError when the boundary has zero weight.
     """
     require_antiferromagnetic(s)
     if t_max < 0:
         raise InvalidParameterError(f"t_max must be nonnegative, got {t_max}")
+    require_positive_weight(g, s, boundary)
     fixed, s_set = _boundary_parts(boundary)
     pinned = _pinned_root(g, v, fixed, s_set)
     lam = _activities(g, s)

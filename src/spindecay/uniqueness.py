@@ -137,19 +137,34 @@ def _validate_delta(delta) -> float:
     return delta
 
 
-def _envelope_start(s: SpinSystem) -> tuple[int, float]:
-    """First arity where d*lam/gamma**d is decreasing and below 1 (gamma > 1).
+def _envelope_start(s: SpinSystem, lo: int, top: float) -> tuple[int, float] | None:
+    """First arity d in [lo, top) where d*lam/gamma**d is below 1, or None.
 
-    Returns (d_star, value at d_star); for every d >= d_star the derivative
-    at the fixed point is below the envelope, hence below 1.
+    The envelope must be decreasing from lo on, so a doubling search
+    brackets the first arity below 1 and a bisection finds it; the envelope
+    tends to 0 (gamma > 1), so the doubling ends even for top = inf.  Returns
+    (d_star, value at d_star); for every d >= d_star the derivative at the
+    fixed point is below the envelope, hence below 1.
     """
-    g = s.gamma
-    d = max(1, math.floor(1.0 / (g - 1.0)) + 1)  # decreasing from here on
-    for _ in range(1_000_000):
-        if d * s.lam * math.exp(-d * math.log(g)) < 1.0:
-            return d, d * s.lam * math.exp(-d * math.log(g))
-        d += 1
-    raise SpinDecayError("uniqueness tail search failed to terminate")
+    log_g = math.log(s.gamma)
+
+    def env(d: int) -> float:
+        return d * s.lam * math.exp(-d * log_g)
+
+    hi = lo
+    while env(hi) >= 1.0:  # when it ends, env(lo) >= 1 > env(hi) unless lo == hi
+        lo, hi = hi, 2 * hi
+        if hi >= top:
+            if env(top - 1) >= 1.0:
+                return None
+            hi = top - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if env(mid) < 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi, env(hi)
 
 
 @lru_cache(maxsize=256)
@@ -162,40 +177,47 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
     """
     require_antiferromagnetic(s)
     delta = _validate_delta(delta)
+    if delta == math.inf and s.gamma <= 1.0:
+        return UniquenessResult(
+            unique=False,
+            delta=delta,
+            checked=(),
+            reason="gamma <= 1 admits no universal uniqueness",
+        )
 
-    tail_start = None
-    tail_bound = None
-    if delta == math.inf:
-        if s.gamma <= 1.0:
-            return UniquenessResult(
-                unique=False,
-                delta=delta,
-                checked=(),
-                reason="gamma <= 1 admits no universal uniqueness",
-            )
-        tail_start, tail_bound = _envelope_start(s)
-        explicit_top = tail_start  # check 1 .. tail_start - 1
-    else:
-        explicit_top = delta
-        if s.gamma > 1.0:
-            # Large finite deltas can reuse the envelope shortcut.
-            d_star, bound = _envelope_start(s)
-            if d_star < delta:
-                tail_start, tail_bound = d_star, bound
-                explicit_top = d_star
+    checked: list[FixedPointResult] = []
 
-    checked = []
-    for d in range(1, explicit_top):
-        fp = fixed_point(s, d)
-        checked.append(fp)
-        if fp.derivative_abs >= 1.0:
-            return UniquenessResult(
-                unique=False,
-                delta=delta,
-                checked=tuple(checked),
-                violating=fp,
-                reason=f"derivative {fp.derivative_abs:.6g} >= 1 at arity {d}",
-            )
+    def first_violation(top: float) -> FixedPointResult | None:
+        """Solve the arities from the last checked one up to top - 1, in order."""
+        for d in range(len(checked) + 1, top):
+            fp = fixed_point(s, d)
+            checked.append(fp)
+            if fp.derivative_abs >= 1.0:
+                return fp
+        return None
+
+    # The envelope d*lam/gamma**d certifies a tail only where it decreases,
+    # from arity lo on (consecutive values have ratio (d+1)/(d*gamma), below
+    # 1 once d > 1/(gamma-1)), so it is consulted only when lo < delta
+    # (always for inf, where gamma > 1 here), after the arities below lo.
+    tail = bad = None
+    if s.gamma > 1.0:
+        lo = max(1, math.floor(1.0 / (s.gamma - 1.0)) + 1)
+        if lo < delta:
+            bad = first_violation(lo)
+            if bad is None:
+                tail = _envelope_start(s, lo, delta)
+    tail_start, tail_bound = tail or (None, None)
+    if bad is None:
+        bad = first_violation(tail_start or delta)
+    if bad is not None:
+        return UniquenessResult(
+            unique=False,
+            delta=delta,
+            checked=tuple(checked),
+            violating=bad,
+            reason=f"derivative {bad.derivative_abs:.6g} >= 1 at arity {bad.d}",
+        )
     return UniquenessResult(
         unique=True,
         delta=delta,

@@ -253,6 +253,30 @@ def test_partition_with_a_zero_weight_boundary(capsys, tmp_path, n):
     assert err.count("\n") == 1 and "weight 0" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["marginal", "--vertex", "2"],
+    ["marginal", "--vertex", "2", "--depth", "3"],
+    ["decay", "--vertex", "2"],
+    ["saw-dump", "--vertex", "2"],
+])
+def test_zero_weight_boundaries_exit_2(capsys, tmp_path, command):
+    # 0 and 1 pinned blue at beta = 0: no configuration has positive weight;
+    # saw-dump takes no system flags, so the file carries the system
+    f = tmp_path / "p3.json"
+    f.write_text(dumps(path(3), system=SpinSystem(0.0, 1.0, 1.0)))
+    rc, out, err = run(capsys, *command, "--graph", str(f), "--fix", "0=blue",
+                       "--fix", "1=blue")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "weight 0" in err
+
+
+def test_uniqueness_with_gamma_just_above_one(capsys):
+    doc = run_json(capsys, "uniqueness", "--beta", "0.1", "--gamma", "1.000001",
+                   "--lambda", "1", "--delta", "4")
+    assert doc["outputs"]["checked_count"] == 3
+    assert doc["outputs"]["tail_start"] is None
+
+
 def test_exit_code_budget_errors(capsys, c4_file, tmp_path):
     rc, _, _ = run(capsys, "marginal", "--graph", c4_file, "--vertex", "0",
                    "--budget", "2")

@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spindecay.core import BLUE, GREEN, SpinSystem, recursion_f
 from spindecay.errors import (
@@ -22,8 +24,19 @@ from spindecay.estimator import (
     estimate_marginal,
     exhaustive_ratio,
 )
-from spindecay.graphs import Boundary, Graph, cycle, path, random_tree, star
+from spindecay.graphs import (
+    Boundary,
+    Graph,
+    cycle,
+    from_edges,
+    max_degree,
+    path,
+    random_regular,
+    random_tree,
+    star,
+)
 from spindecay.oracle import exact_marginal, exact_partition
+from spindecay.uniqueness import hardcore_threshold, is_unique_up_to
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 SOFT = SpinSystem(0.3, 1.2, 0.8)
@@ -111,6 +124,59 @@ def test_accuracy_loop_meets_a_tight_target():
     assert est.width <= 1e-3
 
 
+def test_accuracy_loop_counts_the_nodes_of_every_level_tried():
+    g = random_regular(40, 3, seed=3)
+    s = SpinSystem(0.0, 1.0, 0.5 * hardcore_threshold(1.0, 4).values[0])
+    est = estimate_marginal(g, s, 0, eps=1e-2)
+    assert est.level > 1 and not est.exact
+    tried = range(1, est.level + 1, 2)
+    assert est.expanded == sum(bounds(g, s, 0, policy=Depth(t)).expanded for t in tried)
+    # the level before the last one was still too wide
+    assert bounds(g, s, 0, policy=Depth(est.level - 2)).width > 1e-2
+
+
+def test_accuracy_loop_stops_far_below_the_a_priori_level():
+    # alpha = 0.778 assigns level 24 to eps = 1e-2, whose walk tree exceeds
+    # five million nodes; the measured width complies at level 9
+    g = random_regular(100, 3, seed=1)
+    s = SpinSystem(0.0, 1.0, 0.5 * hardcore_threshold(1.0, 4).values[0])
+    est = estimate_marginal(g, s, 0, eps=1e-2, budget=10_000)
+    assert est.width <= 1e-2 and est.level == 9
+
+
+@st.composite
+def unique_instances(draw):
+    """A small graph, a system unique up to its degree bound, a boundary of
+    positive weight that leaves the root free, and a width target."""
+    n = draw(st.integers(2, 8))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n))
+    g = from_edges(n, edges)
+    beta = draw(st.sampled_from([0.0, 0.0, 0.1, 0.4]))
+    gamma = draw(st.floats(max(beta, 0.3), 2.5))
+    assume(beta * gamma < 0.95)
+    s = SpinSystem(beta, gamma, draw(st.floats(0.05, 3.0)))
+    assume(is_unique_up_to(s, max(2, max_degree(g) + 1)))
+    spins = draw(st.lists(st.sampled_from([None, BLUE, GREEN]), min_size=n - 1,
+                          max_size=n - 1))
+    fixed = {v: sp for v, sp in zip(range(1, n), spins) if sp is not None}
+    assume(beta > 0.0 or not any(fixed.get(u) == fixed.get(w) == BLUE for u, w in edges))
+    eps = draw(st.sampled_from([0.3, 0.1, 1e-2, 1e-3, 1e-5]))
+    return g, s, Boundary(fixed=fixed), eps
+
+
+@given(unique_instances())
+@settings(max_examples=150, deadline=None)
+def test_accuracy_loop_intervals_are_certificates(inst):
+    g, s, boundary, eps = inst
+    est = estimate_marginal(g, s, 0, boundary, eps=eps)
+    assert not (math.isnan(est.p_lo) or math.isnan(est.p_hi))
+    assert est.p_lo <= est.p_hi
+    assert est.exact or est.width <= eps
+    truth = exact_marginal(g, s, 0, boundary).p
+    assert est.p_lo - 1e-12 <= truth <= est.p_hi + 1e-12
+
+
 def test_exhaustive_ratio_matches_enumeration():
     g = cycle(6)
     assert exhaustive_ratio(g, SOFT, 2) == pytest.approx(
@@ -163,11 +229,18 @@ def test_mbased_mode_agrees_with_depth_mode():
 
 
 def test_unknown_modes_are_parameter_errors():
+    pinned = Boundary(fixed={v: GREEN for v in range(4)})
     for mode in ("auto", "none", "bogus"):
         with pytest.raises(InvalidParameterError):
             estimate_marginal(path(4), HARDCORE, 0, eps=0.1, mode=mode)
         with pytest.raises(InvalidParameterError):
             approx_partition(path(4), HARDCORE, eps=0.1, mode=mode)
+        # a pinned root and an all-pinned boundary need no walk, yet still
+        # reject the mode
+        with pytest.raises(InvalidParameterError):
+            estimate_marginal(path(4), HARDCORE, 0, pinned, eps=0.1, mode=mode)
+        with pytest.raises(InvalidParameterError):
+            approx_partition(path(4), HARDCORE, eps=0.1, boundary=pinned, mode=mode)
 
 
 def test_mbased_requires_growing_gamma():
@@ -221,6 +294,19 @@ def test_approx_partition_rejects_zero_weight_boundaries():
     for g in (path(2), path(3)):
         with pytest.raises(ZeroWeightError):
             approx_partition(g, HARDCORE, eps=0.1, boundary=Boundary(fixed=blue_pair))
+
+
+def test_marginals_reject_zero_weight_boundaries():
+    g, b = path(3), Boundary(fixed={0: BLUE, 1: BLUE})
+    for call in (lambda: bounds(g, HARDCORE, 2, b, Depth(2)),
+                 lambda: estimate_marginal(g, HARDCORE, 2, b, eps=0.1),
+                 lambda: decay_curve(g, HARDCORE, 2, b, t_max=2)):
+        with pytest.raises(ZeroWeightError):
+            call()
+    # a differing-set member carries no spin for the evaluation
+    lax = Boundary(fixed={0: BLUE, 1: BLUE}, S=frozenset({1}))
+    assert bounds(g, HARDCORE, 2, lax, Depth(2)).p_hi > 0.0
+    assert bounds(g, SOFT, 2, b, Depth(2)).exact  # beta > 0 weighs blue-blue
 
 
 def test_approx_partition_probabilities_stay_away_from_zero():

@@ -85,6 +85,32 @@ def test_envelope_shortcut_covers_large_finite_bounds():
     assert len(res.checked) < 499  # the per-arity scan was cut short
 
 
+def test_gamma_just_above_one_is_decided_by_the_explicit_arities():
+    # the envelope decreases only from arity 10**6 on, past delta = 4
+    s = SpinSystem(0.1, 1.000001, 1.0)
+    res = is_unique_up_to(s, 4)
+    assert res.unique and res.tail_start is None and len(res.checked) == 3
+    # universal uniqueness fails at a small arity, found before any tail search
+    res = is_unique_up_to(s, math.inf)
+    assert not res.unique and res.violating.d == len(res.checked) <= 5
+
+
+def test_envelope_tail_start_is_the_first_arity_below_one():
+    # the envelope d*lam/gamma**d decreases from arity floor(1/(gamma-1)) + 1
+    for s in (SpinSystem(0.5, 1.05, 1.0), SpinSystem(0.2, 1.2, 2.0),
+              SpinSystem(0.0, 2.0, 20.0)):
+        d = math.floor(1.0 / (s.gamma - 1.0)) + 1
+        while d * s.lam / s.gamma**d >= 1.0:  # reference: a one-step scan
+            d += 1
+        for delta in (math.inf, d + 1, d + 50):
+            res = is_unique_up_to(s, delta)
+            assert res.unique and res.tail_start == d, (s, delta)
+            assert len(res.checked) == d - 1
+        # a finite delta at or below the tail start is checked arity by arity
+        res = is_unique_up_to(s, d)
+        assert res.unique and res.tail_start is None and len(res.checked) == d - 1
+
+
 def test_universal_uniqueness_matches_the_inf_threshold():
     # gamma = 2 hardcore: candidate terms 2^(d+1) d^d / (d-1)^(d+1), min 27 at d=3
     rep = hardcore_threshold(2.0, math.inf)
@@ -196,6 +222,14 @@ def test_gamma_threshold_separates_the_regimes():
     gc2 = rep2.values[0]
     assert not is_unique_up_to(SpinSystem(0.3, gc2 * 0.98, 2.0), 6).unique
     assert is_unique_up_to(SpinSystem(0.3, gc2 * 1.02, 2.0), 6).unique
+
+
+def test_gamma_threshold_bracket_may_probe_gamma_near_one():
+    # the bracket's lower probes approach beta and pass gamma = 1 + 6.3e-6
+    beta, lam = 0.09871169290240459, 1.3984426131832892
+    gc = gamma_threshold(beta, lam, math.inf).values[0]
+    assert not is_unique_up_to(SpinSystem(beta, gc * (1 - 1e-6), lam), math.inf).unique
+    assert is_unique_up_to(SpinSystem(beta, gc * (1 + 1e-6), lam), math.inf).unique
 
 
 def test_universal_lambda_threshold_flips_uniqueness():
