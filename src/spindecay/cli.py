@@ -8,7 +8,9 @@ Floats are rendered by Python's repr, the shortest text that parses back to
 the same double, so round-tripping through the output loses nothing.  Errors
 go to stderr as plain text, and the exit code tells the caller what went
 wrong: 0 success, 1 usage or input problems, 2 violated preconditions
-(non-uniqueness, bad parameters, empty supports), 3 exhausted budgets.
+(non-uniqueness, bad parameters, empty supports), 3 exhausted budgets,
+4 any other library failure (a search or a computation that did not
+finish where the method says it must).
 
 Systems with beta > gamma are accepted here and handled by swapping the two
 spin states (and inverting activities) before calling the library, then
@@ -36,6 +38,7 @@ from .errors import (
     GraphFormatError,
     InvalidParameterError,
     NoThresholdError,
+    SpinDecayError,
     UniquenessError,
     ZeroWeightError,
 )
@@ -352,16 +355,18 @@ def _cmd_partition(args):
     est = approx_partition(
         g2, s, args.eps, boundary=b2, order=order, mode=args.mode, budget=args.budget
     )
-    log_z = est.log_z
+    shift = _log_activity_sum(g, s0) if swapped else 0.0
     config = est.chosen_config
     if swapped:
-        log_z += _log_activity_sum(g, s0)
         config = tuple(_flip_spin(sp) for sp in config)
     outputs = {
-        "log_z": log_z,
+        "log_z": est.log_z + shift,
+        "log_z_lo": est.log_z_lo + shift,
+        "log_z_hi": est.log_z_hi + shift,
         "rel_error_bound": est.rel_error_bound,
         "chosen_config": list(config),
         "per_vertex_p": [[v, p] for v, p in est.per_vertex_p],
+        "expanded": est.expanded,
         "mode": est.mode,
         "swapped": swapped,
     }
@@ -527,6 +532,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceededError, EnumerationCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except SpinDecayError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
     _emit(args.command, inputs, outputs, started)
     return 0
 

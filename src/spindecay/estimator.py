@@ -20,11 +20,15 @@ a degree-scaled cutoff where descending through a node with d children costs
 ceil_log(M, d+1) levels, which keeps the expanded tree polynomial on
 unbounded-degree graphs of universally unique systems.
 
-The partition function is assembled by fixing vertices one at a time: each
-conditional marginal is estimated to within eps/(4n), the likelier spin is
-fixed (its probability is at least 1/3 after estimation error), and the
-telescoping product of the chosen probabilities divides the weight of the
-final configuration.
+The partition function is assembled by fixing vertices one at a time to
+their likelier spin: Z is the weight of the final configuration divided by
+the telescoping product of the chosen conditional probabilities, and each
+probability's interval [q_lo, q_hi] bounds its factor, so log Z has a
+certified interval of log-width sum(log(q_hi/q_lo)).  approx_partition
+spends one log-width budget, 2*log1p(eps), vertex by vertex: each deepens
+only until its own log-width fits an even split of what is left, and a
+vertex that needs less (an exact one needs none) leaves the rest to the
+vertices after it.
 """
 from __future__ import annotations
 
@@ -164,8 +168,10 @@ def exhaustive_ratio(
 
     The walk tree is finite, so with no frontier the interval collapses to a
     point; this is the reference the truncated estimates converge to.
+    Raises ZeroWeightError when the boundary has zero weight.
     """
     require_antiferromagnetic(s)
+    require_positive_weight(g, s, boundary)
     fixed, s_set = _boundary_parts(boundary)
     if s_set:
         raise InvalidParameterError("exhaustive evaluation needs an empty differing set")
@@ -224,6 +230,20 @@ def _level_for(eps: float, alpha: float) -> int:
     return max(1, math.ceil(math.log(4.0 / eps) / math.log(1.0 / alpha)))
 
 
+def _likelier(b: MarginalBounds) -> tuple[str, float, float]:
+    """The spin whose interval has the larger midpoint (blue on a tie), with
+    that spin's probability interval [q_lo, q_hi]."""
+    if b.p_lo + b.p_hi >= 1.0:
+        return BLUE, b.p_lo, b.p_hi
+    return GREEN, 1.0 - b.p_hi, 1.0 - b.p_lo
+
+
+def _log_width(b: MarginalBounds) -> float:
+    """log(q_hi/q_lo) of the likelier spin, as approx_partition spends it."""
+    _, q_lo, q_hi = _likelier(b)
+    return math.log(q_hi) - math.log(q_lo) if q_lo > 0.0 else _INF
+
+
 def estimate_marginal(
     g: Graph,
     s: SpinSystem,
@@ -233,6 +253,7 @@ def estimate_marginal(
     mode: str = "depth",
     budget: int | None = DEFAULT_BUDGET,
     _strategy: _Strategy | None = None,
+    _share: float | None = None,
 ) -> MarginalBounds:
     """Blue-marginal interval of width at most eps.
 
@@ -242,6 +263,11 @@ def estimate_marginal(
     certified contraction assigns to eps, where the width provably complies,
     so the loop ends; past that cap it would go on only to the level where
     no free node is left, which a certified strategy never needs.
+
+    approx_partition also passes a log-width share with eps = tanh(share/2):
+    a walk then complies as soon as its likelier spin's interval has
+    log(q_hi/q_lo) <= share.  A p-width of at most tanh(share/2) around a
+    midpoint of at least 1/2 implies that, so the same cap ends the loop.
 
     mode is "depth" (needs uniqueness up to the graph's degree bound) or
     "mbased" (needs universal uniqueness).  `expanded` is the total over all
@@ -273,7 +299,8 @@ def estimate_marginal(
         policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
         out = _walk(g, s, v, lam, fixed, s_set, policy, budget)
         expanded += out.expanded
-        if out.exact or out.width <= eps:
+        if out.exact or out.width <= eps or (
+                _share is not None and _log_width(out) <= _share):
             return replace(out, expanded=expanded)
         if level >= strat.level_cap:
             raise SpinDecayError(
@@ -286,11 +313,26 @@ def estimate_marginal(
 @dataclass(frozen=True)
 class PartitionEstimate:
     log_z: float
+    log_z_lo: float
+    log_z_hi: float
     rel_error_bound: float
     chosen_config: tuple[str, ...]
     per_vertex_p: tuple[tuple[int, float], ...]
     eps: float
     mode: str
+    expanded: int = 0
+
+
+# The largest log-width one vertex may spend: p-width 1/2 (tanh(log(3)/2)),
+# so every chosen probability stays at least 1/4 however large eps is.
+_MAX_SHARE = math.log(3.0)
+
+
+def _rounding_allowance(terms: int, magnitude: float) -> float:
+    """A generous bound on the float error of summing `terms` logarithms of
+    total magnitude `magnitude`, so an interval of exact walks keeps the
+    rounding of its own arithmetic inside it."""
+    return 8.0 * (terms + 2) * 2.0 ** -52 * (magnitude + 1.0)
 
 
 def approx_partition(
@@ -305,10 +347,17 @@ def approx_partition(
     """Deterministic approximation of the (boundary-conditioned) partition sum.
 
     Vertices are fixed one at a time to their likelier spin under the current
-    conditioning; each marginal is estimated to within eps/(4n), so each used
-    probability is at least 1/3 and the accumulated relative error stays
-    under eps.  The reported bound 3*n*eps' is deliberately conservative.
-    Raises ZeroWeightError when two pinned neighbours share a zero coupling.
+    conditioning.  The chosen spin's interval [q_lo, q_hi] holds its true
+    conditional probability, so log Z lies in
+    [log w - sum(log q_hi), log w - sum(log q_lo)] for the final
+    configuration's weight w.  That interval's log-width is a budget of
+    2*log1p(eps): the i-th of the k free vertices deepens until its
+    log-width fits remaining/(k - i), and what it leaves unspent rolls
+    forward.  The interval is widened by a float rounding allowance; log_z
+    is its midpoint and rel_error_bound = expm1(half-width), which bounds
+    the relative error of exp(log_z) and is at most eps (up to that
+    allowance).  `expanded` totals the nodes of every walk.  Raises
+    ZeroWeightError when two pinned neighbours share a zero coupling.
     """
     require_antiferromagnetic(s)
     _require_mode(mode)
@@ -331,30 +380,34 @@ def approx_partition(
     n_free = len(elim)
     if n_free == 0:
         spins = tuple(fixed0[v] for v in range(g.n))
+        lw = log_weight(g, s, spins)
         return PartitionEstimate(
-            log_z=log_weight(g, s, spins), rel_error_bound=0.0, chosen_config=spins,
+            log_z=lw, log_z_lo=lw, log_z_hi=lw, rel_error_bound=0.0, chosen_config=spins,
             per_vertex_p=(), eps=eps, mode="exact",
         )
 
-    eps_v = min(eps / (4.0 * n_free), 1.0 / 12.0)
     strat = _resolve_strategy(g, s, mode)
     sigma = dict(fixed0)
+    remaining = 2.0 * math.log1p(eps)
+    sum_lo = sum_hi = 0.0  # sums of log q_lo and log q_hi over the chosen spins
+    expanded = 0
     chosen_p: list[tuple[int, float]] = []
-    for v in elim:
+    for i, v in enumerate(elim):
+        share = min(remaining / (n_free - i), _MAX_SHARE)
         est = estimate_marginal(
-            g, s, v, Boundary(fixed=dict(sigma)), eps=eps_v,
-            budget=budget, _strategy=strat,
+            g, s, v, Boundary(fixed=dict(sigma)), eps=math.tanh(0.5 * share),
+            budget=budget, _strategy=strat, _share=share,
         )
-        mid = 0.5 * (est.p_lo + est.p_hi)
-        if mid >= 0.5:
-            sigma[v] = BLUE
-            p = mid
-        else:
-            sigma[v] = GREEN
-            p = 1.0 - mid
-        if p <= 0.0:
+        expanded += est.expanded
+        spin, q_lo, q_hi = _likelier(est)
+        if q_lo <= 0.0:
             raise SpinDecayError(f"conditional probability degenerated at vertex {v}")
-        chosen_p.append((v, p))
+        log_lo, log_hi = math.log(q_lo), math.log(q_hi)
+        remaining -= log_hi - log_lo
+        sum_lo += log_lo
+        sum_hi += log_hi
+        sigma[v] = spin
+        chosen_p.append((v, 0.5 * (q_lo + q_hi)))
 
     spins = tuple(sigma[v] for v in range(g.n))
     lw = log_weight(g, s, spins)
@@ -362,14 +415,19 @@ def approx_partition(
         raise SpinDecayError(
             "chosen configuration has zero weight; marginal estimates were inconsistent"
         )
-    log_z = lw - sum(math.log(p) for _, p in chosen_p)
+    slack = _rounding_allowance(g.n + g.edge_count() + 2 * n_free,
+                                abs(lw) + abs(sum_lo) + abs(sum_hi))
+    log_z_lo, log_z_hi = lw - sum_hi - slack, lw - sum_lo + slack
     return PartitionEstimate(
-        log_z=log_z,
-        rel_error_bound=3.0 * n_free * eps_v,
+        log_z=0.5 * (log_z_lo + log_z_hi),
+        log_z_lo=log_z_lo,
+        log_z_hi=log_z_hi,
+        rel_error_bound=math.expm1(0.5 * (log_z_hi - log_z_lo)),
         chosen_config=spins,
         per_vertex_p=tuple(chosen_p),
         eps=eps,
         mode=strat.mode,
+        expanded=expanded,
     )
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from spindecay.cli import main
 from spindecay.core import SpinSystem
+from spindecay.errors import SpinDecayError
 from spindecay.estimator import estimate_marginal
 from spindecay.graphs import cycle, dumps, path, star
 from spindecay.oracle import exact_partition
@@ -134,6 +135,20 @@ def test_partition_command_matches_enumeration(capsys, c4_file):
     assert out["log_z"] == pytest.approx(math.log(7.0), abs=out["rel_error_bound"])
     assert len(out["chosen_config"]) == 4
     assert len(out["per_vertex_p"]) == 4
+    assert out["log_z_lo"] <= math.log(7.0) <= out["log_z_hi"]
+    assert out["rel_error_bound"] == math.expm1(0.5 * (out["log_z_hi"] - out["log_z_lo"]))
+    assert out["expanded"] > 0
+
+
+def test_partition_interval_translates_back_when_swapped(capsys, k2_file):
+    s = SpinSystem(2.0, 0.4, 2.0)
+    ref = exact_partition(path(2), s).log_z
+    doc = run_json(capsys, "partition", "--graph", k2_file, "--eps", "0.1",
+                   "--beta", "2.0", "--gamma", "0.4", "--lambda", "2.0")
+    out = doc["outputs"]
+    assert out["swapped"] is True
+    assert out["log_z_lo"] <= ref <= out["log_z_hi"]
+    assert out["log_z"] == pytest.approx(0.5 * (out["log_z_lo"] + out["log_z_hi"]), abs=1e-12)
 
 
 def test_exact_command(capsys, c4_file):
@@ -275,6 +290,17 @@ def test_uniqueness_with_gamma_just_above_one(capsys):
                    "--lambda", "1", "--delta", "4")
     assert doc["outputs"]["checked_count"] == 3
     assert doc["outputs"]["tail_start"] is None
+
+
+def test_other_library_failures_exit_4(capsys, monkeypatch):
+    # the real triggers (e.g. a tail search that does not finish) take seconds
+    def fail(args):
+        raise SpinDecayError("search failed to terminate")
+
+    monkeypatch.setattr("spindecay.cli._cmd_classify", fail)
+    rc, out, err = run(capsys, "classify", "--beta", "0", "--gamma", "1", "--lambda", "1")
+    assert rc == 4 and out == ""
+    assert err == "error: search failed to terminate\n"
 
 
 def test_exit_code_budget_errors(capsys, c4_file, tmp_path):

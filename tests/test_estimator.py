@@ -177,6 +177,12 @@ def test_accuracy_loop_intervals_are_certificates(inst):
     assert est.p_lo - 1e-12 <= truth <= est.p_hi + 1e-12
 
 
+def test_exhaustive_ratio_rejects_zero_weight_boundaries():
+    with pytest.raises(ZeroWeightError):
+        exhaustive_ratio(path(3), SpinSystem(0.0, 1.0, 1.0), 2,
+                         Boundary(fixed={0: BLUE, 1: BLUE}))
+
+
 def test_exhaustive_ratio_matches_enumeration():
     g = cycle(6)
     assert exhaustive_ratio(g, SOFT, 2) == pytest.approx(
@@ -312,6 +318,54 @@ def test_marginals_reject_zero_weight_boundaries():
 def test_approx_partition_probabilities_stay_away_from_zero():
     pe = approx_partition(random_tree(25, seed=9), SOFT, eps=0.05)
     assert all(p >= 1.0 / 3.0 - 1e-9 for _, p in pe.per_vertex_p)
+
+
+LAMBDA_C4 = hardcore_threshold(1.0, 4).values[0]
+CUBIC_SYSTEMS = (SpinSystem(0.0, 1.0, 0.3 * LAMBDA_C4),
+                 SpinSystem(0.0, 1.0, 0.5 * LAMBDA_C4),
+                 SpinSystem(0.2, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_approx_partition_interval_is_a_certificate(seed):
+    # 16 vertices: enumerating 20 takes about 5 s per system
+    g = random_regular(16, 3, seed=seed)
+    for s in CUBIC_SYSTEMS:
+        truth = exact_partition(g, s).log_z
+        for eps in (0.1, 0.01):
+            pe = approx_partition(g, s, eps)
+            assert pe.log_z_lo <= truth <= pe.log_z_hi, (s, eps)
+            assert pe.log_z == 0.5 * (pe.log_z_lo + pe.log_z_hi)
+            assert abs(math.expm1(pe.log_z - truth)) <= pe.rel_error_bound <= eps
+            # the bound is the interval's half-width, and the interval spends
+            # at most the budget 2*log1p(eps), each up to the rounding allowance
+            half = 0.5 * (pe.log_z_hi - pe.log_z_lo)
+            assert pe.rel_error_bound == math.expm1(half)
+            assert half <= math.log1p(eps) + 1e-12
+
+
+def test_approx_partition_of_exact_walks_still_bounds_the_rounding():
+    # every walk on C4 is exact, so the interval is the float error alone
+    pe = approx_partition(cycle(4), HARDCORE, eps=0.02)
+    assert 0.0 < pe.rel_error_bound < 1e-12
+    assert pe.log_z_lo <= math.log(7.0) <= pe.log_z_hi
+    assert abs(math.expm1(pe.log_z - math.log(7.0))) <= pe.rel_error_bound
+
+
+def test_approx_partition_keeps_shares_finite_at_huge_eps():
+    # an uncapped share of 2*log1p(1e20)/2 makes tanh(share/2) round to 1, so
+    # the level-1 interval [0, 1] of this huge activity would comply
+    pe = approx_partition(path(2), SpinSystem(0.0, 1.0, 1e30), eps=1e20)
+    assert pe.log_z_lo <= math.log(1.0 + 2e30) <= pe.log_z_hi
+    assert pe.rel_error_bound <= 1e20
+
+
+@pytest.mark.parametrize("eps, nodes", [(0.1, 3483), (0.01, 22282)])
+def test_approx_partition_spends_the_budget_on_certified_widths(eps, nodes):
+    # the per-vertex rule eps/(4n) expanded 15 992 and 59 784 nodes here
+    pe = approx_partition(random_regular(30, 3, seed=1), CUBIC_SYSTEMS[1], eps)
+    assert pe.expanded == nodes
+    assert pe.rel_error_bound <= eps
 
 
 def test_decay_curve_widths_shrink():
