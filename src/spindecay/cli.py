@@ -12,9 +12,10 @@ wrong: 0 success, 1 usage or input problems, 2 violated preconditions
 4 any other library failure (a search or a computation that did not
 finish where the method says it must).
 
-Systems with beta > gamma are accepted here and handled by swapping the two
-spin states (and inverting activities) before calling the library, then
-translating probabilities, ratios and configurations back on the way out.
+Systems with beta > gamma are passed to the library as given: the estimator
+swaps the two spin labels itself and reports in the caller's labels, and the
+exact oracle needs no orientation.  Documents only record the swap, as
+"swapped": true.
 """
 from __future__ import annotations
 
@@ -196,44 +197,6 @@ def _load_instance(args) -> tuple[Graph, Boundary | None, SpinSystem]:
 
 
 # ---------------------------------------------------------------------------
-# spin-swap translation for beta > gamma inputs
-
-
-def _canonical(g: Graph, b: Boundary | None, s: SpinSystem):
-    """Return (graph, boundary, system, swapped) with beta <= gamma."""
-    cls = classify(s)
-    if not cls.swapped:
-        return g, b, s, False
-    g2 = Graph(
-        n=g.n,
-        adj=g.adj,
-        lambda_v={v: 1.0 / l for v, l in g.lambda_v.items()},
-        labels=g.labels,
-    )
-    b2 = None
-    if b is not None:
-        flipped = {v: (GREEN if sp == BLUE else BLUE) for v, sp in b.fixed.items()}
-        b2 = Boundary(fixed=flipped, S=b.S)
-    return g2, b2, cls.system, True
-
-
-def _flip_spin(spin: str) -> str:
-    return GREEN if spin == BLUE else BLUE
-
-
-def _invert_ratio(r: float) -> float:
-    if r == 0.0:
-        return math.inf
-    if math.isinf(r):
-        return 0.0
-    return 1.0 / r
-
-
-def _log_activity_sum(g: Graph, s: SpinSystem) -> float:
-    return sum(math.log(g.activity(v, s)) for v in range(g.n))
-
-
-# ---------------------------------------------------------------------------
 # command handlers; each returns (inputs, outputs)
 
 
@@ -312,24 +275,20 @@ def _cmd_thresholds(args):
 
 
 def _cmd_marginal(args):
-    g, b, s0 = _load_instance(args)
-    g2, b2, s, swapped = _canonical(g, b, s0)
+    g, b, s = _load_instance(args)
     if args.depth is not None:
-        est = bounds(g2, s, args.vertex, b2, Depth(args.depth), budget=args.budget)
+        est = bounds(g, s, args.vertex, b, Depth(args.depth), budget=args.budget)
     else:
         est = estimate_marginal(
-            g2, s, args.vertex, b2, eps=args.eps, mode=args.mode, budget=args.budget
+            g, s, args.vertex, b, eps=args.eps, mode=args.mode, budget=args.budget
         )
     out = dataclasses.asdict(est)
-    if swapped:
-        out["p_lo"], out["p_hi"] = 1.0 - est.p_hi, 1.0 - est.p_lo
-        out["r_lo"], out["r_hi"] = _invert_ratio(est.r_hi), _invert_ratio(est.r_lo)
-    out["width"] = out["p_hi"] - out["p_lo"]
-    out["swapped"] = swapped
+    out["width"] = est.width
+    out["swapped"] = classify(s).swapped
     inputs = {
         "graph": args.graph, "vertex": args.vertex, "eps": args.eps,
         "mode": args.mode, "depth": args.depth, "budget": args.budget,
-        "beta": s0.beta, "gamma": s0.gamma, "lambda": s0.lam,
+        "beta": s.beta, "gamma": s.gamma, "lambda": s.lam,
     }
     return inputs, out
 
@@ -349,85 +308,65 @@ def _parse_order(text: str | None, n: int):
 
 
 def _cmd_partition(args):
-    g, b, s0 = _load_instance(args)
-    g2, b2, s, swapped = _canonical(g, b, s0)
+    g, b, s = _load_instance(args)
     order = _parse_order(args.order, g.n)
     est = approx_partition(
-        g2, s, args.eps, boundary=b2, order=order, mode=args.mode, budget=args.budget
+        g, s, args.eps, boundary=b, order=order, mode=args.mode, budget=args.budget
     )
-    shift = _log_activity_sum(g, s0) if swapped else 0.0
-    config = est.chosen_config
-    if swapped:
-        config = tuple(_flip_spin(sp) for sp in config)
     outputs = {
-        "log_z": est.log_z + shift,
-        "log_z_lo": est.log_z_lo + shift,
-        "log_z_hi": est.log_z_hi + shift,
+        "log_z": est.log_z,
+        "log_z_lo": est.log_z_lo,
+        "log_z_hi": est.log_z_hi,
         "rel_error_bound": est.rel_error_bound,
-        "chosen_config": list(config),
-        "per_vertex_p": [[v, p] for v, p in est.per_vertex_p],
+        "chosen_config": est.chosen_config,
+        "per_vertex_p": est.per_vertex_p,
         "expanded": est.expanded,
         "mode": est.mode,
-        "swapped": swapped,
+        "swapped": classify(s).swapped,
     }
     inputs = {
         "graph": args.graph, "eps": args.eps, "mode": args.mode,
-        "order": args.order, "budget": args.budget, "beta": s0.beta,
-        "gamma": s0.gamma, "lambda": s0.lam,
+        "order": args.order, "budget": args.budget, "beta": s.beta,
+        "gamma": s.gamma, "lambda": s.lam,
     }
     return inputs, outputs
 
 
 def _cmd_exact(args):
-    g, b, s0 = _load_instance(args)
-    g2, b2, s, swapped = _canonical(g, b, s0)
-    res = exact_partition(g2, s, b2, cap=args.cap)
-    log_z = res.log_z + (_log_activity_sum(g, s0) if swapped else 0.0)
+    g, b, s = _load_instance(args)
+    res = exact_partition(g, s, b, cap=args.cap)
     outputs = {
-        "log_z": log_z,
-        "z": math.exp(log_z) if log_z < 700.0 else math.inf,
+        "log_z": res.log_z,
+        "z": res.z,
         "n_free": res.n_free,
         "terms": res.terms,
-        "swapped": swapped,
+        "swapped": classify(s).swapped,
     }
     if args.vertex is not None:
-        m = exact_marginal(g2, s, args.vertex, b2, cap=args.cap)
-        p, ratio = m.p, m.ratio
-        if swapped:
-            p, ratio = 1.0 - p, _invert_ratio(ratio)
-        outputs["vertex"] = args.vertex
-        outputs["p"] = p
-        outputs["ratio"] = ratio
+        m = exact_marginal(g, s, args.vertex, b, cap=args.cap)
+        outputs.update(vertex=args.vertex, p=m.p, ratio=m.ratio)
     inputs = {
         "graph": args.graph, "vertex": args.vertex, "cap": args.cap,
-        "beta": s0.beta, "gamma": s0.gamma, "lambda": s0.lam,
+        "beta": s.beta, "gamma": s.gamma, "lambda": s.lam,
     }
     return inputs, outputs
 
 
 def _cmd_decay(args):
-    g, b, s0 = _load_instance(args)
-    g2, b2, s, swapped = _canonical(g, b, s0)
-    curve = decay_curve(g2, s, args.vertex, b2, t_max=args.t_max, budget=args.budget)
-    points = []
-    for pt in curve:
-        p_lo, p_hi = pt.p_lo, pt.p_hi
-        if swapped:
-            p_lo, p_hi = 1.0 - pt.p_hi, 1.0 - pt.p_lo
-        points.append({"t": pt.t, "width": pt.width, "p_lo": p_lo, "p_hi": p_hi})
+    g, b, s = _load_instance(args)
+    curve = decay_curve(g, s, args.vertex, b, t_max=args.t_max, budget=args.budget)
     inputs = {
         "graph": args.graph, "vertex": args.vertex, "t_max": args.t_max,
-        "budget": args.budget, "beta": s0.beta, "gamma": s0.gamma,
-        "lambda": s0.lam,
+        "budget": args.budget, "beta": s.beta, "gamma": s.gamma,
+        "lambda": s.lam,
     }
-    return inputs, {"points": points, "swapped": swapped}
+    return inputs, {"points": curve, "swapped": classify(s).swapped}
 
 
 def _cmd_saw_dump(args):
     inst, boundary = _load_boundary(args)
     if inst.system is not None:  # the tree's shape does not need one
-        g2, b2, s, _ = _canonical(inst.graph, boundary, inst.system)
-        require_positive_weight(g2, s, b2)
+        require_positive_weight(inst.graph, inst.system, boundary)
     dump = dump_levels(inst.graph, args.vertex, args.depth, boundary)
     inputs = {"graph": args.graph, "vertex": args.vertex, "depth": args.depth}
     return inputs, dump

@@ -38,9 +38,10 @@ LOG_PRODUCT_CUTOFF = 32
 class SpinSystem:
     """A (beta, gamma, lam) triple with beta, gamma >= 0 and lam > 0.
 
-    beta > gamma is allowed at construction; classify() normalises by swapping
-    the two spin labels.  The anti-ferromagnetic predicate itself requires
-    beta <= gamma.
+    beta > gamma is allowed: it is the same system with the two spin labels
+    swapped, which classify() reports.  The estimator's entry points accept
+    it and answer in the caller's labels; the anti-ferromagnetic predicate
+    itself requires beta <= gamma.
     """
 
     beta: float

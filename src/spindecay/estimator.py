@@ -14,6 +14,11 @@ turns a target accuracy into the a-priori level ceil(log(4/eps)/log(1/alpha)):
 the loop never steps past it, and reaching it proves that the loop ends.
 It is only a cap; the measured width usually complies many levels earlier.
 
+The kernel and the certificates need beta <= gamma.  A system with
+beta > gamma is the same system with its spin labels swapped, so each entry
+point orients its input once (`_oriented`) and maps its result back into the
+caller's labels (`_swap_back`).
+
 Two truncation policies are supported (both live in `saw`): `Depth`, a plain
 depth cutoff for systems unique up to the graph's degree bound, and `MBased`,
 a degree-scaled cutoff where descending through a node with d children costs
@@ -35,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import BLUE, GREEN, SpinSystem, ceil_log, require_antiferromagnetic
+from .core import BLUE, GREEN, SpinSystem, ceil_log, classify, require_antiferromagnetic
 from .errors import InvalidParameterError, SpinDecayError, ZeroWeightError
 from .graphs import Boundary, Graph, max_degree
 from .oracle import log_weight
@@ -84,26 +89,43 @@ def _make_bounds(r_lo: float, r_hi: float, expanded: int, exact: bool,
     )
 
 
-def _activities(g: Graph, s: SpinSystem) -> list[float]:
-    return [g.activity(v, s) for v in range(g.n)]
+def _invert_ratio(r: float) -> float:
+    return _INF if r == 0.0 else 0.0 if math.isinf(r) else 1.0 / r
 
 
-def _boundary_parts(boundary: Boundary | None) -> tuple[dict[int, str], frozenset[int]]:
-    if boundary is None:
-        return {}, frozenset()
-    return boundary.fixed, boundary.S
+def _swap_back(b: MarginalBounds) -> MarginalBounds:
+    """An oriented interval in the caller's labels: blue and green trade places."""
+    return replace(b, r_lo=_invert_ratio(b.r_hi), r_hi=_invert_ratio(b.r_lo),
+                   p_lo=1.0 - b.p_hi, p_hi=1.0 - b.p_lo)
+
+
+def _oriented(g: Graph, s: SpinSystem, boundary: Boundary | None):
+    """(system, activities, fixed, differing set, swapped) with beta <= gamma:
+    when classify() swaps the labels, activities invert and pins flip.
+    Raises InvalidParameterError unless that system is anti-ferromagnetic."""
+    cls = classify(s)
+    require_antiferromagnetic(cls.system)
+    lam = [g.activity(v, s) for v in range(g.n)]
+    fixed, s_set = (boundary.fixed, boundary.S) if boundary is not None else ({}, frozenset())
+    if cls.swapped:
+        lam = [1.0 / l for l in lam]
+        fixed = {v: GREEN if spin == BLUE else BLUE for v, spin in fixed.items()}
+    return cls.system, lam, fixed, s_set, cls.swapped
 
 
 def require_positive_weight(g: Graph, s: SpinSystem, boundary: Boundary | None) -> None:
-    """Raise ZeroWeightError when two pinned neighbours, neither in the
-    differing set, share a zero coupling: every configuration extending such
-    a boundary weighs 0, so no conditional marginal exists."""
-    if s.beta != 0.0 or boundary is None:  # gamma > 0: only blue-blue can weigh 0
+    """Raise ZeroWeightError when two pinned neighbours of one spin, neither
+    in the differing set, share a zero coupling (beta for blue, gamma for
+    green): every configuration extending such a boundary weighs 0, so no
+    conditional marginal exists."""
+    zero = {spin for spin, c in ((BLUE, s.beta), (GREEN, s.gamma)) if c == 0.0}
+    if not zero or boundary is None:
         return
     fixed, s_set = boundary.fixed, boundary.S
     for u, w in g.edges():
-        if fixed.get(u) == fixed.get(w) == BLUE and not {u, w} & s_set:
-            raise ZeroWeightError(f"pinned blue neighbours {u} and {w} have weight 0")
+        spin = fixed.get(u)
+        if spin in zero and fixed.get(w) == spin and not {u, w} & s_set:
+            raise ZeroWeightError(f"pinned {spin} neighbours {u} and {w} have weight 0")
 
 
 def _pinned_root(g: Graph, v: int, fixed: dict[int, str],
@@ -146,15 +168,14 @@ def bounds(
     true marginal inside [p_lo, p_hi]; deeper policies only tighten it.
     Raises ZeroWeightError when the boundary has zero weight.
     """
-    require_antiferromagnetic(s)
+    s_or, lam, fixed, s_set, swapped = _oriented(g, s, boundary)
     require_positive_weight(g, s, boundary)
-    fixed, s_set = _boundary_parts(boundary)
-    pinned = _pinned_root(g, v, fixed, s_set)
-    if pinned is not None:
-        return pinned
-    if not isinstance(policy, (Depth, MBased)):
-        raise InvalidParameterError(f"unknown truncation policy {policy!r}")
-    return _walk(g, s, v, _activities(g, s), fixed, s_set, policy, budget)
+    out = _pinned_root(g, v, fixed, s_set)
+    if out is None:
+        if not isinstance(policy, (Depth, MBased)):
+            raise InvalidParameterError(f"unknown truncation policy {policy!r}")
+        out = _walk(g, s_or, v, lam, fixed, s_set, policy, budget)
+    return _swap_back(out) if swapped else out
 
 
 def exhaustive_ratio(
@@ -170,23 +191,17 @@ def exhaustive_ratio(
     point; this is the reference the truncated estimates converge to.
     Raises ZeroWeightError when the boundary has zero weight.
     """
-    require_antiferromagnetic(s)
+    s_or, lam, fixed, s_set, swapped = _oriented(g, s, boundary)
     require_positive_weight(g, s, boundary)
-    fixed, s_set = _boundary_parts(boundary)
     if s_set:
         raise InvalidParameterError("exhaustive evaluation needs an empty differing set")
-    pinned = _pinned_root(g, v, fixed, s_set)
-    if pinned is not None:
-        return pinned.r_lo
-    lam = _activities(g, s)
-    r_lo, r_hi, expanded, trivial = _walk_single(g, s, v, lam, fixed, s_set, None, budget)
-    if trivial:
-        raise SpinDecayError("exhaustive walk unexpectedly hit a frontier")
-    if r_lo != r_hi:
-        raise SpinDecayError(
-            f"exhaustive walk produced a non-degenerate interval [{r_lo}, {r_hi}]"
-        )
-    return r_lo
+    b = _pinned_root(g, v, fixed, s_set)
+    if b is None:
+        r_lo, r_hi, expanded, trivial = _walk_single(g, s_or, v, lam, fixed, s_set, None, budget)
+        if trivial or r_lo != r_hi:
+            raise SpinDecayError(f"exhaustive walk did not collapse to a point: [{r_lo}, {r_hi}]")
+        b = _make_bounds(r_lo, r_hi, expanded, True, "exhaustive", 0)
+    return (_swap_back(b) if swapped else b).r_lo
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +221,14 @@ def _require_mode(mode: str) -> None:
         raise InvalidParameterError(f"mode must be 'depth' or 'mbased', got {mode!r}")
 
 
-def _resolve_strategy(g: Graph, s: SpinSystem, mode: str) -> _Strategy:
-    """The certified decay rate and level cap of a mode; raises UniquenessError
-    (with the failing arity) when some per-vertex activity is not unique up
-    to the mode's degree bound: the graph's for "depth", none for "mbased"."""
+def _resolve_strategy(g: Graph, s: SpinSystem, lam: list[float], mode: str) -> _Strategy:
+    """The certified decay rate and level cap of a mode for an oriented system
+    and its activities; raises UniquenessError (with the failing arity) when
+    some activity is not unique up to the mode's degree bound: the graph's
+    for "depth", none for "mbased"."""
     degree_bound = max(2, max_degree(g) + 1)
     delta = degree_bound if mode == "depth" else math.inf
-    systems = [s.with_field(l) for l in sorted({g.activity(v, s) for v in range(g.n)})]
+    systems = [s.with_field(l) for l in sorted(set(lam))]
     alpha = max(contraction_bound(sl, delta).alpha for sl in systems)
     if mode == "depth":
         # walks are self-avoiding, so no free node sits deeper than n - 1
@@ -276,32 +292,32 @@ def estimate_marginal(
     ZeroWeightError when the boundary has zero weight, and
     BudgetExceededError when a walk runs out of budget.
     """
-    require_antiferromagnetic(s)
+    s_or, lam, fixed, s_set, swapped = _oriented(g, s, boundary)
     _require_mode(mode)
     if not (eps > 0.0) or not math.isfinite(eps):
         raise InvalidParameterError(f"eps must be positive and finite, got {eps!r}")
-    require_positive_weight(g, s, boundary)
-    fixed, s_set = _boundary_parts(boundary)
+    if _strategy is None:  # approx_partition checked its boundaries itself
+        require_positive_weight(g, s, boundary)
     if s_set:
         raise InvalidParameterError(
             "estimate_marginal needs an empty differing set; width cannot "
             "shrink below the gap a differing set forces"
         )
-    pinned = _pinned_root(g, v, fixed, s_set)
-    if pinned is not None:
-        return pinned
+    out = _pinned_root(g, v, fixed, s_set)
+    if out is not None:
+        return _swap_back(out) if swapped else out
 
-    strat = _strategy if _strategy is not None else _resolve_strategy(g, s, mode)
+    strat = _strategy if _strategy is not None else _resolve_strategy(g, s_or, lam, mode)
     cap = min(_level_for(eps, strat.alpha), strat.level_cap)
-    lam = _activities(g, s)
     level, expanded = 1, 0
     while True:
         policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
-        out = _walk(g, s, v, lam, fixed, s_set, policy, budget)
+        out = _walk(g, s_or, v, lam, fixed, s_set, policy, budget)
         expanded += out.expanded
         if out.exact or out.width <= eps or (
                 _share is not None and _log_width(out) <= _share):
-            return replace(out, expanded=expanded)
+            out = replace(out, expanded=expanded)
+            return _swap_back(out) if swapped else out
         if level >= strat.level_cap:
             raise SpinDecayError(
                 f"width {out.width} still above eps={eps} at the level cap; "
@@ -357,16 +373,17 @@ def approx_partition(
     is its midpoint and rel_error_bound = expm1(half-width), which bounds
     the relative error of exp(log_z) and is at most eps (up to that
     allowance).  `expanded` totals the nodes of every walk.  Raises
-    ZeroWeightError when two pinned neighbours share a zero coupling.
+    ZeroWeightError when two pinned neighbours share a zero coupling; that
+    is checked once, as each vertex is only pinned to a spin whose q_lo > 0.
     """
-    require_antiferromagnetic(s)
+    s_or, lam, _, s_set, _ = _oriented(g, s, boundary)
     _require_mode(mode)
     if not (eps > 0.0) or not math.isfinite(eps):
         raise InvalidParameterError(f"eps must be positive and finite, got {eps!r}")
-    fixed0, s_set = _boundary_parts(boundary)
     if s_set:
         raise InvalidParameterError("approx_partition needs an empty differing set")
     require_positive_weight(g, s, boundary)
+    fixed0 = boundary.fixed if boundary is not None else {}
 
     free = [v for v in range(g.n) if v not in fixed0]
     if order is None:
@@ -386,7 +403,7 @@ def approx_partition(
             per_vertex_p=(), eps=eps, mode="exact",
         )
 
-    strat = _resolve_strategy(g, s, mode)
+    strat = _resolve_strategy(g, s_or, lam, mode)
     sigma = dict(fixed0)
     remaining = 2.0 * math.log1p(eps)
     sum_lo = sum_hi = 0.0  # sums of log q_lo and log q_hi over the chosen spins
@@ -454,17 +471,17 @@ def decay_curve(
     twice its deepest point on trees of branching 2.  Widths are nonincreasing.
     Raises ZeroWeightError when the boundary has zero weight.
     """
-    require_antiferromagnetic(s)
+    s_or, lam, fixed, s_set, swapped = _oriented(g, s, boundary)
     if t_max < 0:
         raise InvalidParameterError(f"t_max must be nonnegative, got {t_max}")
     require_positive_weight(g, s, boundary)
-    fixed, s_set = _boundary_parts(boundary)
     pinned = _pinned_root(g, v, fixed, s_set)
-    lam = _activities(g, s)
     out = []
     for t in range(t_max + 1):
         b = pinned if pinned is not None else _walk(
-            g, s, v, lam, fixed, s_set, Depth(t), budget
+            g, s_or, v, lam, fixed, s_set, Depth(t), budget
         )
+        if swapped:
+            b = _swap_back(b)
         out.append(DecayPoint(t=t, width=b.width, p_lo=b.p_lo, p_hi=b.p_hi))
     return out

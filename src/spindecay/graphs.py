@@ -51,6 +51,17 @@ class Graph:
         return self.lambda_v.get(v, s.lam)
 
 
+def _as_float(x) -> float | None:
+    """x as a float when it is a JSON number a float can hold, else None
+    (Python counts a bool as an int, and a long int overflows)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        return float(x)
+    except OverflowError:
+        return None
+
+
 def from_edges(
     n: int,
     edges: Sequence[Sequence[int]],
@@ -63,9 +74,10 @@ def from_edges(
     seen: set[tuple[int, int]] = set()
     neigh: list[list[int]] = [[] for _ in range(n)]
     for i, e in enumerate(edges):
-        if len(e) != 2:
+        try:
+            u, w = e
+        except (TypeError, ValueError):
             raise GraphFormatError(f"edges[{i}]: expected a pair, got {e!r}")
-        u, w = e
         for x in (u, w):
             if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n):
                 raise GraphFormatError(
@@ -84,13 +96,16 @@ def from_edges(
         for v, val in lambda_v.items():
             if not isinstance(v, int) or not (0 <= v < n):
                 raise GraphFormatError(f"lambda_v: vertex {v!r} outside 0..{n - 1}")
-            if not isinstance(val, (int, float)) or val <= 0 or not math.isfinite(val):
+            x = _as_float(val)
+            if x is None or x <= 0 or not math.isfinite(x):
                 raise GraphFormatError(
                     f"lambda_v[{v}]: activity must be positive and finite, got {val!r}"
                 )
-            lv[v] = float(val)
+            lv[v] = x
     lab = None
     if labels is not None:
+        if not isinstance(labels, (list, tuple)):
+            raise GraphFormatError(f"labels: expected a list of {n} names, got {labels!r}")
         if len(labels) != n:
             raise GraphFormatError(f"labels: expected {n} entries, got {len(labels)}")
         lab = tuple(str(x) for x in labels)
@@ -145,6 +160,8 @@ def loads(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}")
+    except (ValueError, RecursionError) as e:  # an over-long integer, too deep a nesting
+        raise GraphFormatError(f"invalid JSON: {e}")
     if not isinstance(doc, dict):
         raise GraphFormatError("top level: expected a JSON object")
     for key in ("n", "edges"):
@@ -164,6 +181,8 @@ def loads(text: str) -> Instance:
                 lambda_v[int(k)] = val
             except (TypeError, ValueError):
                 raise GraphFormatError(f"lambda_v: bad vertex key {k!r}")
+    if not isinstance(doc["edges"], list):
+        raise GraphFormatError(f"edges: expected a list of vertex pairs, got {doc['edges']!r}")
     g = from_edges(doc["n"], doc["edges"], lambda_v, doc.get("labels"))
 
     boundary = None
@@ -178,9 +197,10 @@ def loads(text: str) -> Instance:
             except (TypeError, ValueError):
                 raise GraphFormatError(f"fixed: bad vertex key {k!r}")
         s_raw = doc.get("S", [])
-        if not isinstance(s_raw, list):
-            raise GraphFormatError("S: expected a list of vertices")
-        boundary = Boundary(fixed=fixed, S=frozenset(int(x) for x in s_raw))
+        if not isinstance(s_raw, list) or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in s_raw):
+            raise GraphFormatError(f"S: expected a list of vertices, got {s_raw!r}")
+        boundary = Boundary(fixed=fixed, S=frozenset(s_raw))
         boundary.validate_against(g)
 
     system = None
@@ -188,8 +208,11 @@ def loads(text: str) -> Instance:
         p = doc["params"]
         if not isinstance(p, dict) or not {"beta", "gamma", "lambda"} <= set(p):
             raise GraphFormatError("params: expected beta, gamma and lambda")
+        values = [_as_float(p[k]) for k in ("beta", "gamma", "lambda")]
+        if None in values:
+            raise GraphFormatError(f"params: beta, gamma and lambda must be numbers, got {p!r}")
         try:
-            system = SpinSystem(float(p["beta"]), float(p["gamma"]), float(p["lambda"]))
+            system = SpinSystem(*values)
         except InvalidParameterError as e:
             raise GraphFormatError(f"params: {e}")
     return Instance(graph=g, boundary=boundary, system=system)

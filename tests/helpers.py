@@ -5,12 +5,13 @@ isomorphism so no case is silently tested twice.
 """
 from __future__ import annotations
 
+import math
 import random
 
 import networkx as nx
 
-from spindecay.core import BLUE, GREEN, SpinSystem
-from spindecay.graphs import Boundary, Graph, from_edges
+from spindecay.core import BLUE, GREEN, SpinSystem, swap_spins
+from spindecay.graphs import Boundary, Graph, from_edges, random_regular
 from spindecay.uniqueness import is_unique_up_to
 
 
@@ -135,3 +136,26 @@ def hetero_lambda(
                 break
         lamv[v] = value
     return Graph(n=g.n, adj=g.adj, lambda_v=lamv, labels=g.labels)
+
+
+# A cubic graph with one per-vertex activity, for the beta > gamma checks;
+# vertices 1 and 3 are neighbours.
+SWAP_GRAPH = Graph(n=10, adj=random_regular(10, 3, seed=1).adj, lambda_v={2: 1.5})
+
+FLIP = {BLUE: GREEN, GREEN: BLUE}
+
+
+def hand_swapped(
+    g: Graph, s: SpinSystem, boundary: Boundary | None
+) -> tuple[Graph, SpinSystem, Boundary | None]:
+    """The same instance with blue and green relabelled by hand: couplings
+    exchanged, every activity inverted, every pin flipped."""
+    g2 = Graph(n=g.n, adj=g.adj, lambda_v={v: 1.0 / l for v, l in g.lambda_v.items()})
+    b2 = None if boundary is None else Boundary(
+        fixed={v: FLIP[sp] for v, sp in boundary.fixed.items()}, S=boundary.S)
+    return g2, swap_spins(s), b2
+
+
+def inverted(r: float) -> float:
+    """1/r on [0, +inf], with 0 and +inf exchanged."""
+    return math.inf if r == 0.0 else 0.0 if math.isinf(r) else 1.0 / r

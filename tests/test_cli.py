@@ -9,10 +9,12 @@ import pytest
 
 from spindecay.cli import main
 from spindecay.core import SpinSystem
-from spindecay.errors import SpinDecayError
+from spindecay.errors import GraphFormatError, SpinDecayError
 from spindecay.estimator import estimate_marginal
-from spindecay.graphs import cycle, dumps, path, star
+from spindecay.graphs import Boundary, cycle, dumps, loads, path, star
 from spindecay.oracle import exact_partition
+
+from helpers import FLIP, SWAP_GRAPH, hand_swapped, inverted
 
 
 def run(capsys, *argv):
@@ -312,3 +314,125 @@ def test_exit_code_budget_errors(capsys, c4_file, tmp_path):
     rc, _, _ = run(capsys, "exact", "--graph", str(f), "--beta", "0",
                    "--gamma", "1", "--lambda", "1", "--cap", "3")
     assert rc == 3
+
+
+# ---------------------------------------------------------------------------
+# beta > gamma: documents in the caller's labels equal the hand-swapped input
+# translated back
+
+
+def _swap_files(tmp_path, s, boundary):
+    """--graph arguments for the caller's instance and for the hand-swapped one."""
+    g2, s2, b2 = hand_swapped(SWAP_GRAPH, s, boundary)
+    args = []
+    for name, doc in (("caller", dumps(SWAP_GRAPH, boundary, s)), ("hand", dumps(g2, b2, s2))):
+        f = tmp_path / f"{name}.json"
+        f.write_text(doc)
+        args.append(["--graph", str(f)])
+    return args
+
+
+@pytest.mark.parametrize("s, fixed", [
+    (SpinSystem(1.2, 0.3, 1.25), None),
+    (SpinSystem(1.0, 0.0, 1.25), {1: "blue"}),  # gamma = 0
+    (SpinSystem(2.0, 0.4, 2.0), {4: "green", 9: "blue"}),
+])
+def test_swapped_documents_equal_the_hand_swapped_input(capsys, tmp_path, s, fixed):
+    caller, hand = _swap_files(tmp_path, s, fixed and Boundary(fixed=fixed))
+
+    def both(*argv):
+        a = run_json(capsys, *argv, *caller)["outputs"]
+        b = run_json(capsys, *argv, *hand)["outputs"]
+        assert a["swapped"] is True and b["swapped"] is False
+        return a, b
+
+    for argv in (["marginal", "--vertex", "0", "--eps", "1e-4"],
+                 ["marginal", "--vertex", "2", "--depth", "3"]):
+        a, b = both(*argv)
+        assert (a["p_lo"], a["p_hi"]) == (1.0 - b["p_hi"], 1.0 - b["p_lo"])
+        assert (a["r_lo"], a["r_hi"]) == (inverted(b["r_hi"]), inverted(b["r_lo"]))
+        assert a["width"] == a["p_hi"] - a["p_lo"]
+        for key in ("expanded", "exact", "policy", "level"):
+            assert a[key] == b[key]
+
+    a, b = both("decay", "--vertex", "2", "--t-max", "5")
+    for pa, pb in zip(a["points"], b["points"]):
+        assert (pa["t"], pa["p_lo"], pa["p_hi"]) == (pb["t"], 1.0 - pb["p_hi"], 1.0 - pb["p_lo"])
+        assert pa["width"] == pa["p_hi"] - pa["p_lo"]
+
+    shift = sum(math.log(SWAP_GRAPH.activity(v, s)) for v in range(SWAP_GRAPH.n))
+    a, b = both("partition", "--eps", "0.05")
+    for key in ("log_z", "log_z_lo", "log_z_hi"):
+        assert a[key] == pytest.approx(b[key] + shift, rel=1e-9)
+    assert a["rel_error_bound"] == pytest.approx(b["rel_error_bound"], rel=1e-9)
+    assert a["chosen_config"] == [FLIP[sp] for sp in b["chosen_config"]]
+    assert a["expanded"] == b["expanded"] and a["mode"] == b["mode"]
+    for (v, p), (w, q) in zip(a["per_vertex_p"], b["per_vertex_p"]):
+        assert v == w and p == pytest.approx(q, rel=1e-9)
+
+    a, b = both("exact", "--vertex", "0")
+    assert a["log_z"] == pytest.approx(b["log_z"] + shift, rel=1e-9)
+    assert a["z"] == pytest.approx(b["z"] * math.exp(shift), rel=1e-9)
+    assert a["p"] == pytest.approx(1.0 - b["p"], rel=1e-9)
+    assert a["ratio"] == pytest.approx(inverted(b["ratio"]), rel=1e-9)
+    assert (a["n_free"], a["terms"]) == (b["n_free"], b["terms"])
+
+
+@pytest.mark.parametrize("command", [
+    ["marginal", "--vertex", "0"],
+    ["marginal", "--vertex", "0", "--depth", "3"],
+    ["partition"],
+    ["exact"],
+    ["decay", "--vertex", "0"],
+    ["saw-dump", "--vertex", "0"],
+])
+def test_pinned_green_neighbours_at_gamma_zero_exit_2(capsys, tmp_path, command):
+    # 1 and 3 are neighbours, and green-green edges weigh gamma = 0
+    caller, _ = _swap_files(tmp_path, SpinSystem(1.0, 0.0, 1.25), None)
+    rc, out, err = run(capsys, *command, *caller, "--fix", "1=green", "--fix", "3=green")
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and "weight" in err
+    if command[0] != "exact":  # the oracle finds it while enumerating
+        assert "pinned green neighbours 1 and 3" in err
+
+
+def test_exact_prints_the_oracles_z(capsys, tmp_path):
+    # log Z = log(1 + 1e306) is about 704.6: finite, although past exp's old cut at 700
+    f = tmp_path / "one.json"
+    f.write_text('{"n": 1, "edges": [], "params": {"beta": 0, "gamma": 1, "lambda": 1e306}}')
+    out = run_json(capsys, "exact", "--graph", str(f))["outputs"]
+    assert 700.0 < out["log_z"] < 709.78 and out["z"] == pytest.approx(1e306, rel=1e-12)
+    # two such vertices: log Z is about 1409, past the float range
+    f.write_text('{"n": 2, "edges": [], "params": {"beta": 0, "gamma": 1, "lambda": 1e306}}')
+    rc, text, err = run(capsys, "exact", "--graph", str(f))
+    assert rc == 0, err
+    assert '"z": Infinity' in text
+
+
+_LONG = "1" + "0" * 400  # an integer no float can hold
+
+
+@pytest.mark.parametrize("doc", [
+    '{"n": 2, "edges": 5}',
+    '{"n": 2, "edges": [5]}',
+    '{"n": 2, "edges": [[0, 1]], "fixed": {"0": "blue"}, "S": ["a"]}',
+    '{"n": 2, "edges": [[0, 1]], "params": {"beta": "x", "gamma": 1, "lambda": 1}}',
+    '{"n": 2, "edges": [[0, 1]], "params": {"beta": null, "gamma": 1, "lambda": 1}}',
+    '{"n": 2, "edges": [[0, 1]], "labels": 5}',
+    '{"n": 2, "edges": [[0, 1]], "lambda_v": {"0": true}}',
+    '{"n": 2, "edges": [[0, 1]], "params": {"beta": 0, "gamma": 1, "lambda": true}}',
+    '{"n": 2, "edges": [[0, 1]], "fixed": {"1": "blue"}, "S": [1.7]}',
+    '{"n": 2, "edges": [[0, 1]], "lambda_v": {"0": %s}}' % _LONG,
+    '{"n": 2, "edges": [[0, 1]], "params": {"beta": 0, "gamma": 1, "lambda": %s}}' % _LONG,
+    '{"n": 2, "edges": [], "lambda_v": {"0": 1%s}}' % ("0" * 5000),  # int digit limit
+    "[" * 100_000 + "]" * 100_000,
+], ids=lambda doc: doc[:60])
+def test_malformed_documents_are_format_errors(capsys, tmp_path, doc):
+    with pytest.raises(GraphFormatError):
+        loads(doc)
+    f = tmp_path / "bad.json"
+    f.write_text(doc)
+    rc, out, err = run(capsys, "exact", "--graph", str(f), "--beta", "0", "--gamma", "1",
+                       "--lambda", "1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

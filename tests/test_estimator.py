@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import spindecay.estimator as estimator
 from spindecay.core import BLUE, GREEN, SpinSystem, recursion_f
 from spindecay.errors import (
     BudgetExceededError,
@@ -37,6 +38,8 @@ from spindecay.graphs import (
 )
 from spindecay.oracle import exact_marginal, exact_partition
 from spindecay.uniqueness import hardcore_threshold, is_unique_up_to
+
+from helpers import FLIP, SWAP_GRAPH, hand_swapped, inverted
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 SOFT = SpinSystem(0.3, 1.2, 0.8)
@@ -425,3 +428,92 @@ def test_kernel_and_recursion_f_agree_on_a_star(leaves):
     b = bounds(g, SOFT, 0, policy=Depth(2))
     expected = recursion_f(SOFT, lam[0], [lam[v] for v in range(1, leaves + 1)])
     assert b.exact and b.r_lo == b.r_hi == expected
+
+
+# ---------------------------------------------------------------------------
+# beta > gamma: the entry points swap the spin labels themselves
+
+
+# the second has gamma = 0, a hardcore system on green
+SWAPPED_SYSTEMS = (SpinSystem(1.2, 0.3, 1.25), SpinSystem(1.0, 0.0, 1.25),
+                   SpinSystem(2.0, 0.4, 2.0))
+SWAP_BOUNDARIES = (None, Boundary(fixed={1: BLUE}), Boundary(fixed={4: GREEN, 9: BLUE}))
+
+
+def _assert_translated(b, h):
+    """b, in the caller's labels, is the hand-swapped h translated back."""
+    assert (b.r_lo, b.r_hi) == (inverted(h.r_hi), inverted(h.r_lo))
+    assert (b.p_lo, b.p_hi) == (1.0 - h.p_hi, 1.0 - h.p_lo)
+    assert (b.expanded, b.exact, b.policy, b.level) == (h.expanded, h.exact, h.policy, h.level)
+
+
+def test_estimate_marginal_accepts_beta_above_gamma():
+    est = estimate_marginal(cycle(4), SpinSystem(2.0, 0.1, 1.0), 0)
+    truth = exact_marginal(cycle(4), SpinSystem(2.0, 0.1, 1.0), 0).p
+    assert est.p_lo <= truth <= est.p_hi and est.width <= 1e-2
+
+
+@pytest.mark.parametrize("s", SWAPPED_SYSTEMS)
+@pytest.mark.parametrize("boundary", SWAP_BOUNDARIES)
+def test_swapped_systems_equal_the_hand_swapped_input(s, boundary):
+    g = SWAP_GRAPH
+    g2, s2, b2 = hand_swapped(g, s, boundary)
+    for v in (0, 2):
+        for policy in (Depth(0), Depth(3), Depth(6)):
+            _assert_translated(bounds(g, s, v, boundary, policy),
+                               bounds(g2, s2, v, b2, policy))
+        _assert_translated(estimate_marginal(g, s, v, boundary, eps=1e-4),
+                           estimate_marginal(g2, s2, v, b2, eps=1e-4))
+        assert exhaustive_ratio(g, s, v, boundary) == inverted(
+            exhaustive_ratio(g2, s2, v, b2))
+        for pt, hp in zip(decay_curve(g, s, v, boundary, t_max=6),
+                          decay_curve(g2, s2, v, b2, t_max=6)):
+            assert (pt.t, pt.p_lo, pt.p_hi) == (hp.t, 1.0 - hp.p_hi, 1.0 - hp.p_lo)
+            assert pt.width == pt.p_hi - pt.p_lo
+    # a pinned root and a differing-set member translate back too
+    pinned = Boundary(fixed={1: GREEN, 3: BLUE}, S=frozenset({3}))
+    hand_pinned = hand_swapped(g, s, pinned)[2]
+    for v in (1, 3):
+        _assert_translated(bounds(g, s, v, pinned, Depth(2)),
+                           bounds(g2, s2, v, hand_pinned, Depth(2)))
+
+    pe = approx_partition(g, s, 0.05, boundary)
+    he = approx_partition(g2, s2, 0.05, b2)
+    # relabelling rescales every weight by the product of the caller's activities
+    shift = sum(math.log(g.activity(v, s)) for v in range(g.n))
+    for key in ("log_z", "log_z_lo", "log_z_hi"):
+        assert getattr(pe, key) == pytest.approx(getattr(he, key) + shift, rel=1e-9)
+    assert pe.rel_error_bound == pytest.approx(he.rel_error_bound, rel=1e-9)
+    assert pe.chosen_config == tuple(FLIP[sp] for sp in he.chosen_config)
+    assert pe.expanded == he.expanded and pe.mode == he.mode
+    assert [v for v, _ in pe.per_vertex_p] == [v for v, _ in he.per_vertex_p]
+    for (_, p), (_, q) in zip(pe.per_vertex_p, he.per_vertex_p):
+        assert p == pytest.approx(q, rel=1e-9)
+    truth = exact_partition(g, s, boundary).log_z
+    assert pe.log_z_lo <= truth <= pe.log_z_hi
+
+
+def test_pinned_green_neighbours_weigh_zero_at_gamma_zero():
+    g, s = SWAP_GRAPH, SpinSystem(1.0, 0.0, 1.25)
+    b = Boundary(fixed={1: GREEN, 3: GREEN})
+    for call in (lambda: bounds(g, s, 0, b, Depth(2)),
+                 lambda: estimate_marginal(g, s, 0, b, eps=0.1),
+                 lambda: exhaustive_ratio(g, s, 0, b),
+                 lambda: decay_curve(g, s, 0, b, t_max=2),
+                 lambda: approx_partition(g, s, 0.1, b)):
+        with pytest.raises(ZeroWeightError, match="pinned green neighbours 1 and 3"):
+            call()
+    # blue neighbours weigh beta = 1 there
+    assert bounds(g, s, 0, Boundary(fixed={1: BLUE, 3: BLUE}), Depth(2)).p_hi > 0.0
+
+
+def test_approx_partition_scans_the_boundary_once(monkeypatch):
+    scans = []
+    scan = estimator.require_positive_weight
+    monkeypatch.setattr(estimator, "require_positive_weight",
+                        lambda *args: scans.append(args) or scan(*args))
+    g = random_regular(16, 3, seed=1)
+    pe = approx_partition(g, CUBIC_SYSTEMS[1], 0.1, Boundary(fixed={0: GREEN}))
+    assert len(pe.per_vertex_p) == 15 and len(scans) == 1
+    estimate_marginal(g, CUBIC_SYSTEMS[1], 1, Boundary(fixed={0: GREEN}), eps=0.1)
+    assert len(scans) == 2  # a caller's own marginal is still checked
