@@ -158,11 +158,11 @@ def recursion_f(s: SpinSystem, lam_v: float, children: Iterable[float]) -> float
     return guarded_exp(math.log(lam_v) + acc)
 
 
-def symmetric_f(s: SpinSystem, d: int, x):
+def symmetric_f(s: SpinSystem, d: int, x: float) -> float:
     """lam * ((beta*x + 1) / (x + gamma))**d, the d-ary symmetric recursion.
 
-    Accepts a scalar or a numpy array for x.  Strictly decreasing in x on
-    anti-ferromagnetic systems, with f(0) = lam / gamma**d.
+    Takes a float x and saturates at inf where the power overflows.  Strictly
+    decreasing in x on anti-ferromagnetic systems, with f(0) = lam / gamma**d.
     """
     if d < 1 or d != int(d):
         raise InvalidParameterError(f"arity d must be a positive integer, got {d!r}")
@@ -219,11 +219,11 @@ def alpha(s: SpinSystem, xs: Sequence[float]) -> float:
     return pref * total
 
 
-def alpha_sym(s: SpinSystem, d: int, x):
+def alpha_sym(s: SpinSystem, d: int, x: float) -> float:
     """alpha at d equal child ratios, in closed form.
 
-    Equals alpha(s, [x]*d) but costs O(1) and accepts numpy arrays, which the
-    certification sweeps rely on.  With f = symmetric_f(s, d, x):
+    Equals alpha(s, [x]*d) for a float x but costs O(1).  With
+    f = symmetric_f(s, d, x):
 
         alpha_sym = d * (1 - beta*gamma) * sqrt(x * f)
                     / sqrt((beta*x + 1) * (x + gamma) * (beta*f + 1) * (f + gamma))

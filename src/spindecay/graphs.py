@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -308,11 +309,18 @@ def random_tree(n: int, seed: int) -> Graph:
 
 
 def random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Graph:
-    """Random d-regular simple graph via the pairing model, retrying until simple."""
+    """Random d-regular simple graph via the pairing model, retrying until simple.
+
+    The pairing model rarely gives a simple graph once d >= 6, so when every
+    try fails, the last pairing's loops and repeated edges are repaired by
+    degree-preserving switches drawn from the same generator.
+    """
     if n * d % 2 != 0:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
         raise InvalidParameterError(f"degree {d} impossible on {n} vertices")
+    if max_tries < 1:
+        raise InvalidParameterError(f"max_tries must be at least 1, got {max_tries}")
     rng = random.Random(seed)
     for _ in range(max_tries):
         points = [v for v in range(n) for _ in range(d)]
@@ -327,7 +335,43 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Graph:
             edges.add((min(u, w), max(u, w)))
         if ok:
             return from_edges(n, sorted(edges))
-    raise InvalidParameterError(
-        f"pairing model produced no simple {d}-regular graph on {n} vertices "
-        f"in {max_tries} tries"
-    )
+    edges = _switch_to_simple(points[0::2], points[1::2], rng)
+    if edges is None:
+        raise InvalidParameterError(
+            f"no simple {d}-regular graph on {n} vertices: the pairing model "
+            f"failed {max_tries} times and its switch repair found none"
+        )
+    return from_edges(n, edges)
+
+
+def _switch_to_simple(us: list[int], ws: list[int], rng: random.Random):
+    """Edges of the pairing us[i]-ws[i] made simple by degree-preserving switches.
+
+    A loop or repeated pair u-w and a random pair x-y become u-x and w-y
+    when neither is a loop or already present.  Each such switch removes a
+    loop or a repeat and adds none, so the defects only fall; a budget of
+    switch attempts bounds the rare case where none applies (None then).
+    """
+    def key(u: int, w: int) -> tuple[int, int]:
+        return (u, w) if u < w else (w, u)
+
+    count = Counter(key(u, w) for u, w in zip(us, ws))
+    m = len(us)
+    for _ in range(200 * m):
+        bad = [i for i in range(m) if us[i] == ws[i] or count[key(us[i], ws[i])] > 1]
+        if not bad:
+            return sorted(count)
+        i, j = rng.choice(bad), rng.randrange(m)
+        u, w = us[i], ws[i]
+        x, y = (us[j], ws[j]) if rng.random() < 0.5 else (ws[j], us[j])
+        e, f = key(u, x), key(w, y)
+        if u == x or w == y or e == f or count[e] or count[f]:
+            continue
+        for old in (key(u, w), key(x, y)):
+            count[old] -= 1
+            if not count[old]:
+                del count[old]
+        count[e] += 1
+        count[f] += 1
+        us[i], ws[i], us[j], ws[j] = u, x, w, y
+    return None

@@ -12,7 +12,9 @@ and the degree-scaled truncation base M for unbounded-degree graphs.
 Unbounded-degree checks terminate through the absolute bound
 x_hat_d <= lam / gamma**d (gamma > 1), which gives |f_d'(x_hat_d)| <= d*lam/gamma**d;
 once that envelope drops below 1 and is decreasing, all larger arities are
-certified at once.
+certified at once.  One doubling-then-bisection search, _first_arity, finds
+that tail and every arity of the thresholds: the first admissible arity and
+the first minimiser of a log-convex critical activity.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .core import (
     alpha_sym,
     ceil_log,
     fixed_point_derivative,
+    guarded_exp,
     require_antiferromagnetic,
     symmetric_f,
 )
@@ -37,10 +40,6 @@ from .errors import (
 
 _BISECT_RTOL = 1e-13
 _BISECT_MAXIT = 200
-
-# Threshold scans over unbounded arity stop once the objective has exceeded
-# the running optimum this many arities in a row.
-_SCAN_PATIENCE = 50
 
 
 def _bisect_decreasing(g, lo: float, hi: float, rtol: float = _BISECT_RTOL) -> float:
@@ -137,34 +136,28 @@ def _validate_delta(delta) -> float:
     return delta
 
 
-def _envelope_start(s: SpinSystem, lo: int, top: float) -> tuple[int, float] | None:
-    """First arity d in [lo, top) where d*lam/gamma**d is below 1, or None.
+def _first_arity(holds, lo: int, top: float = math.inf) -> int | None:
+    """Least d in [lo, top) with holds(d), or None; lo >= 1.
 
-    The envelope must be decreasing from lo on, so a doubling search
-    brackets the first arity below 1 and a bisection finds it; the envelope
-    tends to 0 (gamma > 1), so the doubling ends even for top = inf.  Returns
-    (d_star, value at d_star); for every d >= d_star the derivative at the
-    fixed point is below the envelope, hence below 1.
+    holds must stay true once it turns true.  Probing lo, 2*lo, 4*lo, ...
+    (the last probe clamped to top - 1) brackets the switch, and a bisection
+    finds it, so the cost is logarithmic in the answer even for top = inf,
+    where the predicate must eventually hold.
     """
-    log_g = math.log(s.gamma)
-
-    def env(d: int) -> float:
-        return d * s.lam * math.exp(-d * log_g)
-
+    if lo >= top:
+        return None
     hi = lo
-    while env(hi) >= 1.0:  # when it ends, env(lo) >= 1 > env(hi) unless lo == hi
-        lo, hi = hi, 2 * hi
-        if hi >= top:
-            if env(top - 1) >= 1.0:
-                return None
-            hi = top - 1
+    while not holds(hi):
+        if hi == top - 1:
+            return None
+        lo, hi = hi, min(2 * hi, top - 1)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if env(mid) < 1.0:
+        if holds(mid):
             hi = mid
         else:
             lo = mid
-    return hi, env(hi)
+    return hi
 
 
 @lru_cache(maxsize=256)
@@ -199,15 +192,21 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
     # The envelope d*lam/gamma**d certifies a tail only where it decreases,
     # from arity lo on (consecutive values have ratio (d+1)/(d*gamma), below
     # 1 once d > 1/(gamma-1)), so it is consulted only when lo < delta
-    # (always for inf, where gamma > 1 here), after the arities below lo.
-    tail = bad = None
+    # (always for inf, where gamma > 1 here, and the envelope tends to 0).
+    tail_start = tail_bound = bad = None
     if s.gamma > 1.0:
         lo = max(1, math.floor(1.0 / (s.gamma - 1.0)) + 1)
         if lo < delta:
             bad = first_violation(lo)
             if bad is None:
-                tail = _envelope_start(s, lo, delta)
-    tail_start, tail_bound = tail or (None, None)
+                log_g = math.log(s.gamma)
+
+                def env(d: int) -> float:
+                    return d * s.lam * math.exp(-d * log_g)
+
+                tail_start = _first_arity(lambda d: env(d) < 1.0, lo, delta)
+                if tail_start is not None:
+                    tail_bound = env(tail_start)
     if bad is None:
         bad = first_violation(tail_start or delta)
     if bad is not None:
@@ -417,12 +416,37 @@ class ThresholdReport:
 
 def _hardcore_term(gamma: float, d: int) -> float:
     # gamma**(d+1) * d**d / (d-1)**(d+1); exact float pow for small d, log
-    # form once the powers leave double range.
+    # form once the powers leave double range.  Both saturate at inf.
     if d <= 60:
-        return gamma ** (d + 1) * float(d**d) / float((d - 1) ** (d + 1))
-    return math.exp(
+        try:
+            return gamma ** (d + 1) * float(d**d) / float((d - 1) ** (d + 1))
+        except OverflowError:
+            return math.inf
+    return guarded_exp(
         (d + 1) * math.log(gamma) + d * math.log(d) - (d + 1) * math.log(d - 1)
     )
+
+
+def _least_critical(lam, start: int, delta) -> int:
+    """The first minimiser of lam(d) over start <= d < delta: the first d
+    whose successor is no smaller, or delta - 1 when there is none.
+
+    The search is exact because log lam(d) is convex in d, so "the successor
+    is no smaller" stays true once it turns true.  For the hardcore term
+    (beta = 0), T = log lam has T'(d) = log gamma + log(d/(d-1)) - 2/(d-1),
+    which rises in d.  For lam_low(d) = x*((x+g)/(b*x+1))**d at the smaller
+    unit-derivative root x = x_low(d) (b = beta, g = gamma), d/dx log lam is
+    2/x at the root and x'(d) = -(1-b*g)*x**2/(g-b*x**2), so
+        d/dd log lam_low = log((x+g)/(b*x+1)) - 2(1-b*g)*x/(g-b*x**2).
+    Its derivative in x, (1-b*g)*[1/((x+g)(b*x+1)) - 2(g+b*x**2)/(g-b*x**2)**2],
+    is negative on (0, sqrt(g/b)), as 2(g+b*x**2)(x+g)(b*x+1) >= 2*g**2 >
+    (g-b*x**2)**2; x_low lies there and falls as d grows, so the slope rises.
+    Swapping the spins maps the roots to their reciprocals, so
+    lam_high(b, g, d) = 1/lam_low(g, b, d) is log-concave and -lam_high
+    qualifies too.
+    """
+    d = _first_arity(lambda d: lam(d + 1) >= lam(d), start, delta - 1)
+    return delta - 1 if d is None else d
 
 
 def hardcore_threshold(gamma: float, delta) -> ThresholdReport:
@@ -436,37 +460,16 @@ def hardcore_threshold(gamma: float, delta) -> ThresholdReport:
     if not (gamma > 0) or not math.isfinite(gamma):
         raise InvalidParameterError(f"gamma must be positive and finite, got {gamma!r}")
     delta = _validate_delta(delta)
-    if delta != math.inf and delta < 3:
+    if delta < 3:
         raise InvalidParameterError(f"hardcore threshold needs delta >= 3, got {delta}")
-
-    if delta != math.inf:
-        best, best_d = math.inf, None
-        for d in range(2, int(delta)):
-            t = _hardcore_term(gamma, d)
-            if t < best:
-                best, best_d = t, d
-        return ThresholdReport(
-            kind="hardcore_lambda", values=(best,), delta=delta, witness_d=best_d
-        )
-
-    if gamma <= 1.0:
+    if delta == math.inf and gamma <= 1.0:
         raise NoThresholdError(
             "no universal hardcore threshold exists for gamma <= 1 "
             "(the candidate terms decrease to zero)"
         )
-    best, best_d, worse_streak = math.inf, None, 0
-    d = 2
-    while worse_streak < _SCAN_PATIENCE:
-        t = _hardcore_term(gamma, d)
-        if t < best:
-            best, best_d, worse_streak = t, d, 0
-        else:
-            worse_streak += 1
-        d += 1
-        if d > 100_000:
-            raise SpinDecayError("hardcore threshold scan failed to terminate")
+    d = _least_critical(lambda d: _hardcore_term(gamma, d), 2, delta)
     return ThresholdReport(
-        kind="hardcore_lambda", values=(best,), delta=math.inf, witness_d=best_d
+        kind="hardcore_lambda", values=(_hardcore_term(gamma, d),), delta=delta, witness_d=d
     )
 
 
@@ -475,7 +478,8 @@ class DerivativeUnitRoots:
     """The two positive x with d*(1-beta*gamma)*x = (beta*x+1)*(x+gamma),
     plus the activities that place the fixed point at each root.
 
-    Exists iff sqrt(beta*gamma) <= (d-1)/(d+1).  x_low*x_high = gamma/beta;
+    Exists iff (d-1) >= sqrt(beta*gamma)*(d+1); at equality the roots
+    coincide.  x_low*x_high = gamma/beta;
     activities between lam_low and lam_high are exactly the non-unique ones
     at arity d.
     """
@@ -488,34 +492,53 @@ class DerivativeUnitRoots:
 
 
 def _activity_at(beta: float, gamma: float, d: int, x: float) -> float:
-    # lam with f_d fixed point at x: lam = x * ((x + gamma)/(beta*x + 1))**d
+    # lam with f_d fixed point at x: lam = x * ((x + gamma)/(beta*x + 1))**d,
+    # which grows with x from 0 to inf; a root out of float range saturates
+    if x == 0.0 or x == math.inf:
+        return x
     t = math.log(x) + d * (math.log(x + gamma) - math.log(beta * x + 1.0))
     if t > 700.0:
         return math.inf
     return math.exp(t)
 
 
+def _admissible_start(beta: float, gamma: float) -> int:
+    """Smallest arity d >= 2 with (d-1) >= sqrt(beta*gamma)*(d+1), the
+    admissible arities: exactly those where the unit-derivative roots exist."""
+    r = math.sqrt(beta * gamma)
+    return _first_arity(lambda d: d - 1 >= r * (d + 1), 2)
+
+
+def _require_soft(name: str, beta: float, gamma: float) -> None:
+    if not beta > 0:
+        raise InvalidParameterError(f"{name} requires beta > 0 (use hardcore_threshold)")
+    if not gamma > 0 or not beta * gamma < 1:
+        raise InvalidParameterError(f"{name} requires gamma > 0 and beta*gamma < 1")
+
+
 def derivative_unit_roots(beta: float, gamma: float, d: int) -> DerivativeUnitRoots:
-    if beta <= 0:
-        raise InvalidParameterError("derivative_unit_roots requires beta > 0")
-    if beta * gamma >= 1:
-        raise InvalidParameterError("derivative_unit_roots requires beta*gamma < 1")
+    _require_soft("derivative_unit_roots", beta, gamma)
     if d < 2:
         raise InvalidParameterError(f"arity must be at least 2, got {d}")
+    start = _admissible_start(beta, gamma)
+    if d < start:
+        raise InvalidParameterError(
+            f"arity {d} is below the admissible range: sqrt(beta*gamma) "
+            f"<= (d-1)/(d+1) first holds at d = {start}"
+        )
     bg = beta * gamma
     a = d * (1.0 - bg) - (1.0 + bg)
     disc = a * a - 4.0 * bg
-    if disc < 0.0:
-        raise InvalidParameterError(
-            f"arity {d} is below the admissible range: need sqrt(beta*gamma) "
-            f"<= (d-1)/(d+1), i.e. d >= {(1 + math.sqrt(bg)) / (1 - math.sqrt(bg)):.4f}"
-        )
-    # The roots solve beta*x**2 - a*x + gamma = 0.  The larger one is safe to
-    # form directly; the smaller comes from the product identity
-    # x_low * x_high = gamma/beta, dodging the subtractive cancellation of
-    # (a - sqrt(disc))/(2*beta).
-    x_high = (a + math.sqrt(disc)) / (2.0 * beta)
-    x_low = gamma / (beta * x_high)
+    if disc <= 0.0:  # a touching arity, whose discriminant may round below 0
+        x_low = x_high = math.sqrt(gamma / beta)  # its double root
+    else:
+        # The roots solve beta*x**2 - a*x + gamma = 0.  The larger one is safe
+        # to form directly; the smaller comes from x_low*x_high = gamma/beta,
+        # dodging the cancellation of (a - sqrt(disc))/(2*beta), and without
+        # x_high where that overflows.
+        q = a + math.sqrt(disc)
+        x_high = q / beta / 2.0
+        x_low = gamma / (beta * x_high) if x_high < math.inf else 2.0 * gamma / q
     return DerivativeUnitRoots(
         d=d,
         x_low=x_low,
@@ -525,47 +548,34 @@ def derivative_unit_roots(beta: float, gamma: float, d: int) -> DerivativeUnitRo
     )
 
 
-def _admissible_start(beta: float, gamma: float) -> int:
-    """Smallest arity d with sqrt(beta*gamma) <= (d-1)/(d+1)."""
-    r = math.sqrt(beta * gamma)
-    d = max(2, math.ceil((1.0 + r) / (1.0 - r) - 1e-12))
-    while (d - 1) < r * (d + 1):
-        d += 1
-    return d
-
-
 def soft_thresholds(beta: float, gamma: float, delta) -> ThresholdReport:
     """The two-sided activity thresholds for beta > 0 and finite delta.
 
-    When sqrt(beta*gamma) > (delta-2)/delta every activity is unique up to
+    When no arity below delta is admissible every activity is unique up to
     delta and the report says so.  Otherwise uniqueness up to delta holds
     exactly for activities in (0, lam_c) or (lam_bar_c, inf) where
     lam_c = min lam_low(d) and lam_bar_c = max lam_high(d) over admissible
-    arities d < delta.
+    arities d < delta, each at its first minimiser (_least_critical).
     """
-    if beta <= 0:
-        raise InvalidParameterError("soft_thresholds requires beta > 0 (use hardcore_threshold)")
-    if beta * gamma >= 1:
-        raise InvalidParameterError("soft_thresholds requires beta*gamma < 1")
+    _require_soft("soft_thresholds", beta, gamma)
     delta = _validate_delta(delta)
     if delta == math.inf or delta < 3:
         raise InvalidParameterError("soft_thresholds needs a finite delta >= 3")
 
-    if math.sqrt(beta * gamma) > (delta - 2) / delta:
+    start = _admissible_start(beta, gamma)
+    if start >= delta:
         return ThresholdReport(
             kind="soft_lambda_pair", values=(), delta=delta, all_lambda_unique=True
         )
-    lo_val, lo_d = math.inf, None
-    hi_val, hi_d = -math.inf, None
-    for d in range(_admissible_start(beta, gamma), int(delta)):
-        roots = derivative_unit_roots(beta, gamma, d)
-        if roots.lam_low < lo_val:
-            lo_val, lo_d = roots.lam_low, d
-        if roots.lam_high > hi_val:
-            hi_val, hi_d = roots.lam_high, d
+
+    def roots(d: int) -> DerivativeUnitRoots:
+        return derivative_unit_roots(beta, gamma, d)
+
+    lo_d = _least_critical(lambda d: roots(d).lam_low, start, delta)
+    hi_d = _least_critical(lambda d: -roots(d).lam_high, start, delta)
     return ThresholdReport(
         kind="soft_lambda_pair",
-        values=(lo_val, hi_val),
+        values=(roots(lo_d).lam_low, roots(hi_d).lam_high),
         delta=delta,
         witness_d=lo_d,
         extras={"witness_d_high": hi_d},
@@ -642,29 +652,18 @@ def universal_lambda_threshold(beta: float, gamma: float) -> ThresholdReport:
     """min over admissible d of lam_low(d), for beta > 0 and gamma > 1.
 
     Activities below the returned value are universally unique.  gamma > 1
-    makes lam_low(d) grow without bound, so the scan stops once the running
-    minimum has gone unbeaten for a stretch of arities.
+    makes lam_low(d) grow without bound, so its first minimiser exists.
     """
-    if beta <= 0:
-        raise InvalidParameterError("universal_lambda_threshold requires beta > 0")
+    _require_soft("universal_lambda_threshold", beta, gamma)
     if gamma <= 1:
         raise NoThresholdError("universal activity threshold requires gamma > 1")
-    if beta * gamma >= 1:
-        raise InvalidParameterError("universal_lambda_threshold requires beta*gamma < 1")
 
-    best, best_d, worse_streak = math.inf, None, 0
-    d = _admissible_start(beta, gamma)
-    while worse_streak < _SCAN_PATIENCE:
-        val = derivative_unit_roots(beta, gamma, d).lam_low
-        if val < best:
-            best, best_d, worse_streak = val, d, 0
-        else:
-            worse_streak += 1
-        d += 1
-        if d > 200_000:
-            raise SpinDecayError("universal threshold scan failed to terminate")
+    def lam_low(d: int) -> float:
+        return derivative_unit_roots(beta, gamma, d).lam_low
+
+    d = _least_critical(lam_low, _admissible_start(beta, gamma), math.inf)
     return ThresholdReport(
-        kind="universal_lambda", values=(best,), delta=math.inf, witness_d=best_d
+        kind="universal_lambda", values=(lam_low(d),), delta=math.inf, witness_d=d
     )
 
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spindecay.cli import main
 from spindecay.core import SpinSystem
@@ -83,6 +86,51 @@ def test_thresholds_command(capsys):
     assert doc["outputs"]["values"] == [4.0]
     rc, _, err = run(capsys, "thresholds", "--kind", "hardcore", "--delta", "3")
     assert rc == 1 and "gamma" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "hardcore", "--gamma", "1.00001"),
+    ("--kind", "universal", "--beta", "0.1", "--gamma", "1.000001"),
+    ("--kind", "hardcore", "--gamma", "2", "--delta", "1100"),
+    ("--kind", "soft", "--beta", "0.9", "--gamma", "0.9", "--delta", "20"),
+    ("--kind", "soft", "--beta", "0.1", "--gamma", "2", "--delta", "100000"),
+])
+def test_thresholds_far_or_touching_arities(capsys, argv):
+    rc, out, err = run(capsys, "thresholds", *argv)
+    assert rc == 0 and err == ""
+    values = json.loads(out)["outputs"]["values"]  # one document
+    assert values and values == sorted(values)
+
+
+def _optional(values):
+    return st.none() | values
+
+
+@given(kind=st.sampled_from(["hardcore", "soft", "universal"]),
+       beta=_optional(st.floats()), gamma=_optional(st.floats()),
+       delta=_optional(st.just("inf") | st.integers(-3, 10**30).map(str)))
+@settings(max_examples=300, deadline=None)
+# roots past the float range, either way; a coupling product rounding to 1;
+# powers past the float range; a window that peaks inside (beta > gamma)
+@example(kind="universal", beta=5e-324, gamma=1.25, delta=None)
+@example(kind="soft", beta=1.5, gamma=5e-324, delta="710333980138651")
+@example(kind="soft", beta=1.7976931348623157e308, gamma=5e-324, delta="101800")
+@example(kind="soft", beta=0.9999999999999999, gamma=1.0, delta=str(10**30))
+@example(kind="hardcore", beta=None, gamma=1e200, delta="3")
+@example(kind="soft", beta=1.03, gamma=0.69, delta=str(10**30))
+def test_thresholds_fail_with_one_line_and_an_exit_code(kind, beta, gamma, delta):
+    argv = ["thresholds", "--kind", kind]
+    for flag, value in (("--beta", beta), ("--gamma", gamma), ("--delta", delta)):
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in {0, 1, 2, 3, 4}
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    if rc == 0:
+        values = json.loads(out.getvalue())["outputs"]["values"]
+        assert values == sorted(values)
 
 
 def test_marginal_command(capsys, c4_file):

@@ -126,3 +126,18 @@ def test_random_regular_degrees():
     assert random_regular(10, 3, seed=1) == random_regular(10, 3, seed=1)
     with pytest.raises(InvalidParameterError):
         random_regular(5, 3, seed=0)  # odd degree sum
+
+
+@pytest.mark.parametrize("n, d", [(60, 6), (20, 7), (8, 7)])
+def test_random_regular_repairs_pairings_that_stay_multigraphs(n, d):
+    # no simple pairing in 1000 tries; from_edges refuses loops and repeats
+    g = random_regular(n, d, seed=1)
+    assert {len(a) for a in g.adj} == {d}
+    assert g == random_regular(n, d, seed=1)
+
+
+def test_random_regular_keeps_the_graphs_its_retries_find():
+    assert list(random_regular(10, 3, seed=1).edges()) == [
+        (0, 5), (0, 6), (0, 8), (1, 3), (1, 8), (1, 9), (2, 4), (2, 5),
+        (2, 6), (3, 7), (3, 9), (4, 7), (4, 8), (5, 7), (6, 9),
+    ]

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spindecay import uniqueness
 from spindecay.core import SpinSystem, ceil_log, symmetric_f
 from spindecay.errors import (
     InvalidParameterError,
@@ -14,6 +16,7 @@ from spindecay.errors import (
     UniquenessError,
 )
 from spindecay.uniqueness import (
+    _hardcore_term,
     choose_M,
     contraction_bound,
     derivative_unit_roots,
@@ -210,6 +213,106 @@ def test_ising_duality_spot_check():
     rep = soft_thresholds(0.4, 0.4, 8)
     lo, hi = rep.values
     assert lo * hi == pytest.approx(1.0, abs=1e-12)
+
+
+def test_touching_arities_give_point_windows():
+    # (d-1) = sqrt(beta*gamma)*(d+1) holds exactly at arity 19 for 0.9, 0.9;
+    # its discriminant rounds below 0 there
+    r = derivative_unit_roots(0.9, 0.9, 19)
+    assert r.x_low == r.x_high and r.lam_low == r.lam_high
+    with pytest.raises(InvalidParameterError, match="first holds at d = 19"):
+        derivative_unit_roots(0.9, 0.9, 18)
+    for beta, delta in ((0.9, 20), (1 / 3, 3), (0.5, 4)):
+        rep = soft_thresholds(beta, beta, delta)
+        assert not rep.all_lambda_unique and rep.witness_d == delta - 1
+        lo, hi = rep.values
+        assert lo == hi
+    lo, hi = soft_thresholds(0.9, 0.9, 24).values
+    assert lo < hi and lo * hi == pytest.approx(1.0, abs=1e-12)
+
+
+def test_threshold_minimisers_past_the_old_scan_caps():
+    # minimisers near arity 1e5 and 1e6, past the caps of a one-arity scan
+    for rep, lam in (
+        (hardcore_threshold(1.00001, math.inf), lambda d: _hardcore_term(1.00001, d)),
+        (universal_lambda_threshold(0.1, 1.000001),
+         lambda d: derivative_unit_roots(0.1, 1.000001, d).lam_low),
+    ):
+        d = rep.witness_d
+        assert d > 10**5 and lam(d - 1) > rep.values[0] == lam(d) <= lam(d + 1)
+    # the minimiser is d = 3; the terms past arity 60 leave double range
+    rep = hardcore_threshold(2.0, 1100)
+    assert rep.values == (27.0,) and rep.witness_d == 3
+    assert hardcore_threshold(100.0, 257).witness_d == 2
+
+
+def test_soft_thresholds_cost_is_logarithmic_in_delta(monkeypatch):
+    calls = []
+    roots = uniqueness.derivative_unit_roots
+    monkeypatch.setattr(uniqueness, "derivative_unit_roots",
+                        lambda *args: calls.append(args) or roots(*args))
+    rep = soft_thresholds(0.1, 2.0, 100_000)
+    assert rep.values[1] == math.inf and rep.witness_d == 4
+    assert len(calls) < 200
+
+
+def critical_rows(beta, gamma, delta):
+    """(d, lam_low, lam_high) for every admissible arity below delta; for
+    beta = 0 the hardcore term stands in for both."""
+    if beta == 0:
+        return [(d, _hardcore_term(gamma, d), _hardcore_term(gamma, d)) for d in range(2, delta)]
+    r = math.sqrt(beta * gamma)
+    rows = []
+    for d in range(2, delta):
+        if d - 1 >= r * (d + 1):
+            roots = derivative_unit_roots(beta, gamma, d)
+            rows.append((d, roots.lam_low, roots.lam_high))
+    return rows
+
+
+@st.composite
+def threshold_cases(draw):
+    beta = draw(st.floats(0.0, 0.95))
+    gamma = draw(st.floats(beta, 1.0 / beta if beta else 1e6, exclude_max=True))
+    assume(gamma > 0 and beta * gamma < 1)
+    return beta, gamma, draw(st.integers(3, 400))
+
+
+@given(threshold_cases())
+@settings(max_examples=300, deadline=None)
+def test_threshold_searches_equal_a_plain_scan(case):
+    beta, gamma, delta = case
+    rows = critical_rows(beta, gamma, delta)
+    if not rows:  # no admissible arity below delta
+        assert soft_thresholds(beta, gamma, delta).all_lambda_unique
+        return
+    lo_d, lo, _ = min(rows, key=lambda row: row[1])  # the first minimiser
+    hi_d, _, hi = max(rows, key=lambda row: row[2])
+    if beta == 0:
+        rep = hardcore_threshold(gamma, delta)
+        assert (rep.values, rep.witness_d) == ((lo,), lo_d)
+    else:
+        rep = soft_thresholds(beta, gamma, delta)
+        assert not rep.all_lambda_unique and rep.values == (lo, hi)
+        assert rep.witness_d == lo_d and rep.extras == {"witness_d_high": hi_d}
+    # by convexity an interior minimiser is the minimiser over all arities
+    if gamma > 1 and lo_d < delta - 1:
+        rep = (hardcore_threshold(gamma, math.inf) if beta == 0
+               else universal_lambda_threshold(beta, gamma))
+        assert (rep.values, rep.witness_d) == ((lo,), lo_d)
+
+
+@given(threshold_cases())
+@settings(max_examples=150, deadline=None)
+def test_log_critical_activities_are_convex_in_the_arity(case):
+    rows = critical_rows(*case)
+    # log lam_low (the hardcore term at beta = 0) is convex, log lam_high concave
+    for col, sign in ((1, 1.0), (2, -1.0))[: 1 if case[0] == 0 else 2]:
+        vals = [row[col] for row in rows]
+        for a, b, c in zip(vals, vals[1:], vals[2:]):
+            # normal floats only: a subnormal keeps too few digits for its log
+            if all(sys.float_info.min <= v < math.inf for v in (a, b, c)):
+                assert sign * (math.log(a) - 2.0 * math.log(b) + math.log(c)) >= -1e-9
 
 
 def test_gamma_threshold_separates_the_regimes():
