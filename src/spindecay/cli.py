@@ -74,29 +74,52 @@ class _UsageError(Exception):
 # JSON output
 
 
-def _plain(x):
-    """Recursively render results as JSON-ready structures."""
-    if isinstance(x, SpinSystem):
-        return {"beta": x.beta, "gamma": x.gamma, "lambda": x.lam}
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(x)
-    return x
+def _render(doc) -> str:
+    """The text of json.dumps(doc, indent=2), where results may also hold
+    spin systems, dataclasses, tuples and sets.  Built from an explicit
+    stack, not recursion, so a walk-tree dump of any depth prints."""
+    out = []
+    todo = [(0, doc)]  # (nesting level, value) to render, or literal text
+    while todo:
+        entry = todo.pop()
+        if isinstance(entry, str):
+            out.append(entry)
+            continue
+        level, x = entry
+        if isinstance(x, SpinSystem):
+            x = {"beta": x.beta, "gamma": x.gamma, "lambda": x.lam}
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+        elif isinstance(x, (set, frozenset)):
+            x = sorted(x)
+        if isinstance(x, dict):
+            items, brackets = [(json.dumps(str(k)) + ": ", v) for k, v in x.items()], "{}"
+        elif isinstance(x, (list, tuple)):
+            items, brackets = [("", v) for v in x], "[]"
+        else:
+            out.append(json.dumps(x))
+            continue
+        if not items:
+            out.append(brackets)
+            continue
+        out.append(brackets[0])
+        todo.append("\n" + "  " * level + brackets[1])
+        pad = "\n" + "  " * (level + 1)
+        for i in range(len(items) - 1, -1, -1):
+            key, v = items[i]
+            todo.append((level + 1, v))
+            todo.append(("," if i else "") + pad + key)
+    return "".join(out)
 
 
 def _emit(command: str, inputs: dict, outputs, started: float) -> None:
     doc = {
         "command": command,
-        "inputs": _plain(inputs),
-        "outputs": _plain(outputs),
+        "inputs": inputs,
+        "outputs": outputs,
         "wall_time_s": time.perf_counter() - started,
     }
-    print(json.dumps(doc, indent=2))
+    print(_render(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,11 @@ class Instance:
     system: SpinSystem | None
 
 
+# The most vertices an instance file may declare: an adjacency list is built
+# for each, edges or none, so n alone sets the memory a load takes.
+VERTEX_CAP = 1_000_000
+
+
 def loads(text: str) -> Instance:
     """Parse and validate an instance document."""
     try:
@@ -182,9 +187,12 @@ def loads(text: str) -> Instance:
                 lambda_v[int(k)] = val
             except (TypeError, ValueError):
                 raise GraphFormatError(f"lambda_v: bad vertex key {k!r}")
+    n = doc["n"]
+    if isinstance(n, int) and n > VERTEX_CAP:
+        raise GraphFormatError(f"n: at most {VERTEX_CAP} vertices, got {n}")
     if not isinstance(doc["edges"], list):
         raise GraphFormatError(f"edges: expected a list of vertex pairs, got {doc['edges']!r}")
-    g = from_edges(doc["n"], doc["edges"], lambda_v, doc.get("labels"))
+    g = from_edges(n, doc["edges"], lambda_v, doc.get("labels"))
 
     boundary = None
     if "fixed" in doc or "S" in doc:

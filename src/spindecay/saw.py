@@ -15,20 +15,25 @@ Flipping the comparison corresponds to ranking every adjacency descending
 instead of ascending, which is just a different (equally valid) canonical
 order.
 
-`_walk_single` is the only traversal of the tree.  It walks it iteratively
-(an explicit stack, no recursion) and propagates ratio intervals upward
-through the recursion of `core`, truncated by one of the two policies below
-(or not at all); the estimator calls it for every interval it reports, and
-`dump_levels` runs it with a visitor, so the tree that is dumped is the tree
-that is evaluated.
+`_walk_single` is the only traversal of the tree.  It walks it with one
+recursive call per expanded node, whose state lives in that call's locals,
+and propagates ratio intervals upward through the recursion of `core`,
+truncated by one of the two policies below (or not at all); the estimator
+calls it for every interval it reports, and `dump_levels` runs it with a
+visitor, so the tree that is dumped is the tree that is evaluated.  The
+recursion is as deep as the longest walk the policy allows; a walk that
+would not fit under the interpreter's recursion limit runs on a worker
+thread sized for it, so no graph ends in a RecursionError.
 """
 from __future__ import annotations
 
 import math
+import sys
+import threading
 from dataclasses import dataclass
 
 from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, guarded_exp
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError, SpinDecayError
 from .graphs import Boundary, Graph
 
 FREE = "free"
@@ -74,15 +79,55 @@ def closing_spin(departed_to: int, closing_from: int) -> str:
     return BLUE if closing_from > departed_to else GREEN
 
 
-# Frame slots (lists, not objects, for speed):
-# 0 origin | 1 children | 2 idx | 3 acc_lo | 4 acc_hi | 5 log_mode
-# 6 zero_lo | 7 zero_hi | 8 depth | 9 own_m | 10 child_m | 11 kids_at_frontier
-#
-# The upper end of a node's interval comes from its children's lower ends and
-# vice versa (the recursion is decreasing in each child), so acc_lo collects
-# the factors f_lo and acc_hi the factors f_hi.  Exact-zero factors only set
-# zero_lo / zero_hi and never enter the running product, so an overflowed
-# product is never multiplied by zero.
+# Leaf codes, one per vertex: what a step onto a vertex that is not on the
+# walk finds there.
+_FREE, _DIFFERING, _BLUE, _GREEN = 0, 1, 2, 3
+
+# A walk whose recursion, beside this many frames of its caller's, would not
+# fit under the recursion limit runs on a worker thread instead (see _deep).
+_CALLER_FRAMES = 250
+# Frames the kernel adds beyond one per tree level: a visitor, guarded_exp,
+# ceil_log, a thread's bootstrap.
+_EXTRA_FRAMES = 50
+# C stack for such a thread.  Python 3.10 recurses on the C stack for every
+# Python call, a few hundred bytes each in a release build; 3.11 and later
+# run a Python call from Python code in the caller's C frame.  Stack pages
+# are only reserved until a walk touches them.
+_STACK_BASE = 16 << 20
+_STACK_PER_LEVEL = 8 << 10 if sys.version_info < (3, 11) else 0
+_deep_lock = threading.Lock()
+
+
+def _deep(call, levels: int):
+    """call() on a worker thread whose stack and recursion limit fit a
+    recursion `levels` deep; the recursion limit and the thread stack size
+    are restored afterwards.  Whatever call raises is raised here."""
+    out = []
+
+    def run():
+        try:
+            out.append(call())
+        except BaseException as e:  # handed to the calling thread below
+            out.append(e)
+
+    with _deep_lock:
+        old_limit, old_size = sys.getrecursionlimit(), threading.stack_size()
+        try:
+            sys.setrecursionlimit(max(old_limit, levels + _EXTRA_FRAMES))
+            threading.stack_size(_STACK_BASE + levels * _STACK_PER_LEVEL)
+            worker = threading.Thread(target=run, name="spindecay-deep-walk")
+            try:
+                worker.start()
+            except RuntimeError as e:  # the system refused the stack
+                raise SpinDecayError(f"a walk {levels} levels deep found no thread "
+                                     f"stack to run on: {e}") from None
+            worker.join()
+        finally:
+            threading.stack_size(old_size)
+            sys.setrecursionlimit(old_limit)
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0]
 
 
 def _walk_single(
@@ -96,7 +141,7 @@ def _walk_single(
     budget: int | None,
     visit=None,
 ) -> tuple[float, float, int, bool]:
-    """Returns (r_lo, r_hi, frames expanded, any trivial leaf used).
+    """Returns (r_lo, r_hi, nodes expanded, any trivial leaf used).
 
     A child is, in this order: a cycle-closing leaf, a member of the
     differing set s_set (the trivial interval [0, +inf]), a fixed leaf, a
@@ -108,93 +153,115 @@ def _walk_single(
     """
     beta, gamma = s.beta, s.gamma
     adj = g.adj
+    n = g.n
     inv_gamma = 1.0 / gamma
     log = math.log
-    isinf = math.isinf
-    depth_limit = policy.t if isinstance(policy, Depth) else None
-    m_limit, m_base = (policy.ell, policy.m) if isinstance(policy, MBased) else (None, None)
+    # A frame at depth >= last_depth, or whose parent's scaled depth reaches
+    # m_limit, is at the frontier: its free children become trivial leaves.
+    # Walks are self-avoiding, so no frame reaches depth n, and scaled
+    # depths stay 0 without MBased.
+    last_depth, m_limit, m_base = n, 1, None
+    if isinstance(policy, Depth):
+        if policy.t == 0:
+            return 0.0, _INF, 0, True
+        last_depth = policy.t - 1
+    elif isinstance(policy, MBased):
+        m_limit, m_base = policy.ell, policy.m
+    cap = _INF if budget is None else budget
 
-    if depth_limit == 0:
-        return 0.0, _INF, 0, True
-
-    def open_frame(origin: int, parent: int | None, depth: int,
-                   own_m: int, parent_m: int) -> list:
-        kids = [w for w in adj[origin] if w != parent]
-        log_mode = len(kids) > LOG_PRODUCT_CUTOFF
-        child_m = own_m + ceil_log(m_base, len(kids) + 1) if m_base is not None else 0
-        at_frontier = ((depth_limit is not None and depth + 1 >= depth_limit)
-                       or (m_limit is not None and parent_m >= m_limit))
-        acc = 0.0 if log_mode else 1.0
-        return [origin, kids, 0, acc, acc, log_mode, False, False, depth,
-                own_m, child_m, at_frontier]
-
+    # on_walk[v]: the neighbour the walk left v by, or -1 off the walk
+    on_walk = [-1] * n
+    code = [_FREE] * n
+    vertices = range(n)
+    for v, spin in fixed.items():
+        if v in vertices:
+            code[int(v)] = _BLUE if spin == BLUE else _GREEN
+    for v in s_set:
+        if v in vertices:
+            code[int(v)] = _DIFFERING
     expanded = 1
     trivial_used = False
-    stack = [open_frame(root, None, 0, 0, -1)]
-    on_walk: dict[int, int] = {}
 
-    while True:
-        fr = stack[-1]
-        kids = fr[1]
-        idx = fr[2]
-        if idx < len(kids):
-            fr[2] = idx + 1
-            w = kids[idx]
-            if w in on_walk:
-                spin = closing_spin(on_walk[w], fr[0])
-            elif w in s_set:
-                spin = None
-            elif w in fixed:
-                spin = fixed[w]
-            elif fr[11]:
-                spin = None
-            else:
+    def expand(u: int, parent: int, depth: int, own_m: int, parent_m: int):
+        """(lo, hi) of the node for vertex u, reached from parent (-1 at the
+        root).  The upper end comes from the children's lower ends and vice
+        versa (the recursion is decreasing in each child), so acc_lo collects
+        the factors f_lo and acc_hi the factors f_hi.  Exact-zero factors
+        only set zero_lo / zero_hi and never enter the running product, so
+        an overflowed product is never multiplied by zero."""
+        nonlocal expanded, trivial_used
+        kids = adj[u]
+        d = len(kids) if parent < 0 else len(kids) - 1
+        log_mode = d > LOG_PRODUCT_CUTOFF
+        frontier = depth >= last_depth or parent_m >= m_limit
+        child_m = own_m + ceil_log(m_base, d + 1) if m_base is not None else 0
+        acc_lo = acc_hi = 0.0 if log_mode else 1.0
+        zero_lo = zero_hi = False
+        for w in kids:
+            if w == parent:
+                continue
+            left = on_walk[w]
+            # a step back onto the walk closes a cycle: closing_spin(left, u)
+            c = code[w] if left < 0 else _BLUE if u > left else _GREEN
+            if c == _FREE and not frontier:
                 expanded += 1
-                if budget is not None and expanded > budget:
+                if expanded > cap:
                     raise BudgetExceededError(
                         f"expansion exceeded {budget} nodes at vertex {root}"
                     )
                 if visit is not None:
-                    visit(fr[8] + 1, w, None, True)
-                on_walk[fr[0]] = w
-                stack.append(open_frame(w, fr[0], fr[8] + 1, fr[10], fr[9]))
-                continue
-            if visit is not None:
-                visit(fr[8] + 1, w, spin, False)
-            if spin is None:
-                trivial_used = True
-                f_lo, f_hi = beta, inv_gamma
-            elif spin == BLUE:
-                f_lo = f_hi = beta  # ratio +inf on both ends
+                    visit(depth + 1, w, None, True)
+                on_walk[u] = w
+                lo, hi = expand(w, u, depth + 1, child_m, own_m)
+                f_lo = beta if hi == _INF else (beta * hi + 1.0) / (hi + gamma)
+                f_hi = beta if lo == _INF else (beta * lo + 1.0) / (lo + gamma)
             else:
-                f_lo = f_hi = inv_gamma  # ratio 0
-        else:
-            stack.pop()
-            on_walk.pop(fr[0], None)
-            lam_v = lam[fr[0]]
-            if fr[5]:
-                lo = 0.0 if fr[6] else guarded_exp(log(lam_v) + fr[3])
-                hi = 0.0 if fr[7] else guarded_exp(log(lam_v) + fr[4])
+                if c <= _DIFFERING:
+                    trivial_used = True
+                    f_lo, f_hi, spin = beta, inv_gamma, None
+                elif c == _BLUE:
+                    f_lo = f_hi = beta  # ratio +inf on both ends
+                    spin = BLUE
+                else:
+                    f_lo = f_hi = inv_gamma  # ratio 0
+                    spin = GREEN
+                if visit is not None:
+                    visit(depth + 1, w, spin, False)
+            if f_lo == 0.0:
+                zero_lo = True
+            elif log_mode:
+                acc_lo += log(f_lo)
             else:
-                lo = 0.0 if fr[6] else lam_v * fr[3]
-                hi = 0.0 if fr[7] else lam_v * fr[4]
-            if not stack:
-                return lo, hi, expanded, trivial_used
-            fr = stack[-1]
-            f_lo = beta if isinf(hi) else (beta * hi + 1.0) / (hi + gamma)
-            f_hi = beta if isinf(lo) else (beta * lo + 1.0) / (lo + gamma)
-        if f_lo == 0.0:
-            fr[6] = True
-        elif fr[5]:
-            fr[3] += log(f_lo)
+                acc_lo *= f_lo
+            if f_hi == 0.0:
+                zero_hi = True
+            elif log_mode:
+                acc_hi += log(f_hi)
+            else:
+                acc_hi *= f_hi
+        on_walk[u] = -1
+        lam_u = lam[u]
+        if log_mode:
+            lo = 0.0 if zero_lo else guarded_exp(log(lam_u) + acc_lo)
+            hi = 0.0 if zero_hi else guarded_exp(log(lam_u) + acc_hi)
         else:
-            fr[3] *= f_lo
-        if f_hi == 0.0:
-            fr[7] = True
-        elif fr[5]:
-            fr[4] += log(f_hi)
-        else:
-            fr[4] *= f_hi
+            lo = 0.0 if zero_lo else lam_u * acc_lo
+            hi = 0.0 if zero_hi else lam_u * acc_hi
+        return lo, hi
+
+    # The recursion is one frame per tree level: at most n levels, since
+    # walks are self-avoiding, and t under Depth(t).  Under MBased(m, ell) a
+    # level adds at least 1 to the scaled depth (ceil_log(m, d + 1) >= 1 for
+    # d >= 1 children) and a frame takes free children only while its
+    # parent's scaled depth is below ell, so no node lies deeper than ell + 1.
+    levels = min(n, last_depth + 1)
+    if m_base is not None:
+        levels = min(levels, m_limit + 2)
+    if levels + _CALLER_FRAMES + _EXTRA_FRAMES <= sys.getrecursionlimit():
+        lo, hi = expand(root, -1, 0, 0, -1)
+    else:
+        lo, hi = _deep(lambda: expand(root, -1, 0, 0, -1), levels)
+    return lo, hi, expanded, trivial_used
 
 
 # Any system serves for dump_levels: the tree's shape does not depend on it.

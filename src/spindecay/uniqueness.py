@@ -416,12 +416,15 @@ class ThresholdReport:
 
 def _hardcore_term(gamma: float, d: int) -> float:
     # gamma**(d+1) * d**d / (d-1)**(d+1); exact float pow for small d, log
-    # form once the powers leave double range.  Both saturate at inf.
+    # form once the powers leave double range, or where their product does
+    # before the division brings it back.  Both saturate at inf.
     if d <= 60:
         try:
-            return gamma ** (d + 1) * float(d**d) / float((d - 1) ** (d + 1))
+            term = gamma ** (d + 1) * float(d**d) / float((d - 1) ** (d + 1))
         except OverflowError:
-            return math.inf
+            term = math.inf
+        if term < math.inf:
+            return term
     return guarded_exp(
         (d + 1) * math.log(gamma) + d * math.log(d) - (d + 1) * math.log(d - 1)
     )

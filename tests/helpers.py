@@ -9,6 +9,7 @@ import math
 import random
 
 import networkx as nx
+from hypothesis import strategies as st
 
 from spindecay.core import BLUE, GREEN, SpinSystem, swap_spins
 from spindecay.graphs import Boundary, Graph, from_edges, random_regular
@@ -159,3 +160,13 @@ def hand_swapped(
 def inverted(r: float) -> float:
     """1/r on [0, +inf], with 0 and +inf exchanged."""
     return math.inf if r == 0.0 else 0.0 if math.isinf(r) else 1.0 / r
+
+
+# Any JSON value: null, booleans, integers, floats (NaN and infinities
+# included), short strings, and lists and objects of these.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)

@@ -10,14 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spindecay.cli import main
+from spindecay.cli import _render, main
 from spindecay.core import SpinSystem
 from spindecay.errors import GraphFormatError, SpinDecayError
 from spindecay.estimator import estimate_marginal
 from spindecay.graphs import Boundary, cycle, dumps, loads, path, star
 from spindecay.oracle import exact_partition
 
-from helpers import FLIP, SWAP_GRAPH, hand_swapped, inverted
+from helpers import FLIP, JSON_VALUES, SWAP_GRAPH, hand_swapped, inverted
 
 
 def run(capsys, *argv):
@@ -220,6 +220,28 @@ def test_saw_dump_command(capsys, c4_file):
                    "--depth", "2")
     assert doc["outputs"]["origin"] == 0
     assert len(doc["outputs"]["children"]) == 2
+
+
+def test_saw_dump_prints_trees_of_any_depth(capsys, tmp_path):
+    f = tmp_path / "path3000.json"
+    f.write_text(dumps(path(3000)))
+    doc = run_json(capsys, "saw-dump", "--graph", str(f), "--vertex", "0", "--depth", "250")
+    node, depth = doc["outputs"], 0
+    while node.get("children"):
+        (node,) = node["children"]
+        depth += 1
+    assert (depth, node["origin"]) == (250, 250)
+    # deeper than the recursion limit, for the walk and for the renderer
+    rc, out, err = run(capsys, "saw-dump", "--graph", str(f), "--vertex", "0",
+                       "--depth", "1200")
+    assert (rc, err) == (0, "")
+    assert out.count('"origin"') == 1201 and out.rstrip().endswith("}")
+
+
+@given(JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_rendered_documents_are_the_json_module_text(doc):
+    assert _render(doc) == json.dumps(doc, indent=2)
 
 
 def test_graph_from_stdin(capsys, monkeypatch):

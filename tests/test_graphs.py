@@ -1,7 +1,11 @@
 """Graph construction, the instance file format, and the generators."""
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindecay.core import BLUE, GREEN, SpinSystem
 from spindecay.errors import GraphFormatError, InvalidParameterError
@@ -11,6 +15,7 @@ from spindecay.graphs import (
     complete,
     double_star,
     dumps,
+    VERTEX_CAP,
     from_edges,
     loads,
     max_degree,
@@ -19,6 +24,8 @@ from spindecay.graphs import (
     random_tree,
     star,
 )
+
+from helpers import JSON_VALUES
 
 
 def test_from_edges_builds_sorted_adjacency():
@@ -141,3 +148,42 @@ def test_random_regular_keeps_the_graphs_its_retries_find():
         (0, 5), (0, 6), (0, 8), (1, 3), (1, 8), (1, 9), (2, 4), (2, 5),
         (2, 6), (3, 7), (3, 9), (4, 7), (4, 8), (5, 7), (6, 9),
     ]
+
+
+@st.composite
+def _documents(draw):
+    """Any JSON value, or a valid document with one field, or one value
+    inside a field, replaced by any JSON value."""
+    if draw(st.booleans()):
+        return draw(JSON_VALUES)
+    x = draw(JSON_VALUES)
+    doc = {"n": 3, "edges": [[0, 1], [1, 2]], "lambda_v": {"1": 0.5}, "fixed": {"0": "blue"},
+           "S": [0], "params": {"beta": 0.1, "gamma": 1.0, "lambda": 1.0},
+           "labels": ["a", "b", "c"]}
+    key = draw(st.sampled_from(sorted(doc)))
+    inner = {
+        "n": x,
+        "edges": [[0, 1], [1, x]] if draw(st.booleans()) else [[0, 1], x],
+        "lambda_v": {"1": x} if draw(st.booleans()) else {str(x): 0.5},
+        "fixed": {"0": x} if draw(st.booleans()) else {str(x): "green"},
+        "S": [x],
+        "params": {"beta": x, "gamma": 1.0, "lambda": 1.0},
+        "labels": ["a", x, "c"],
+    }
+    doc[key] = x if draw(st.booleans()) else inner[key]
+    return doc
+
+
+@given(_documents())
+@settings(max_examples=400, deadline=None)
+def test_loads_returns_an_instance_or_a_format_error(doc):
+    try:
+        loads(json.dumps(doc))
+    except GraphFormatError:
+        pass
+
+
+def test_loads_caps_the_vertex_count():
+    assert loads(json.dumps({"n": VERTEX_CAP, "edges": []})).graph.n == VERTEX_CAP
+    with pytest.raises(GraphFormatError, match="n: at most"):
+        loads(json.dumps({"n": VERTEX_CAP + 1, "edges": []}))

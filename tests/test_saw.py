@@ -5,13 +5,26 @@ kernel visits, so every property here is a property of the evaluated tree.
 """
 from __future__ import annotations
 
+import math
+import sys
+import threading
+
 import pytest
 
 from spindecay.core import BLUE, GREEN, SpinSystem
 from spindecay.errors import BudgetExceededError, InvalidParameterError
-from spindecay.estimator import Depth, bounds, decay_curve
-from spindecay.graphs import Boundary, complete, cycle, from_edges, path, random_regular
-from spindecay.saw import FIXED, FREE, closing_spin, dump_levels
+from spindecay.estimator import Depth, bounds, decay_curve, exhaustive_ratio
+from spindecay.graphs import (
+    Boundary,
+    complete,
+    cycle,
+    double_star,
+    from_edges,
+    path,
+    random_regular,
+    star,
+)
+from spindecay.saw import FIXED, FREE, MBased, _walk_single, closing_spin, dump_levels
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 SOFT = SpinSystem(0.3, 1.2, 0.8)
@@ -132,3 +145,116 @@ def test_decay_curve_points_are_depth_walks():
         for pt in curve:
             single = bounds(g, SOFT, v, boundary, Depth(pt.t))
             assert (pt.p_lo, pt.p_hi, pt.width) == (single.p_lo, single.p_hi, single.width)
+
+
+_G64 = random_regular(64, 3, seed=1)
+_LAM64 = [0.5 + (v % 7) / 10 for v in range(64)]
+_SOFT2 = SpinSystem(0.2, 1.5, 0.9)
+
+# (graph, system, root, activities, fixed, differing set, policy) -> the exact
+# (r_lo, r_hi, expanded, trivial) of the kernel, recorded from an
+# explicit-stack implementation.  Children must be visited in ascending order
+# and every factor must enter each product in the same order for these to
+# stay equal bit for bit.
+_PINNED = {
+    "depth-12": ((_G64, _SOFT2, 0, [0.9] * 64, {}, frozenset(), Depth(12)),
+                 (0.18182134777407935, 0.18182136585020436, 4878, True)),
+    "depth-14": ((_G64, _SOFT2, 5, _LAM64, {}, frozenset(), Depth(14)),
+                 (0.20504835929222295, 0.20504835949817599, 13274, True)),
+    "mbased": ((_G64, _SOFT2, 3, _LAM64, {}, frozenset(), MBased(2.0, 12)),
+               (0.1641613133441924, 0.16416477392044176, 320, True)),
+    "mbased-hubs": ((double_star(40), _SOFT2, 0, [1.1] * 82, {}, frozenset(), MBased(3.0, 4)),
+                    (5.2572754765649386e-14, 5.2572754765649386e-14, 82, False)),
+    # more than LOG_PRODUCT_CUTOFF children: the products run in log space
+    "log-root": ((star(40), _SOFT2, 0, [0.7] * 41, {}, frozenset(), Depth(2)),
+                 (2.6569590477022274e-12, 2.6569590477022274e-12, 41, False)),
+    "log-inner": ((double_star(40), _SOFT2, 0, [0.7] * 82, {}, frozenset(), Depth(3)),
+                  (1.77130603179929e-12, 1.77130603179929e-12, 82, False)),
+    "log-saturates": ((star(400), SpinSystem(0.005, 0.01, 1.0), 0, [1.0] * 401, {},
+                       frozenset(), Depth(1)),
+                      (0.0, math.inf, 1, True)),
+    # hardcore blue leaves are exact-zero factors
+    "boundary": ((_G64, HARDCORE, 0, [1.0] * 64,
+                  {1: BLUE, 7: GREEN, 9: BLUE, 20: GREEN, 33: BLUE, 40: GREEN},
+                  frozenset({9, 20}), Depth(10)),
+                 (0.27368388090901374, 0.3700388729659517, 707, True)),
+    "exhaustive": ((complete(6), _SOFT2, 2, [0.9, 1.1, 0.8, 1.3, 0.6, 1.0], {}, frozenset(),
+                    None),
+                   (0.07445742947669122, 0.07445742947669122, 326, False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_kernel_reproduces_pinned_bits(case):
+    (g, s, root, lam, fixed, s_set, policy), expected = _PINNED[case]
+    assert _walk_single(g, s, root, lam, fixed, s_set, policy, None) == expected
+
+
+def test_budget_trips_at_an_exact_node_count():
+    g = random_regular(30, 3, seed=2)
+    args = (g, _SOFT2, 0, [1.0] * 30, {}, frozenset(), Depth(9))
+    expected = (0.19625645302679012, 0.1962584755391204, 536, True)
+    assert _walk_single(*args, None) == expected
+    assert _walk_single(*args, 536) == expected
+    with pytest.raises(BudgetExceededError, match="exceeded 535 nodes"):
+        _walk_single(*args, 535)
+
+
+def _transfer_ratio(s, n, closed):
+    """P(blue)/P(green) at vertex 0 of a path (or, closed, a cycle) of n
+    vertices, from powers of the transfer matrix T[a][b] = A[a][b] * w[b]
+    with A = [[beta, 1], [1, gamma]] and weights w = (lam, 1)."""
+    def mul(x, y):
+        z = [[x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in (0, 1)] for i in (0, 1)]
+        top = max(map(max, z))  # rescaled: only ratios of entries are read
+        return [[v / top for v in row] for row in z]
+
+    power, base = [[1.0, 0.0], [0.0, 1.0]], [[s.beta * s.lam, 1.0], [s.lam, s.gamma]]
+    k = n if closed else n - 1
+    while k:
+        if k & 1:
+            power = mul(power, base)
+        base, k = mul(base, base), k >> 1
+    if closed:
+        return power[0][0] / power[1][1]
+    return s.lam * (power[0][0] + power[0][1]) / (power[1][0] + power[1][1])
+
+
+@pytest.fixture
+def limits_kept():
+    """Each deep walk must leave the recursion limit and the thread stack
+    size as it found them."""
+    before = sys.getrecursionlimit(), threading.stack_size()
+    yield lambda: (sys.getrecursionlimit(), threading.stack_size()) == before
+    assert (sys.getrecursionlimit(), threading.stack_size()) == before
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_walks_deeper_than_the_recursion_limit(closed, limits_kept):
+    g = cycle(5000) if closed else path(5000)
+    for s in (_SOFT2, SpinSystem(0.4, 2.0, 3.0)):
+        assert exhaustive_ratio(g, s, 0) == pytest.approx(_transfer_ratio(s, 5000, closed),
+                                                          rel=1e-12)
+        assert limits_kept()
+    # hardcore at lam = 1: F(n)/F(n+1) on a path, the golden ratio's inverse
+    if not closed:
+        assert exhaustive_ratio(g, HARDCORE, 0) == pytest.approx((math.sqrt(5) - 1) / 2,
+                                                                 rel=1e-15)
+
+
+def test_deep_truncated_walks_and_dumps(limits_kept):
+    g = path(5000)
+    exact = exhaustive_ratio(g, _SOFT2, 0)
+    for policy in (Depth(5000), MBased(1.5, 10**4)):
+        b = bounds(g, _SOFT2, 0, policy=policy)
+        assert (b.r_lo, b.r_hi, b.expanded, b.exact) == (exact, exact, 5000, True)
+        assert limits_kept()
+    # an error raised deep in the walk reaches the caller
+    with pytest.raises(BudgetExceededError):
+        bounds(g, _SOFT2, 0, policy=Depth(5000), budget=4000)
+    assert limits_kept()
+    node, depth = dump_levels(path(3000), 0, 3000), 0
+    while node.get("children"):
+        (node,) = node["children"]
+        depth += 1
+    assert (depth, node["origin"]) == (2999, 2999)

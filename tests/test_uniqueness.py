@@ -246,6 +246,28 @@ def test_threshold_minimisers_past_the_old_scan_caps():
     assert hardcore_threshold(100.0, 257).witness_d == 2
 
 
+def test_hardcore_terms_stay_finite_where_the_power_product_overflows():
+    # gamma**60 * 59**59 passes the float range; the quotient does not
+    assert _hardcore_term(1e4, 59) == pytest.approx(
+        math.exp(60 * math.log(1e4) + 59 * math.log(59) - 60 * math.log(58)), rel=1e-12)
+    for gamma in (1e4, 1e6):
+        logs = []
+        for d in range(2, 120):
+            term = _hardcore_term(gamma, d)
+            true_log = (d + 1) * math.log(gamma) + d * math.log(d) - (d + 1) * math.log(d - 1)
+            if true_log < math.log(sys.float_info.max) - 1e-9:
+                assert term < math.inf
+                logs.append(math.log(term))
+            else:
+                assert term == math.inf
+        assert len(logs) > 40
+        for a, b, c in zip(logs, logs[1:], logs[2:]):
+            assert a - 2.0 * b + c >= -1e-9
+    # the exact-power branch still gives the closed forms bit for bit
+    assert hardcore_threshold(1.0, 4).values == (27 / 16,)
+    assert hardcore_threshold(2.0, 1100).values == (27.0,)
+
+
 def test_soft_thresholds_cost_is_logarithmic_in_delta(monkeypatch):
     calls = []
     roots = uniqueness.derivative_unit_roots
