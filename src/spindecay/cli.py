@@ -4,8 +4,11 @@ Every command prints one JSON document to stdout:
 
     {"command": ..., "inputs": ..., "outputs": ..., "wall_time_s": ...}
 
-Floats are rendered by Python's repr, the shortest text that parses back to
-the same double, so round-tripping through the output loses nothing.  Errors
+Documents are written by json.dumps with two spaces of indentation, and
+floats by Python's repr, the shortest text that parses back to the same
+double, so round-tripping through the output loses nothing.  No document
+nests more than a few levels: `saw-dump` lists the walk tree as flat node
+records, whose depths rebuild the tree (see `saw.dump_levels`).  Errors
 go to stderr as plain text, and the exit code tells the caller what went
 wrong: 0 success, 1 usage or input problems, 2 violated preconditions
 (non-uniqueness, bad parameters, empty supports), 3 exhausted budgets,
@@ -74,42 +77,15 @@ class _UsageError(Exception):
 # JSON output
 
 
-def _render(doc) -> str:
-    """The text of json.dumps(doc, indent=2), where results may also hold
-    spin systems, dataclasses, tuples and sets.  Built from an explicit
-    stack, not recursion, so a walk-tree dump of any depth prints."""
-    out = []
-    todo = [(0, doc)]  # (nesting level, value) to render, or literal text
-    while todo:
-        entry = todo.pop()
-        if isinstance(entry, str):
-            out.append(entry)
-            continue
-        level, x = entry
-        if isinstance(x, SpinSystem):
-            x = {"beta": x.beta, "gamma": x.gamma, "lambda": x.lam}
-        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-            x = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
-        elif isinstance(x, (set, frozenset)):
-            x = sorted(x)
-        if isinstance(x, dict):
-            items, brackets = [(json.dumps(str(k)) + ": ", v) for k, v in x.items()], "{}"
-        elif isinstance(x, (list, tuple)):
-            items, brackets = [("", v) for v in x], "[]"
-        else:
-            out.append(json.dumps(x))
-            continue
-        if not items:
-            out.append(brackets)
-            continue
-        out.append(brackets[0])
-        todo.append("\n" + "  " * level + brackets[1])
-        pad = "\n" + "  " * (level + 1)
-        for i in range(len(items) - 1, -1, -1):
-            key, v = items[i]
-            todo.append((level + 1, v))
-            todo.append(("," if i else "") + pad + key)
-    return "".join(out)
+def _plain(x):
+    """json.dumps' hook for what results hold beyond JSON's own types."""
+    if isinstance(x, SpinSystem):
+        return {"beta": x.beta, "gamma": x.gamma, "lambda": x.lam}
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    if isinstance(x, (set, frozenset)):
+        return sorted(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _emit(command: str, inputs: dict, outputs, started: float) -> None:
@@ -119,7 +95,7 @@ def _emit(command: str, inputs: dict, outputs, started: float) -> None:
         "outputs": outputs,
         "wall_time_s": time.perf_counter() - started,
     }
-    print(_render(doc))
+    print(json.dumps(doc, indent=2, default=_plain))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +366,10 @@ def _cmd_saw_dump(args):
     inst, boundary = _load_boundary(args)
     if inst.system is not None:  # the tree's shape does not need one
         require_positive_weight(inst.graph, inst.system, boundary)
-    dump = dump_levels(inst.graph, args.vertex, args.depth, boundary)
-    inputs = {"graph": args.graph, "vertex": args.vertex, "depth": args.depth}
-    return inputs, dump
+    nodes = dump_levels(inst.graph, args.vertex, args.depth, boundary, args.budget)
+    inputs = {"graph": args.graph, "vertex": args.vertex, "depth": args.depth,
+              "budget": args.budget}
+    return inputs, {"nodes": nodes}
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +440,11 @@ def build_parser() -> _Parser:
     _add_run_args(p)
     p.set_defaults(handler=_cmd_decay)
 
-    p = sub.add_parser("saw-dump", help="dump walk-tree levels for inspection")
+    p = sub.add_parser("saw-dump", help="list the walk-tree nodes for inspection")
     _add_graph_args(p)
     p.add_argument("--vertex", type=int, required=True)
     p.add_argument("--depth", type=int, default=3)
+    _add_run_args(p)
     p.set_defaults(handler=_cmd_saw_dump)
 
     return parser

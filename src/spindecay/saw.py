@@ -20,10 +20,11 @@ recursive call per expanded node, whose state lives in that call's locals,
 and propagates ratio intervals upward through the recursion of `core`,
 truncated by one of the two policies below (or not at all); the estimator
 calls it for every interval it reports, and `dump_levels` runs it with a
-visitor, so the tree that is dumped is the tree that is evaluated.  The
-recursion is as deep as the longest walk the policy allows; a walk that
-would not fit under the interpreter's recursion limit runs on a worker
-thread sized for it, so no graph ends in a RecursionError.
+visitor that records one node per call, so the tree that is dumped is the
+tree that is evaluated.  The recursion is as deep as the longest walk the
+policy allows; a walk that would not fit under the interpreter's recursion
+limit runs on a worker thread sized for it, so no graph ends in a
+RecursionError.
 """
 from __future__ import annotations
 
@@ -148,8 +149,8 @@ def _walk_single(
     frontier leaf (also trivial), or a free node that is expanded.  The
     frontier is the policy's: a depth cutoff, a degree-scaled cutoff, or,
     for policy None, no frontier at all.
-    visit(depth, vertex, spin, expanded), when given, is called on every node
-    below the root in depth-first order; spin is None on free nodes.
+    visit(depth, vertex, spin), when given, is called on every node below the
+    root in depth-first order; spin is None on free nodes.
     """
     beta, gamma = s.beta, s.gamma
     adj = g.adj
@@ -210,7 +211,7 @@ def _walk_single(
                         f"expansion exceeded {budget} nodes at vertex {root}"
                     )
                 if visit is not None:
-                    visit(depth + 1, w, None, True)
+                    visit(depth + 1, w, None)
                 on_walk[u] = w
                 lo, hi = expand(w, u, depth + 1, child_m, own_m)
                 f_lo = beta if hi == _INF else (beta * hi + 1.0) / (hi + gamma)
@@ -226,7 +227,7 @@ def _walk_single(
                     f_lo = f_hi = inv_gamma  # ratio 0
                     spin = GREEN
                 if visit is not None:
-                    visit(depth + 1, w, spin, False)
+                    visit(depth + 1, w, spin)
             if f_lo == 0.0:
                 zero_lo = True
             elif log_mode:
@@ -268,32 +269,30 @@ def _walk_single(
 _SHAPE_ONLY = SpinSystem(0.5, 1.0, 1.0)
 
 
-def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None) -> dict:
-    """JSON-ready dump of the tree that a depth-`depth` cutoff evaluates.
+def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None,
+                budget: int | None = None) -> list[dict]:
+    """The nodes of the tree that a depth-`depth` cutoff evaluates, in the
+    kernel's depth-first order: one JSON-ready record {"depth", "origin",
+    "kind"} per node, plus "spin" on fixed nodes.
 
-    Nodes above the cutoff carry their children; differing-set members are
-    shown as the fixed leaves they are in the boundary.
+    A node's parent is the last record before it that is one level up, and
+    a free node above the cutoff is expanded.  Differing-set members are
+    shown as the fixed leaves they are in the boundary.  More than `budget`
+    expanded nodes raise BudgetExceededError, as in every other walk.
     """
     policy = Depth(depth)
     if not (0 <= v < g.n):
         raise InvalidParameterError(f"root vertex {v} outside 0..{g.n - 1}")
     fixed = boundary.fixed if boundary is not None else {}
-    if v in fixed:
-        return {"origin": v, "kind": FIXED, "depth": 0, "spin": fixed[v]}
-    root: dict = {"origin": v, "kind": FREE, "depth": 0}
-    if depth > 0:
-        root["children"] = []
-    open_nodes = [root]  # open_nodes[d]: the expanded node at depth d on the current walk
+    nodes: list[dict] = []
 
-    def visit(d: int, w: int, spin: str | None, is_expanded: bool) -> None:
-        node: dict = {"origin": w, "kind": FREE if spin is None else FIXED, "depth": d}
+    def visit(d: int, w: int, spin: str | None) -> None:
+        node = {"depth": d, "origin": w, "kind": FREE if spin is None else FIXED}
         if spin is not None:
             node["spin"] = spin
-        open_nodes[d - 1]["children"].append(node)
-        if is_expanded:
-            node["children"] = []
-            del open_nodes[d:]
-            open_nodes.append(node)
+        nodes.append(node)
 
-    _walk_single(g, _SHAPE_ONLY, v, [1.0] * g.n, fixed, frozenset(), policy, None, visit)
-    return root
+    visit(0, v, fixed.get(v))
+    if v not in fixed:
+        _walk_single(g, _SHAPE_ONLY, v, [1.0] * g.n, fixed, frozenset(), policy, budget, visit)
+    return nodes

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from spindecay.core import BLUE, GREEN, SpinSystem, swap_spins
 from spindecay.graphs import Boundary, Graph, from_edges, random_regular
+from spindecay.saw import FREE
 from spindecay.uniqueness import is_unique_up_to
 
 
@@ -170,3 +171,19 @@ JSON_VALUES = st.recursive(
                                                                  max_size=4),
     max_leaves=12,
 )
+
+
+def saw_tree(records: list[dict], cutoff: int) -> dict:
+    """The nested walk tree that the flat records of a depth-`cutoff` dump
+    describe: each node a copy of its record, and a free node above the
+    cutoff, which the walk expanded, also holds its "children"."""
+    open_nodes: list[dict] = []  # open_nodes[d]: the latest node at depth d
+    for record in records:
+        node, depth = dict(record), record["depth"]
+        if node["kind"] == FREE and depth < cutoff:
+            node["children"] = []
+        del open_nodes[depth:]
+        if open_nodes:
+            open_nodes[-1]["children"].append(node)
+        open_nodes.append(node)
+    return open_nodes[0]

@@ -4,20 +4,32 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spindecay.cli import _render, main
+from spindecay.cli import main
 from spindecay.core import SpinSystem
 from spindecay.errors import GraphFormatError, SpinDecayError
 from spindecay.estimator import estimate_marginal
-from spindecay.graphs import Boundary, cycle, dumps, loads, path, star
+from spindecay.graphs import (
+    Boundary,
+    complete,
+    cycle,
+    dumps,
+    from_edges,
+    loads,
+    path,
+    random_regular,
+    star,
+)
 from spindecay.oracle import exact_partition
 
-from helpers import FLIP, JSON_VALUES, SWAP_GRAPH, hand_swapped, inverted
+from helpers import FLIP, SWAP_GRAPH, hand_swapped, inverted, saw_tree
 
 
 def run(capsys, *argv):
@@ -218,30 +230,73 @@ def test_decay_command(capsys, c4_file):
 def test_saw_dump_command(capsys, c4_file):
     doc = run_json(capsys, "saw-dump", "--graph", c4_file, "--vertex", "0",
                    "--depth", "2")
-    assert doc["outputs"]["origin"] == 0
-    assert len(doc["outputs"]["children"]) == 2
+    root = saw_tree(doc["outputs"]["nodes"], 2)
+    assert root["origin"] == 0
+    assert len(root["children"]) == 2
 
 
 def test_saw_dump_prints_trees_of_any_depth(capsys, tmp_path):
     f = tmp_path / "path3000.json"
     f.write_text(dumps(path(3000)))
     doc = run_json(capsys, "saw-dump", "--graph", str(f), "--vertex", "0", "--depth", "250")
-    node, depth = doc["outputs"], 0
+    node, depth = saw_tree(doc["outputs"]["nodes"], 250), 0
     while node.get("children"):
         (node,) = node["children"]
         depth += 1
     assert (depth, node["origin"]) == (250, 250)
-    # deeper than the recursion limit, for the walk and for the renderer
+    # deeper than the recursion limit
     rc, out, err = run(capsys, "saw-dump", "--graph", str(f), "--vertex", "0",
                        "--depth", "1200")
     assert (rc, err) == (0, "")
     assert out.count('"origin"') == 1201 and out.rstrip().endswith("}")
+    # one record per node, in linear size
+    rc, out, err = run(capsys, "saw-dump", "--graph", str(f), "--vertex", "0",
+                       "--depth", "1000")
+    assert (rc, err) == (0, "")
+    assert len(json.loads(out)["outputs"]["nodes"]) == 1001
+    assert len(out.encode()) < 100 * 1001
 
 
-@given(JSON_VALUES)
-@settings(max_examples=200, deadline=None)
-def test_rendered_documents_are_the_json_module_text(doc):
-    assert _render(doc) == json.dumps(doc, indent=2)
+def test_saw_dump_lists_every_node_within_the_budget(capsys, tmp_path):
+    f = tmp_path / "rr64.json"
+    f.write_text(dumps(random_regular(64, 3, seed=1)))
+    doc = run_json(capsys, "saw-dump", "--graph", str(f), "--vertex", "0", "--depth", "12")
+    assert len(doc["outputs"]["nodes"]) == 9758
+    rc, out, err = run(capsys, "saw-dump", "--graph", str(f), "--vertex", "0",
+                       "--depth", "14", "--budget", "100")
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "100 nodes" in err
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return from_edges(n, edges)
+
+
+# any integers, drawn mostly where a dump can succeed
+@given(g=_small_graphs(), vertex=st.integers(-1, 12) | st.integers(),
+       depth=st.integers(-1, 14) | st.integers(), budget=st.integers(1, 10**4))
+@settings(max_examples=150, deadline=None)
+# the budget trips at 10**4 of the 64 472 nodes expanded above depth 6 in K12
+@example(g=complete(12), vertex=0, depth=6, budget=10**4)
+def test_saw_dump_fails_with_one_line_and_an_exit_code(g, vertex, depth, budget):
+    with tempfile.TemporaryDirectory() as d:
+        f = os.path.join(d, "g.json")
+        with open(f, "w") as fh:
+            fh.write(dumps(g))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["saw-dump", "--graph", f, f"--vertex={vertex}", f"--depth={depth}",
+                       f"--budget={budget}"])
+    assert rc in {0, 1, 2, 3, 4}
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    if rc == 0:
+        nodes = json.loads(out.getvalue())["outputs"]["nodes"]
+        assert (nodes[0]["depth"], nodes[0]["origin"]) == (0, vertex)
+        assert all(b["depth"] <= a["depth"] + 1 for a, b in zip(nodes, nodes[1:]))
 
 
 def test_graph_from_stdin(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 
 The tree is read through dump_levels, which records the nodes the walk
 kernel visits, so every property here is a property of the evaluated tree.
+Its flat records are rebuilt into the nested tree by helpers.saw_tree.
 """
 from __future__ import annotations
 
@@ -26,8 +27,14 @@ from spindecay.graphs import (
 )
 from spindecay.saw import FIXED, FREE, MBased, _walk_single, closing_spin, dump_levels
 
+from helpers import saw_tree
+
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 SOFT = SpinSystem(0.3, 1.2, 0.8)
+
+
+def _tree(g, v, depth, boundary=None):
+    return saw_tree(dump_levels(g, v, depth, boundary), depth)
 
 
 def _child(node, origin):
@@ -45,18 +52,18 @@ def _expanded(node):
 
 def test_children_come_in_ascending_vertex_order():
     g = from_edges(4, [(0, 3), (0, 1), (0, 2)])
-    kids = dump_levels(g, 0, 1)["children"]
+    kids = _tree(g, 0, 1)["children"]
     assert [c["origin"] for c in kids] == [1, 2, 3]
     assert all(c["kind"] == FREE and c["depth"] == 1 for c in kids)
 
 
 def test_parent_edge_is_not_walked_back():
-    mid = dump_levels(path(3), 1, 3)
+    mid = _tree(path(3), 1, 3)
     assert _child(mid, 0)["children"] == []
 
 
 def test_triangle_closures_pin_opposite_spins():
-    root = dump_levels(complete(3), 0, 3)
+    root = _tree(complete(3), 0, 3)
 
     # 0 -> 1 -> 2 -> 0: the closing edge (2,0) outranks the departure (0,1)
     deep = _child(_child(root, 1), 2)["children"]
@@ -72,7 +79,7 @@ def test_triangle_closures_pin_opposite_spins():
 
 def test_boundary_vertices_become_fixed_leaves():
     b = Boundary(fixed={2: GREEN})
-    leaf = _child(dump_levels(path(3), 1, 3, b), 2)
+    leaf = _child(_tree(path(3), 1, 3, b), 2)
     assert leaf["kind"] == FIXED and leaf["spin"] == GREEN
     assert "children" not in leaf  # fixed leaves are never expanded
 
@@ -101,14 +108,14 @@ def _brute_size(adj, v, depth):
 def test_tree_size_matches_independent_recount(g):
     # depth n + 2 lies past the longest walk, so it is the whole tree
     for depth in (0, 1, 2, g.n + 2):
-        assert _size(dump_levels(g, 0, depth)) == _brute_size(g.adj, 0, depth)
+        assert _size(_tree(g, 0, depth)) == _brute_size(g.adj, 0, depth)
 
 
 def test_tree_size_respects_boundaries_and_caps():
     g = complete(4)
     b = Boundary(fixed={1: BLUE, 2: BLUE, 3: BLUE})
-    assert _size(dump_levels(g, 0, 6, b)) == 4  # root plus three leaves
-    assert _size(dump_levels(g, 1, 6, b)) == 1  # a pinned root never expands
+    assert _size(_tree(g, 0, 6, b)) == 4  # root plus three leaves
+    assert _size(_tree(g, 1, 6, b)) == 1  # a pinned root never expands
     with pytest.raises(BudgetExceededError):
         bounds(g, HARDCORE, 0, policy=Depth(6), budget=3)
 
@@ -119,7 +126,11 @@ def test_root_node_validation():
 
 
 def test_dump_levels_shape():
-    doc = dump_levels(cycle(4), 0, depth=2)
+    records = dump_levels(cycle(4), 0, 2)
+    assert [(r["depth"], r["origin"]) for r in records] == [(0, 0), (1, 1), (2, 2), (1, 3), (2, 2)]
+    assert all(set(r) == ({"depth", "origin", "kind", "spin"} if r["kind"] == FIXED
+                          else {"depth", "origin", "kind"}) for r in records)
+    doc = _tree(cycle(4), 0, depth=2)
     assert doc["origin"] == 0 and doc["kind"] == FREE
     assert {c["origin"] for c in doc["children"]} == {1, 3}
     grand = doc["children"][0]["children"]
@@ -134,7 +145,7 @@ def test_dumped_tree_is_the_evaluated_tree(boundary):
     for v in (0, 3, 7):
         for t in range(6):
             expanded = bounds(g, SOFT, v, boundary, Depth(t)).expanded
-            assert _expanded(dump_levels(g, v, t, boundary)) == expanded
+            assert _expanded(_tree(g, v, t, boundary)) == expanded
 
 
 def test_decay_curve_points_are_depth_walks():
@@ -253,7 +264,7 @@ def test_deep_truncated_walks_and_dumps(limits_kept):
     with pytest.raises(BudgetExceededError):
         bounds(g, _SOFT2, 0, policy=Depth(5000), budget=4000)
     assert limits_kept()
-    node, depth = dump_levels(path(3000), 0, 3000), 0
+    node, depth = _tree(path(3000), 0, 3000), 0
     while node.get("children"):
         (node,) = node["children"]
         depth += 1
