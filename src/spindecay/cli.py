@@ -423,13 +423,14 @@ def build_parser() -> _Parser:
     _add_run_args(p)
     p.set_defaults(handler=_cmd_partition)
 
-    p = sub.add_parser("exact", help="brute-force partition sum (and marginal)")
+    p = sub.add_parser("exact", help="exact partition sum (and marginal) by variable elimination")
     _add_graph_args(p)
     _add_system_args(p)
     p.add_argument("--vertex", type=int, default=None,
                    help="also report this vertex's exact marginal")
     p.add_argument("--cap", type=_positive_int, default=ENUMERATION_CAP,
-                   help="largest tolerated free-vertex count (default %(default)s)")
+                   help="most vertices one elimination step may join, a table of "
+                        "2^cap entries (default %(default)s)")
     p.set_defaults(handler=_cmd_exact)
 
     p = sub.add_parser("decay", help="interval width at every depth cutoff")

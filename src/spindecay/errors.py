@@ -35,7 +35,7 @@ class GraphFormatError(SpinDecayError):
 
 
 class EnumerationCapError(SpinDecayError):
-    """Brute-force enumeration was asked to cover too many free vertices."""
+    """An exact elimination step would join more vertices than the cap allows."""
 
 
 class ZeroWeightError(SpinDecayError):

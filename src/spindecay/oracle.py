@@ -1,20 +1,25 @@
-"""Brute-force references: exact partition sums and marginals by enumeration.
+"""Exact references: partition sums and marginals by variable elimination.
 
 Everything here is deliberately independent of the walk-tree machinery so the
-two can check each other.  Configurations are enumerated as bitmasks over the
-free vertices (bit set = blue), with edge counts read off neighbour masks and
-the weights accumulated in log scale against the running maximum, so large
-activities and large graphs within the cap stay finite.
+two can check each other.  Pins fold into one unary log-table per free
+vertex, and every edge between two free vertices is a 2x2 log-table.  Free
+vertices are then summed out one at a time, smallest neighbourhood first
+(bucket elimination, Dechter 1999): each step joins the tables that mention
+the vertex into one table over it and its neighbours, and sums the vertex
+out.  Entries stay in log scale, -inf for a vanishing weight, so large
+activities stay finite and zero couplings need no special case.
 
-The enumeration cap is a hard guard: 2^k configurations get slow well before
-they get wrong, and callers who really want a bigger run can raise it.
+The cap is a hard guard on the largest table: a step that joins k vertices
+builds 2^k entries, and it raises once k exceeds the cap.  A graph with at
+most `cap` free vertices never does; a complete graph on more always does.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
-from .core import BLUE, GREEN, SpinSystem
+from .core import BLUE, GREEN, SpinSystem, guarded_exp
 from .errors import (
     EnumerationCapError,
     InvalidParameterError,
@@ -48,18 +53,104 @@ def log_weight(g: Graph, s: SpinSystem, spins) -> float:
     return total
 
 
+def _logaddexp(a: float, b: float) -> float:
+    if a < b:
+        a, b = b, a
+    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
+
+
+def _join(scope: tuple[int, ...], factors) -> list[float]:
+    """The log-table over scope that sums the factors' entries.
+
+    Bit i of an index is the spin of scope[i] (set for blue), in the
+    factors' tables as here.  The table grows by doubling, one scope vertex
+    at a time, and takes in each factor as soon as the factor's last vertex
+    is in: through an index list built by the same doubling, so the sum runs
+    over whole lists and a factor on the first few vertices stays cheap.
+    """
+    pos = {v: i for i, v in enumerate(scope)}
+
+    def top(factor) -> int:
+        return max(map(pos.__getitem__, factor[0]), default=-1)
+
+    total = [0.0]
+    for f in sorted(factors, key=top):
+        f_scope, f_table = f
+        idx = [0]
+        for v in scope[:top(f) + 1]:
+            bit = 1 << f_scope.index(v) if v in f_scope else 0
+            idx = idx + ([i + bit for i in idx] if bit else idx)
+        total = list(map(add, total * (len(idx) // len(total)), map(f_table.__getitem__, idx)))
+    return total * ((1 << len(scope)) // len(total))
+
+
+def _log_sums(
+    g: Graph, s: SpinSystem, boundary: Boundary | None, keep: tuple[int, ...], cap: int
+) -> tuple[list[float], int, int]:
+    """Log partition sums extending the boundary, one per spin assignment of
+    the free vertices in keep (indexed as in _join), with the number of free
+    vertices and the number of table entries built."""
+    fixed = dict(boundary.fixed) if boundary is not None else {}
+    if boundary is not None and boundary.S:
+        raise InvalidParameterError("exact oracles need an empty differing set")
+    for v in fixed:
+        if not (0 <= v < g.n):
+            raise InvalidParameterError(f"fixed vertex {v} outside 0..{g.n - 1}")
+    log_beta, log_gamma = (math.log(c) if c > 0.0 else -math.inf for c in (s.beta, s.gamma))
+    const = sum(math.log(g.activity(v, s)) for v, spin in fixed.items() if spin == BLUE)
+    unary = {v: [0.0, math.log(g.activity(v, s))] for v in range(g.n) if v not in fixed}
+    factors = []
+    nbrs = {v: set() for v in unary}
+    for u, w in g.edges():
+        if u in fixed and w in fixed:
+            if fixed[u] == fixed[w]:
+                const += log_beta if fixed[u] == BLUE else log_gamma
+        elif u in fixed or w in fixed:
+            v, pin = (w, fixed[u]) if u in fixed else (u, fixed[w])
+            if pin == BLUE:
+                unary[v][1] += log_beta
+            else:
+                unary[v][0] += log_gamma
+        else:
+            # entries: both green, u blue, w blue, both blue
+            factors.append(((u, w), [log_gamma, 0.0, 0.0, log_beta]))
+            nbrs[u].add(w)
+            nbrs[w].add(u)
+    factors += [((v,), table) for v, table in unary.items()]
+
+    terms = 0
+    todo = set(unary) - set(keep)
+    while todo:
+        v = min(todo, key=lambda u: (len(nbrs[u]), u))
+        scope = (v, *sorted(nbrs[v]))  # v first: its spin is the lowest index bit
+        if len(scope) > cap:
+            raise EnumerationCapError(
+                f"summing out vertex {v} joins {len(scope)} vertices, a table of "
+                f"2^{len(scope)} entries (cap is 2^{cap})"
+            )
+        table = _join(scope, [f for f in factors if v in f[0]])
+        factors = [f for f in factors if v not in f[0]]
+        factors.append((scope[1:], list(map(_logaddexp, table[0::2], table[1::2]))))
+        terms += len(table)
+        for u in nbrs[v]:
+            nbrs[u] |= nbrs[v] - {u}
+            nbrs[u].discard(v)
+        todo.remove(v)
+    table = _join(keep, factors)
+    if max(table) + const == -math.inf:
+        raise ZeroWeightError("every configuration extending the boundary has zero weight")
+    return [const + x for x in table], len(unary), terms + len(table)
+
+
 @dataclass(frozen=True)
 class ExactResult:
     log_z: float
     n_free: int
-    terms: int
+    terms: int  # entries of every table the elimination built
 
     @property
     def z(self) -> float:
-        try:
-            return math.exp(self.log_z)
-        except OverflowError:
-            return math.inf
+        return guarded_exp(self.log_z)
 
 
 def exact_partition(
@@ -71,129 +162,11 @@ def exact_partition(
     """Sum the weights of all configurations extending the boundary.
 
     Raises ZeroWeightError when every term vanishes (the log has nowhere to
-    live) and EnumerationCapError when more than 2^cap terms would be needed.
+    live) and EnumerationCapError when an elimination step would join more
+    than `cap` vertices.
     """
-    fixed = dict(boundary.fixed) if boundary is not None else {}
-    if boundary is not None and boundary.S:
-        raise InvalidParameterError("exact_partition needs an empty differing set")
-    for v in fixed:
-        if not (0 <= v < g.n):
-            raise InvalidParameterError(f"fixed vertex {v} outside 0..{g.n - 1}")
-
-    free = [v for v in range(g.n) if v not in fixed]
-    k = len(free)
-    if k > cap:
-        raise EnumerationCapError(
-            f"{k} free vertices would need 2^{k} terms (cap is 2^{cap})"
-        )
-    pos = {v: i for i, v in enumerate(free)}
-
-    beta, gamma = s.beta, s.gamma
-    log_beta = math.log(beta) if beta > 0.0 else None
-    log_gamma = math.log(gamma) if gamma > 0.0 else None
-
-    # constant part: fixed activities and fixed-fixed edges
-    const = 0.0
-    const_zero = False
-    for v, spin in fixed.items():
-        if spin == BLUE:
-            const += math.log(g.activity(v, s))
-    ff_edges = 0
-    nbr = [0] * k
-    fixed_blue = [0] * k
-    fixed_green = [0] * k
-    for u, v in g.edges():
-        fu, fv = u in fixed, v in fixed
-        if fu and fv:
-            if fixed[u] == fixed[v]:
-                coupling = beta if fixed[u] == BLUE else gamma
-                if coupling == 0.0:
-                    const_zero = True
-                else:
-                    const += math.log(coupling)
-        elif fu or fv:
-            w_free, w_fix = (v, u) if fu else (u, v)
-            i = pos[w_free]
-            if fixed[w_fix] == BLUE:
-                fixed_blue[i] += 1
-            else:
-                fixed_green[i] += 1
-        else:
-            i, j = pos[u], pos[v]
-            nbr[i] |= 1 << j
-            nbr[j] |= 1 << i
-            ff_edges += 1
-    if const_zero:
-        raise ZeroWeightError("a fixed-fixed edge forces every weight to zero")
-
-    # per-vertex log contributions for the two spins
-    when_blue = [0.0] * k
-    when_green = [0.0] * k
-    bad_blue = 0  # bits whose blue assignment hits a zero coupling
-    bad_green = 0
-    for i, v in enumerate(free):
-        lb = math.log(g.activity(v, s))
-        if fixed_blue[i]:
-            if log_beta is None:
-                bad_blue |= 1 << i
-            else:
-                lb += fixed_blue[i] * log_beta
-        when_blue[i] = lb
-        lg = 0.0
-        if fixed_green[i]:
-            if log_gamma is None:
-                bad_green |= 1 << i
-            else:
-                lg += fixed_green[i] * log_gamma
-        when_green[i] = lg
-
-    sum_green = sum(when_green)
-    full = (1 << k) - 1
-
-    log_terms: list[float] = []
-    best = -math.inf
-    for mask in range(1 << k):
-        if mask & bad_blue or (~mask) & bad_green & full:
-            continue
-        acc = const + sum_green
-        bb2 = 0
-        cross = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            m ^= low
-            acc += when_blue[i] - when_green[i]
-            masked = nbr[i]
-            bb2 += (masked & mask).bit_count()
-            cross += (masked & ~mask & full).bit_count()
-        bb = bb2 // 2
-        gg = ff_edges - bb - cross
-        if bb:
-            if log_beta is None:
-                continue
-            acc += bb * log_beta
-        if gg:
-            if log_gamma is None:
-                continue
-            acc += gg * log_gamma
-        log_terms.append(acc)
-        if acc > best:
-            best = acc
-
-    if not log_terms or best == -math.inf:
-        raise ZeroWeightError("every configuration extending the boundary has zero weight")
-
-    # scaled Kahan sum against the running maximum
-    total = 0.0
-    carry = 0.0
-    for lw in log_terms:
-        term = math.exp(lw - best)
-        y = term - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return ExactResult(log_z=best + math.log(total), n_free=k, terms=len(log_terms))
+    (log_z,), n_free, terms = _log_sums(g, s, boundary, (), cap)
+    return ExactResult(log_z=log_z, n_free=n_free, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -211,36 +184,20 @@ def exact_marginal(
     boundary: Boundary | None = None,
     cap: int = ENUMERATION_CAP,
 ) -> ExactMarginal:
-    """Exact blue probability of v by conditioning both ways.
+    """Exact blue probability of v from the two log sums with v blue and green.
 
-    Working from the two conditioned log sums keeps the ratio stable even
-    when one side dwarfs the other.
+    One elimination that keeps v gives both; working from their difference
+    keeps the ratio stable even when one side dwarfs the other.
     """
     if not (0 <= v < g.n):
         raise InvalidParameterError(f"vertex {v} outside 0..{g.n - 1}")
-    fixed = dict(boundary.fixed) if boundary is not None else {}
-    if boundary is not None and boundary.S:
-        raise InvalidParameterError("exact_marginal needs an empty differing set")
-    if v in fixed:
-        p = 1.0 if fixed[v] == BLUE else 0.0
+    pin = boundary.fixed.get(v) if boundary is not None else None
+    if pin is not None:
         lz = exact_partition(g, s, boundary, cap=cap).log_z
-        return ExactMarginal(
-            p=p, ratio=math.inf if p == 1.0 else 0.0,
-            log_z_blue=lz if p == 1.0 else -math.inf,
-            log_z_green=lz if p == 0.0 else -math.inf,
-        )
-
-    def conditioned(spin: str) -> float:
-        b = Boundary(fixed={**fixed, v: spin})
-        try:
-            return exact_partition(g, s, b, cap=cap).log_z
-        except ZeroWeightError:
-            return -math.inf
-
-    lzb = conditioned(BLUE)
-    lzg = conditioned(GREEN)
-    if lzb == -math.inf and lzg == -math.inf:
-        raise ZeroWeightError("both conditionings of the marginal vanish")
+        if pin == BLUE:
+            return ExactMarginal(p=1.0, ratio=math.inf, log_z_blue=lz, log_z_green=-math.inf)
+        return ExactMarginal(p=0.0, ratio=0.0, log_z_blue=-math.inf, log_z_green=lz)
+    (lzg, lzb), _, _ = _log_sums(g, s, boundary, (v,), cap)
     if lzg == -math.inf:
         return ExactMarginal(p=1.0, ratio=math.inf, log_z_blue=lzb, log_z_green=lzg)
     if lzb == -math.inf:
@@ -248,6 +205,4 @@ def exact_marginal(
     # p = 1 / (1 + Zg/Zb), evaluated through the log difference
     diff = lzg - lzb
     p = 1.0 / (1.0 + math.exp(diff)) if diff < 700.0 else math.exp(-diff)
-    ratio = math.exp(-diff) if -diff < 700.0 else math.inf
-    return ExactMarginal(p=p, ratio=ratio, log_z_blue=lzb, log_z_green=lzg)
-
+    return ExactMarginal(p=p, ratio=guarded_exp(-diff), log_z_blue=lzb, log_z_green=lzg)

@@ -499,10 +499,7 @@ def _activity_at(beta: float, gamma: float, d: int, x: float) -> float:
     # which grows with x from 0 to inf; a root out of float range saturates
     if x == 0.0 or x == math.inf:
         return x
-    t = math.log(x) + d * (math.log(x + gamma) - math.log(beta * x + 1.0))
-    if t > 700.0:
-        return math.inf
-    return math.exp(t)
+    return guarded_exp(math.log(x) + d * (math.log(x + gamma) - math.log(beta * x + 1.0)))
 
 
 def _admissible_start(beta: float, gamma: float) -> int:

@@ -5,6 +5,7 @@ isomorphism so no case is silently tested twice.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -138,6 +139,24 @@ def hetero_lambda(
                 break
         lamv[v] = value
     return Graph(n=g.n, adj=g.adj, lambda_v=lamv, labels=g.labels)
+
+
+def brute_log_z(g: Graph, s: SpinSystem, fixed: dict[int, str]) -> float:
+    """log Z over the configurations that extend the pins, -inf when every
+    weight vanishes: each configuration listed and weighed on its own."""
+    free = [v for v in range(g.n) if v not in fixed]
+    logs = []
+    for spins in itertools.product((GREEN, BLUE), repeat=len(free)):
+        conf = {**fixed, **dict(zip(free, spins))}
+        factors = [g.activity(v, s) for v in range(g.n) if conf[v] == BLUE]
+        factors += [s.beta if conf[u] == BLUE else s.gamma
+                    for u, w in g.edges() if conf[u] == conf[w]]
+        if 0.0 not in factors:
+            logs.append(sum(map(math.log, factors)))
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    return top + math.log(math.fsum(math.exp(x - top) for x in logs))
 
 
 # A cubic graph with one per-vertex activity, for the beta > gamma checks;

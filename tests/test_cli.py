@@ -29,7 +29,7 @@ from spindecay.graphs import (
 )
 from spindecay.oracle import exact_partition
 
-from helpers import FLIP, SWAP_GRAPH, hand_swapped, inverted, saw_tree
+from helpers import FLIP, SWAP_GRAPH, brute_log_z, hand_swapped, inverted, saw_tree
 
 
 def run(capsys, *argv):
@@ -299,6 +299,28 @@ def test_saw_dump_fails_with_one_line_and_an_exit_code(g, vertex, depth, budget)
         assert all(b["depth"] <= a["depth"] + 1 for a, b in zip(nodes, nodes[1:]))
 
 
+# any integer vertex, drawn mostly where a marginal can succeed
+@given(g=_small_graphs(), vertex=st.integers(-1, 12) | st.integers(), cap=st.integers(1, 30),
+       fixes=st.lists(st.tuples(st.integers(-1, 12), st.sampled_from(["blue", "green"])),
+                      max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_exact_fails_with_one_line_and_an_exit_code(g, vertex, cap, fixes):
+    with tempfile.TemporaryDirectory() as d:
+        f = os.path.join(d, "g.json")
+        with open(f, "w") as fh:
+            fh.write(dumps(g))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["exact", "--graph", f, "--beta", "0", "--gamma", "1", "--lambda", "1",
+                       f"--vertex={vertex}", f"--cap={cap}",
+                       *(f"--fix={v}={spin}" for v, spin in fixes)])
+    assert rc in {0, 1, 2, 3, 4}
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    if rc == 0:
+        truth = brute_log_z(g, SpinSystem(0.0, 1.0, 1.0), dict(fixes))
+        assert json.loads(out.getvalue())["outputs"]["log_z"] == pytest.approx(truth, rel=1e-12)
+
+
 def test_graph_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(dumps(path(2))))
     doc = run_json(capsys, "exact", "--graph", "-", "--beta", "0",
@@ -434,8 +456,8 @@ def test_exit_code_budget_errors(capsys, c4_file, tmp_path):
     rc, _, _ = run(capsys, "marginal", "--graph", c4_file, "--vertex", "0",
                    "--budget", "2")
     assert rc == 3
-    f = tmp_path / "p6.json"
-    f.write_text(dumps(path(6)))
+    f = tmp_path / "k6.json"
+    f.write_text(dumps(complete(6)))
     rc, _, _ = run(capsys, "exact", "--graph", str(f), "--beta", "0",
                    "--gamma", "1", "--lambda", "1", "--cap", "3")
     assert rc == 3
@@ -517,7 +539,7 @@ def test_pinned_green_neighbours_at_gamma_zero_exit_2(capsys, tmp_path, command)
     rc, out, err = run(capsys, *command, *caller, "--fix", "1=green", "--fix", "3=green")
     assert rc == 2 and out == ""
     assert err.count("\n") == 1 and "weight" in err
-    if command[0] != "exact":  # the oracle finds it while enumerating
+    if command[0] != "exact":  # the oracle finds it in its own elimination
         assert "pinned green neighbours 1 and 3" in err
 
 

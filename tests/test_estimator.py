@@ -329,10 +329,10 @@ CUBIC_SYSTEMS = (SpinSystem(0.0, 1.0, 0.3 * LAMBDA_C4),
                  SpinSystem(0.2, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("n", [16, 30])
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_approx_partition_interval_is_a_certificate(seed):
-    # 16 vertices: enumerating 20 takes about 5 s per system
-    g = random_regular(16, 3, seed=seed)
+def test_approx_partition_interval_is_a_certificate(seed, n):
+    g = random_regular(n, 3, seed=seed)
     for s in CUBIC_SYSTEMS:
         truth = exact_partition(g, s).log_z
         for eps in (0.1, 0.01):

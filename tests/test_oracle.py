@@ -1,9 +1,12 @@
-"""Brute-force enumeration: closed forms, consistency laws, failure modes."""
+"""The exact oracle: closed forms, consistency laws, failure modes, and
+agreement with a brute force."""
 from __future__ import annotations
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindecay.core import BLUE, GREEN, SpinSystem
 from spindecay.errors import (
@@ -14,6 +17,8 @@ from spindecay.errors import (
 from spindecay.estimator import exhaustive_ratio
 from spindecay.graphs import Boundary, Graph, complete, cycle, from_edges, path
 from spindecay.oracle import exact_marginal, exact_partition, log_weight
+
+from helpers import brute_log_z
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 
@@ -68,6 +73,15 @@ def test_marginal_consistency():
     assert pinned.p == 1.0 and math.isinf(pinned.ratio)
 
 
+def test_marginal_ratio_stays_finite_past_exp_700():
+    # log ratio = log(1e306) = 704.6, which the float range still holds
+    s = SpinSystem(0.5, 1.0, 1e306)
+    g = from_edges(1, [])
+    m = exact_marginal(g, s, 0)
+    assert m.ratio == pytest.approx(exhaustive_ratio(g, s, 0), rel=1e-12)
+    assert m.p == 1.0
+
+
 def test_zero_weight_is_reported():
     g = path(3)
     b = Boundary(fixed={0: BLUE, 1: BLUE})
@@ -83,9 +97,10 @@ def test_one_sided_zero_weight_gives_a_point_marginal():
 
 
 def test_enumeration_cap():
+    # the first elimination step on K5 joins all five vertices
     with pytest.raises(EnumerationCapError):
-        exact_partition(path(5), HARDCORE, cap=4)
-    exact_partition(path(5), HARDCORE, cap=5)
+        exact_partition(complete(5), HARDCORE, cap=4)
+    exact_partition(complete(5), HARDCORE, cap=5)
 
 
 def test_log_weight_by_hand():
@@ -126,3 +141,49 @@ def test_large_activity_stays_in_log_scale():
     assert math.isfinite(res.log_z)
     # the four independent sets of size three dominate: Z ~ 4 * lam^3
     assert res.log_z == pytest.approx(3 * math.log(1e150) + math.log(4.0), rel=1e-12)
+
+
+_ACTIVITIES = st.floats(1e-100, 1e100)
+_COUPLINGS = st.just(0.0) | st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _instances(draw):
+    """Graphs on at most 12 vertices with per-vertex activities, random pins
+    and any couplings: zero ones, and beta > gamma."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    vertices = st.integers(0, n - 1)
+    g = from_edges(n, edges, lambda_v=draw(st.dictionaries(vertices, _ACTIVITIES)))
+    s = SpinSystem(draw(_COUPLINGS), draw(_COUPLINGS), draw(_ACTIVITIES))
+    pins = draw(st.dictionaries(vertices, st.sampled_from([BLUE, GREEN]), max_size=4))
+    return g, s, Boundary(fixed=pins), draw(vertices)
+
+
+def _agrees(log_sum: float, truth: float) -> bool:
+    return log_sum == truth or math.isclose(log_sum, truth, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@given(_instances())
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_brute_force(instance):
+    g, s, b, v = instance
+    k = g.n - len(b.fixed)  # a cap of k never raises
+    truth = brute_log_z(g, s, b.fixed)
+    if truth == -math.inf:
+        with pytest.raises(ZeroWeightError):
+            exact_partition(g, s, b, cap=k)
+    else:
+        res = exact_partition(g, s, b, cap=k)
+        assert _agrees(res.log_z, truth) and res.n_free == k
+    blue, green = (
+        brute_log_z(g, s, {**b.fixed, v: spin}) if b.fixed.get(v, spin) == spin else -math.inf
+        for spin in (BLUE, GREEN)
+    )
+    if blue == green == -math.inf:
+        with pytest.raises(ZeroWeightError):
+            exact_marginal(g, s, v, b, cap=k)
+    else:
+        m = exact_marginal(g, s, v, b, cap=k)
+        assert _agrees(m.log_z_blue, blue) and _agrees(m.log_z_green, green)

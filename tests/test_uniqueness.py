@@ -193,6 +193,14 @@ def test_derivative_unit_roots_identities():
         derivative_unit_roots(0.5, 1.9, 2)  # discriminant negative
 
 
+def test_unit_root_activities_stay_finite_past_exp_700():
+    # lam_high = exp(701.27) = 3.62e304 lies inside the float range
+    r = derivative_unit_roots(1e-3, 1.0, 100)
+    x = r.x_high
+    assert r.lam_high == pytest.approx(x * ((x + 1.0) / (1e-3 * x + 1.0)) ** 100, rel=1e-11)
+    assert r.lam_high < math.inf
+
+
 def test_soft_thresholds_bracket_the_non_unique_window():
     rep = soft_thresholds(0.1, 2.0, 6)
     assert not rep.all_lambda_unique
