@@ -11,8 +11,9 @@ The interval of every walk is a certificate, whatever its depth, so the
 accuracy loop starts at level 1 and deepens by 2 until the measured width
 complies.  Interval width contracts by the certified alpha per level, which
 turns a target accuracy into the a-priori level ceil(log(4/eps)/log(1/alpha)):
-the loop never steps past it, and reaching it proves that the loop ends.
-It is only a cap; the measured width usually complies many levels earlier.
+the loop never steps past it, and a width that still fails there is an
+error.  It is only a cap; the measured width usually complies many levels
+earlier.
 
 The kernel and the certificates need beta <= gamma.  A system with
 beta > gamma is the same system with its spin labels swapped, so each entry
@@ -40,7 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import BLUE, GREEN, SpinSystem, ceil_log, classify, require_antiferromagnetic
+from .core import BLUE, GREEN, SpinSystem, classify, require_antiferromagnetic
 from .errors import InvalidParameterError, SpinDecayError, ZeroWeightError
 from .graphs import Boundary, Graph, max_degree
 from .oracle import log_weight
@@ -213,7 +214,6 @@ class _Strategy:
     mode: str  # "depth" | "mbased"
     alpha: float
     m_base: float | None
-    level_cap: int
 
 
 def _require_mode(mode: str) -> None:
@@ -222,22 +222,17 @@ def _require_mode(mode: str) -> None:
 
 
 def _resolve_strategy(g: Graph, s: SpinSystem, lam: list[float], mode: str) -> _Strategy:
-    """The certified decay rate and level cap of a mode for an oriented system
-    and its activities; raises UniquenessError (with the failing arity) when
-    some activity is not unique up to the mode's degree bound: the graph's
-    for "depth", none for "mbased"."""
-    degree_bound = max(2, max_degree(g) + 1)
-    delta = degree_bound if mode == "depth" else math.inf
+    """The certified decay rate of a mode for an oriented system and its
+    activities, with the truncation base for "mbased"; raises
+    UniquenessError (with the failing arity) when some activity is not unique
+    up to the mode's degree bound: the graph's for "depth", none for
+    "mbased"."""
+    delta = max(2, max_degree(g) + 1) if mode == "depth" else math.inf
     systems = [s.with_field(l) for l in sorted(set(lam))]
     alpha = max(contraction_bound(sl, delta).alpha for sl in systems)
     if mode == "depth":
-        # walks are self-avoiding, so no free node sits deeper than n - 1
-        return _Strategy(mode=mode, alpha=alpha, m_base=None, level_cap=g.n + 1)
-    m_base = max(choose_M(sl, alpha) for sl in systems)
-    per_level = ceil_log(m_base, degree_bound)
-    return _Strategy(
-        mode=mode, alpha=alpha, m_base=m_base, level_cap=g.n * max(1, per_level) + 1,
-    )
+        return _Strategy(mode=mode, alpha=alpha, m_base=None)
+    return _Strategy(mode=mode, alpha=alpha, m_base=max(choose_M(sl, alpha) for sl in systems))
 
 
 def _level_for(eps: float, alpha: float) -> int:
@@ -277,8 +272,7 @@ def estimate_marginal(
     by 2 until the measured width complies (an exactly evaluated tree stops
     immediately, whatever eps).  The steps never pass the level that the
     certified contraction assigns to eps, where the width provably complies,
-    so the loop ends; past that cap it would go on only to the level where
-    no free node is left, which a certified strategy never needs.
+    so the loop ends; a width still above eps there raises SpinDecayError.
 
     approx_partition also passes a log-width share with eps = tanh(share/2):
     a walk then complies as soon as its likelier spin's interval has
@@ -308,7 +302,7 @@ def estimate_marginal(
         return _swap_back(out) if swapped else out
 
     strat = _strategy if _strategy is not None else _resolve_strategy(g, s_or, lam, mode)
-    cap = min(_level_for(eps, strat.alpha), strat.level_cap)
+    cap = _level_for(eps, strat.alpha)
     level, expanded = 1, 0
     while True:
         policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
@@ -318,12 +312,12 @@ def estimate_marginal(
                 _share is not None and _log_width(out) <= _share):
             out = replace(out, expanded=expanded)
             return _swap_back(out) if swapped else out
-        if level >= strat.level_cap:
+        if level >= cap:
             raise SpinDecayError(
-                f"width {out.width} still above eps={eps} at the level cap; "
+                f"width {out.width} still above eps={eps} at the certified level {cap}; "
                 "this should be unreachable for a certified strategy"
             )
-        level = min(level + 2, cap if level < cap else strat.level_cap)
+        level = min(level + 2, cap)
 
 
 @dataclass(frozen=True)

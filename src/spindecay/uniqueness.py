@@ -9,12 +9,14 @@ predicate: closed-form threshold activities where they exist, a binary-searched
 gamma threshold, the contraction constant alpha that drives truncation depths,
 and the degree-scaled truncation base M for unbounded-degree graphs.
 
-Unbounded-degree checks terminate through the absolute bound
-x_hat_d <= lam / gamma**d (gamma > 1), which gives |f_d'(x_hat_d)| <= d*lam/gamma**d;
-once that envelope drops below 1 and is decreasing, all larger arities are
-certified at once.  One doubling-then-bisection search, _first_arity, finds
-that tail and every arity of the thresholds: the first admissible arity and
-the first minimiser of a log-convex critical activity.
+Bounded and unbounded Delta are checked by the same forward scan over the
+arities.  The absolute bound x_hat_d <= lam / gamma**d (gamma > 1) gives
+|f_d'(x_hat_d)| <= d*lam/gamma**d; the scan stops at delta, at the first
+violation, or where that envelope is decreasing and below 1, which certifies
+all larger arities at once.  contraction_bound scans the same way against
+its own envelope.  One doubling-then-bisection search, _first_arity, finds
+every arity of the thresholds: the first admissible arity and the first
+minimiser of a log-convex critical activity.
 """
 from __future__ import annotations
 
@@ -107,10 +109,11 @@ def fixed_point(s: SpinSystem, d: int) -> FixedPointResult:
 class UniquenessResult:
     """Outcome of is_unique_up_to, truthy iff unique.
 
-    checked holds the explicitly solved arities; for unbounded delta,
-    tail_start is the arity from which d*lam/gamma**d < 1 certifies the rest
-    (the envelope is decreasing there), and tail_bound is its value at
-    tail_start.  violating records the first failing arity, when any.
+    checked holds the explicitly solved arities, 1, 2, ... in order.  When the
+    scan stopped short of delta (finite or not), tail_start is the arity from
+    which d*lam/gamma**d < 1 certifies the rest (the envelope is decreasing
+    there), and tail_bound is its value at tail_start.  violating records the
+    first failing arity, when any.
     """
 
     unique: bool
@@ -178,52 +181,32 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
             reason="gamma <= 1 admits no universal uniqueness",
         )
 
+    # The envelope d*lam/gamma**d bounds |f_d'(x_hat_d)| and decreases from
+    # arity lo = floor(1/(gamma-1)) + 1 on (consecutive values have ratio
+    # (d+1)/(d*gamma)), so the first d >= lo where it is below 1 certifies
+    # every arity from d on; for delta = inf, gamma > 1 here and the envelope
+    # tends to 0, so the scan ends.
     checked: list[FixedPointResult] = []
-
-    def first_violation(top: float) -> FixedPointResult | None:
-        """Solve the arities from the last checked one up to top - 1, in order."""
-        for d in range(len(checked) + 1, top):
-            fp = fixed_point(s, d)
-            checked.append(fp)
-            if fp.derivative_abs >= 1.0:
-                return fp
-        return None
-
-    # The envelope d*lam/gamma**d certifies a tail only where it decreases,
-    # from arity lo on (consecutive values have ratio (d+1)/(d*gamma), below
-    # 1 once d > 1/(gamma-1)), so it is consulted only when lo < delta
-    # (always for inf, where gamma > 1 here, and the envelope tends to 0).
-    tail_start = tail_bound = bad = None
-    if s.gamma > 1.0:
-        lo = max(1, math.floor(1.0 / (s.gamma - 1.0)) + 1)
-        if lo < delta:
-            bad = first_violation(lo)
-            if bad is None:
-                log_g = math.log(s.gamma)
-
-                def env(d: int) -> float:
-                    return d * s.lam * math.exp(-d * log_g)
-
-                tail_start = _first_arity(lambda d: env(d) < 1.0, lo, delta)
-                if tail_start is not None:
-                    tail_bound = env(tail_start)
-    if bad is None:
-        bad = first_violation(tail_start or delta)
-    if bad is not None:
-        return UniquenessResult(
-            unique=False,
-            delta=delta,
-            checked=tuple(checked),
-            violating=bad,
-            reason=f"derivative {bad.derivative_abs:.6g} >= 1 at arity {bad.d}",
-        )
-    return UniquenessResult(
-        unique=True,
-        delta=delta,
-        checked=tuple(checked),
-        tail_start=tail_start,
-        tail_bound=tail_bound,
-    )
+    lo = math.floor(1.0 / (s.gamma - 1.0)) + 1 if s.gamma > 1.0 else math.inf
+    d = 1
+    while d < delta:
+        if d >= lo:
+            env = d * s.lam * math.exp(-d * math.log(s.gamma))
+            if env < 1.0:
+                return UniquenessResult(unique=True, delta=delta, checked=tuple(checked),
+                                        tail_start=d, tail_bound=env)
+        fp = fixed_point(s, d)
+        checked.append(fp)
+        if fp.derivative_abs >= 1.0:
+            return UniquenessResult(
+                unique=False,
+                delta=delta,
+                checked=tuple(checked),
+                violating=fp,
+                reason=f"derivative {fp.derivative_abs:.6g} >= 1 at arity {d}",
+            )
+        d += 1
+    return UniquenessResult(unique=True, delta=delta, checked=tuple(checked))
 
 
 @dataclass(frozen=True)
@@ -268,8 +251,9 @@ class ContractionEntry:
 class ContractionBound:
     """alpha < 1 dominating the amortised one-step contraction at any arity < delta.
 
-    entries lists the explicitly maximised arities; for delta = inf,
-    arities past tail_start are covered by the envelope
+    entries lists the explicitly maximised arities, 1, 2, ... in order.  When
+    they stop short of delta (finite or not, possible only for gamma > 1), the
+    arities from tail_start on are covered by the envelope
     d*sqrt(lam/gamma**(d+1)), whose value at tail_start is tail_bound and
     never exceeds alpha.
     """
@@ -315,6 +299,13 @@ def _alpha_max_point(s: SpinSystem, d: int) -> float:
 
 
 def _contraction_entry(s: SpinSystem, fp: FixedPointResult) -> ContractionEntry:
+    """The maximum of alpha_sym(s, d, .), reported as at most
+    sqrt(|f_d'(x_hat_d)|), the bound it obeys in exact arithmetic.
+
+    A computed maximum more than 1e-9 above that bound is a numerical
+    inconsistency.  Within it, a tie follows the computed derivative: every
+    arity that is_unique_up_to passes (derivative < 1) gets alpha_d < 1.
+    """
     d = fp.d
     x_max = _alpha_max_point(s, d)
     a_d = alpha_sym(s, d, x_max)
@@ -324,7 +315,8 @@ def _contraction_entry(s: SpinSystem, fp: FixedPointResult) -> ContractionEntry:
             f"contraction maximum {a_d!r} exceeds sqrt of fixed-point "
             f"derivative {sqrt_deriv!r} at arity {d}; numerical inconsistency"
         )
-    return ContractionEntry(d=d, x_max=x_max, alpha_d=a_d, sqrt_derivative=sqrt_deriv)
+    return ContractionEntry(d=d, x_max=x_max, alpha_d=min(a_d, sqrt_deriv),
+                            sqrt_derivative=sqrt_deriv)
 
 
 def _log_envelope(s: SpinSystem, d: int) -> float:
@@ -338,11 +330,12 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
 
     Each arity's alpha_sym is maximised exactly (the maximum never exceeds
     sqrt(|f_d'(x_hat_d)|), which uniqueness keeps below 1), and asymmetric
-    child vectors are dominated by the symmetric maximum.  For delta = inf
-    the explicit range extends until the unconditional envelope
-    d*sqrt(lam/gamma**(d+1)) is decreasing and below the explicit maximum,
-    which certifies every remaining arity.  The fixed points the uniqueness
-    check solved are reused, not looked up again.
+    child vectors are dominated by the symmetric maximum.  The arities are
+    maximised in order up to delta - 1, or until the unconditional envelope
+    d*sqrt(lam/gamma**(d+1)) is decreasing and its next value is at most the
+    running maximum, which certifies every remaining arity; for delta = inf
+    that must happen within 100 000 arities.  The fixed points the
+    uniqueness check solved are reused, not looked up again.
     """
     require_antiferromagnetic(s)
     delta = _validate_delta(delta)
@@ -359,31 +352,27 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
         fp = uni.checked[d - 1] if d <= len(uni.checked) else fixed_point(s, d)
         return _contraction_entry(s, fp)
 
-    entries: list[ContractionEntry] = []
-    if delta != math.inf:
-        for d in range(1, int(delta)):
-            entries.append(entry(d))
-        alpha = max(e.alpha_d for e in entries)
-        tail_start = tail_bound = None
-    else:
-        # gamma > 1 is guaranteed here (universal uniqueness holds).
-        g = s.gamma
-        monotone_from = max(1, math.floor(1.0 / (math.sqrt(g) - 1.0)) + 1)
-        entries.append(entry(1))
-        best = entries[0].alpha_d
-        d = 1
-        while True:
-            nxt = _log_envelope(s, d + 1)
-            if d >= monotone_from and nxt <= math.log(best):
+    # The envelope decreases from arity monotone_from on (consecutive values
+    # have ratio (d+1)/(d*sqrt(gamma))), so once its next value is at most
+    # the running maximum it bounds every remaining arity.  It is compared
+    # without logarithms, so a maximum that underflows to 0 ends the scan too.
+    root = math.sqrt(s.gamma)
+    monotone_from = math.floor(1.0 / (root - 1.0)) + 1 if root > 1.0 else math.inf
+    entries = [entry(1)]
+    alpha = entries[0].alpha_d
+    tail_start = tail_bound = None
+    d = 1
+    while d + 1 < delta:
+        if d >= monotone_from:
+            nxt = math.exp(_log_envelope(s, d + 1))
+            if nxt <= alpha:
+                tail_start, tail_bound = d + 1, nxt
                 break
-            d += 1
-            if d > 100_000:
-                raise SpinDecayError("contraction tail extension failed to terminate")
-            entries.append(entry(d))
-            best = max(best, entries[-1].alpha_d)
-        alpha = best
-        tail_start = d + 1
-        tail_bound = math.exp(_log_envelope(s, d + 1))
+        d += 1
+        if delta == math.inf and d > 100_000:
+            raise SpinDecayError("contraction tail extension failed to terminate")
+        entries.append(entry(d))
+        alpha = max(alpha, entries[-1].alpha_d)
 
     if not alpha < 1.0:
         raise UniquenessError(

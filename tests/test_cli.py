@@ -269,8 +269,8 @@ def test_saw_dump_lists_every_node_within_the_budget(capsys, tmp_path):
 
 
 @st.composite
-def _small_graphs(draw):
-    n = draw(st.integers(1, 12))
+def _small_graphs(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return from_edges(n, edges)
@@ -319,6 +319,58 @@ def test_exact_fails_with_one_line_and_an_exit_code(g, vertex, cap, fixes):
     if rc == 0:
         truth = brute_log_z(g, SpinSystem(0.0, 1.0, 1.0), dict(fixes))
         assert json.loads(out.getvalue())["outputs"]["log_z"] == pytest.approx(truth, rel=1e-12)
+
+
+def test_alphas_that_underflow_to_zero_exit_2(capsys, tmp_path):
+    # gamma = 1e200 makes every arity's contraction maximum underflow to 0.0,
+    # which no truncation base accepts
+    rc, out, err = run(capsys, "uniqueness", "--beta", "0", "--gamma", "1e200",
+                       "--lambda", "1", "--delta", "inf")
+    assert (rc, out, err) == (2, "", "error: alpha must lie in (0, 1), got 0.0\n")
+    f = tmp_path / "two.json"
+    f.write_text(json.dumps({"n": 2, "edges": []}))
+    rc, out, err = run(capsys, "marginal", "--graph", str(f), "--vertex", "0", "--mode",
+                       "mbased", "--beta", "0", "--gamma", "1e200", "--lambda", "1e200")
+    assert (rc, out, err) == (2, "", "error: alpha must lie in (0, 1), got 0.0\n")
+
+
+_ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-300, 1e300])
+
+
+# any parameters, any degree bound, either mode, any eps: each command exits
+# with a code, and a failure is one line of stderr
+@given(command=st.sampled_from(["uniqueness", "marginal", "partition", "decay"]),
+       g=_small_graphs(8), beta=_ANY_FLOAT, gamma=_ANY_FLOAT, lam=_ANY_FLOAT,
+       delta=st.integers(-2, 60).map(str) | st.just("inf"),
+       mode=st.sampled_from(["depth", "mbased"]),
+       eps=st.floats() | st.sampled_from([0.0, -0.1, math.nan, 1e-3, 0.1]),
+       vertex=st.integers(-1, 8), t_max=st.integers(-1, 12))
+@settings(max_examples=150, deadline=None)
+def test_commands_fail_with_one_line_and_an_exit_code(command, g, beta, gamma, lam, delta,
+                                                      mode, eps, vertex, t_max):
+    system = [f"--beta={beta!r}", f"--gamma={gamma!r}", f"--lambda={lam!r}"]
+    with tempfile.TemporaryDirectory() as d:
+        f = os.path.join(d, "g.json")
+        with open(f, "w") as fh:
+            fh.write(dumps(g))
+        argv = {
+            "uniqueness": ["uniqueness", *system, f"--delta={delta}"],
+            "marginal": ["marginal", "--graph", f, *system, f"--vertex={vertex}",
+                         f"--eps={eps!r}", f"--mode={mode}"],
+            "partition": ["partition", "--graph", f, *system, f"--eps={eps!r}",
+                          f"--mode={mode}"],
+            "decay": ["decay", "--graph", f, *system, f"--vertex={vertex}",
+                      f"--t-max={t_max}"],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    assert rc in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    if not (rc == 1 and err.getvalue().startswith("usage:")):
+        assert err.getvalue().count("\n") <= 1
+    if rc == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["command"] == command
 
 
 def test_graph_from_stdin(capsys, monkeypatch):

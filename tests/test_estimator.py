@@ -180,6 +180,16 @@ def test_accuracy_loop_intervals_are_certificates(inst):
     assert est.p_lo - 1e-12 <= truth <= est.p_hi + 1e-12
 
 
+def test_accuracy_loop_certifies_a_uniqueness_tie_within_rounding():
+    # hardcore gamma = 0.5, lam = 0.5 sits on lam_c(0.5, 2) = 0.5; a maximum
+    # degree of 2 needs uniqueness up to 3, which the computed derivative grants
+    s = SpinSystem(0.0, 0.5, 0.5)
+    est = estimate_marginal(path(3), s, 0, eps=1e-3)
+    truth = exact_marginal(path(3), s, 0).p
+    assert truth == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert est.p_lo <= truth <= est.p_hi and est.width <= 1e-3
+
+
 def test_exhaustive_ratio_rejects_zero_weight_boundaries():
     with pytest.raises(ZeroWeightError):
         exhaustive_ratio(path(3), SpinSystem(0.0, 1.0, 1.0), 2,

@@ -154,9 +154,10 @@ def test_certificate_memos_are_bounded():
     # the bound reuses the fixed points the uniqueness check solved
     contraction_bound(HARDCORE, 4)
     assert fixed_point.cache_info().hits == 0
-    # eleven arities per system overflow the fixed-point memo
+    # eleven arities per system overflow the fixed-point memo; gamma = 1
+    # has no contraction tail, so every arity below delta is maximised
     for i in range(200):
-        contraction_bound(SpinSystem(0.1, 3.5, 0.8 + i / 400), 12)
+        contraction_bound(SpinSystem(0.0, 1.0, 0.01 + i / 40000), 12)
     for memo in memos:
         info = memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
@@ -167,6 +168,38 @@ def test_contraction_universal_reference_value():
     cb = contraction_bound(SpinSystem(0.2, 4.0, 1.0), math.inf)
     assert cb.alpha == pytest.approx(0.023796041628638284, rel=1e-6)
     assert cb.tail_start is not None and cb.tail_bound <= cb.alpha + 1e-12
+
+
+def test_a_large_finite_delta_stops_at_the_contraction_tail():
+    s = SpinSystem(0.2, 4.0, 1.0)
+    inf, big = contraction_bound(s, math.inf), contraction_bound(s, 200000)
+    assert big.alpha == inf.alpha
+    assert big.tail_start == inf.tail_start is not None and len(big.entries) < 10
+    # a delta at or below the tail still maximises every arity below it
+    for delta in range(2, inf.tail_start + 1):
+        cb = contraction_bound(s, delta)
+        assert cb.tail_start is None and [e.d for e in cb.entries] == list(range(1, delta))
+        assert cb.alpha == max(e.alpha_d for e in cb.entries)
+
+
+@pytest.mark.parametrize("s", [SpinSystem(0.1, 3.5, 1.0), SpinSystem(0.0, 2.0, 5.0),
+                               SpinSystem(0.3, 1.5, 0.5), SpinSystem(0.0, 1.2, 0.3)])
+def test_contraction_tail_equals_maximising_every_arity(s):
+    cb = contraction_bound(s, 80)
+    assert cb.tail_start is not None and len(cb.entries) == cb.tail_start - 1 < 79
+    plain = [uniqueness._contraction_entry(s, fixed_point(s, d)) for d in range(1, 80)]
+    assert cb.alpha == max(e.alpha_d for e in plain)
+
+
+def test_a_derivative_tie_within_rounding_still_contracts():
+    # hardcore gamma = 0.5 at lam = 0.5 = lam_c(0.5, 2): the arity-2 derivative
+    # solves to just below 1, and the computed contraction maximum rounds to
+    # 1.0; the entry reports the derivative's square root, below 1
+    s = SpinSystem(0.0, 0.5, 0.5)
+    uni = is_unique_up_to(s, 3)
+    assert uni.unique and uni.checked[1].derivative_abs < 1.0
+    cb = contraction_bound(s, 3)
+    assert cb.alpha == cb.entries[1].alpha_d == math.sqrt(uni.checked[1].derivative_abs) < 1.0
 
 
 def test_hardcore_threshold_closed_forms():
