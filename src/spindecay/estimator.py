@@ -2,9 +2,13 @@
 
 Every interval comes from the walk kernel `saw._walk_single`, which walks the
 self-avoiding-walk tree once per call and propagates ratio intervals upward:
-free nodes at the truncation frontier contribute the trivial interval
-[0, +inf] and pinned leaves contribute exact points.  This module holds what
-is built on it: the accuracy loop, the decay curve and the partition
+a free node at the truncation frontier contributes the interval its degree
+allows, [lam_w * beta**k, lam_w * gamma**-k] for k = deg(w) - 1 (a point at a
+pendant vertex), and pinned leaves contribute exact points.  Each entry point
+builds that per-vertex table (`saw.frontier_factors`) once from its oriented
+activities; approx_partition hands its one table to all its marginals, since
+pinning a vertex changes neither activities nor degrees.  This module holds
+what is built on it: the accuracy loop, the decay curve and the partition
 pipeline.
 
 The interval of every walk is a certificate, whatever its depth, so the
@@ -45,7 +49,7 @@ from .core import BLUE, GREEN, SpinSystem, classify, require_antiferromagnetic
 from .errors import InvalidParameterError, SpinDecayError, ZeroWeightError
 from .graphs import Boundary, Graph, max_degree
 from .oracle import log_weight
-from .saw import Depth, MBased, _walk_single
+from .saw import Depth, MBased, _walk_single, frontier_factors
 from .uniqueness import choose_M, contraction_bound
 
 DEFAULT_BUDGET = 5_000_000
@@ -142,13 +146,15 @@ def _pinned_root(g: Graph, v: int, fixed: dict[int, str],
     return None
 
 
-def _walk(g: Graph, s: SpinSystem, v: int, lam: list[float], fixed: dict[int, str],
+def _walk(g: Graph, s: SpinSystem, v: int, lam: list[float],
+          leaf: list[tuple[float, float]], fixed: dict[int, str],
           s_set: frozenset[int], policy: Depth | MBased,
           budget: int | None) -> MarginalBounds:
-    """One kernel walk under a truncation policy."""
-    r_lo, r_hi, expanded, trivial = _walk_single(g, s, v, lam, fixed, s_set, policy, budget)
+    """One kernel walk under a truncation policy; exact when its interval is
+    a point."""
+    r_lo, r_hi, expanded = _walk_single(g, s, v, lam, leaf, fixed, s_set, policy, budget)
     name, level = ("depth", policy.t) if isinstance(policy, Depth) else ("mbased", policy.ell)
-    return _make_bounds(r_lo, r_hi, expanded, not trivial, name, level)
+    return _make_bounds(r_lo, r_hi, expanded, r_lo == r_hi, name, level)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +181,8 @@ def bounds(
     if out is None:
         if not isinstance(policy, (Depth, MBased)):
             raise InvalidParameterError(f"unknown truncation policy {policy!r}")
-        out = _walk(g, s_or, v, lam, fixed, s_set, policy, budget)
+        out = _walk(g, s_or, v, lam, frontier_factors(g, s_or, lam), fixed, s_set, policy,
+                    budget)
     return _swap_back(out) if swapped else out
 
 
@@ -198,8 +205,9 @@ def exhaustive_ratio(
         raise InvalidParameterError("exhaustive evaluation needs an empty differing set")
     b = _pinned_root(g, v, fixed, s_set)
     if b is None:
-        r_lo, r_hi, expanded, trivial = _walk_single(g, s_or, v, lam, fixed, s_set, None, budget)
-        if trivial or r_lo != r_hi:
+        r_lo, r_hi, expanded = _walk_single(g, s_or, v, lam, frontier_factors(g, s_or, lam),
+                                            fixed, s_set, None, budget)
+        if r_lo != r_hi:
             raise SpinDecayError(f"exhaustive walk did not collapse to a point: [{r_lo}, {r_hi}]")
         b = _make_bounds(r_lo, r_hi, expanded, True, "exhaustive", 0)
     return (_swap_back(b) if swapped else b).r_lo
@@ -214,6 +222,7 @@ class _Strategy:
     mode: str  # "depth" | "mbased"
     alpha: float
     m_base: float | None
+    leaf: list[tuple[float, float]]  # frontier_factors of the oriented activities
 
 
 def _require_mode(mode: str) -> None:
@@ -223,16 +232,15 @@ def _require_mode(mode: str) -> None:
 
 def _resolve_strategy(g: Graph, s: SpinSystem, lam: list[float], mode: str) -> _Strategy:
     """The certified decay rate of a mode for an oriented system and its
-    activities, with the truncation base for "mbased"; raises
-    UniquenessError (with the failing arity) when some activity is not unique
-    up to the mode's degree bound: the graph's for "depth", none for
+    activities, with the truncation base for "mbased" and the frontier table;
+    raises UniquenessError (with the failing arity) when some activity is not
+    unique up to the mode's degree bound: the graph's for "depth", none for
     "mbased"."""
     delta = max(2, max_degree(g) + 1) if mode == "depth" else math.inf
     systems = [s.with_field(l) for l in sorted(set(lam))]
     alpha = max(contraction_bound(sl, delta).alpha for sl in systems)
-    if mode == "depth":
-        return _Strategy(mode=mode, alpha=alpha, m_base=None)
-    return _Strategy(mode=mode, alpha=alpha, m_base=max(choose_M(sl, alpha) for sl in systems))
+    m_base = max(choose_M(sl, alpha) for sl in systems) if mode == "mbased" else None
+    return _Strategy(mode=mode, alpha=alpha, m_base=m_base, leaf=frontier_factors(g, s, lam))
 
 
 def _level_for(eps: float, alpha: float) -> int:
@@ -306,7 +314,7 @@ def estimate_marginal(
     level, expanded = 1, 0
     while True:
         policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
-        out = _walk(g, s_or, v, lam, fixed, s_set, policy, budget)
+        out = _walk(g, s_or, v, lam, strat.leaf, fixed, s_set, policy, budget)
         expanded += out.expanded
         if out.exact or out.width <= eps or (
                 _share is not None and _log_width(out) <= _share):
@@ -470,10 +478,11 @@ def decay_curve(
         raise InvalidParameterError(f"t_max must be nonnegative, got {t_max}")
     require_positive_weight(g, s, boundary)
     pinned = _pinned_root(g, v, fixed, s_set)
+    leaf = frontier_factors(g, s_or, lam)
     out = []
     for t in range(t_max + 1):
         b = pinned if pinned is not None else _walk(
-            g, s_or, v, lam, fixed, s_set, Depth(t), budget
+            g, s_or, v, lam, leaf, fixed, s_set, Depth(t), budget
         )
         if swapped:
             b = _swap_back(b)

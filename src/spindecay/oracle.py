@@ -6,8 +6,10 @@ vertex, and every edge between two free vertices is a 2x2 log-table.  Free
 vertices are then summed out one at a time, smallest neighbourhood first
 (bucket elimination, Dechter 1999): each step joins the tables that mention
 the vertex into one table over it and its neighbours, and sums the vertex
-out.  Entries stay in log scale, -inf for a vanishing weight, so large
-activities stay finite and zero couplings need no special case.
+out.  A lazy heap picks each vertex and the vertex's own bucket holds the
+factors it joins, so a step costs what its tables cost, not a scan of every
+vertex and factor.  Entries stay in log scale, -inf for a vanishing weight,
+so large activities stay finite and zero couplings need no special case.
 
 The cap is a hard guard on the largest table: a step that joins k vertices
 builds 2^k entries, and it raises once k exceeds the cap.  A graph with at
@@ -15,6 +17,8 @@ most `cap` free vertices never does; a complete graph on more always does.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from operator import add
@@ -99,7 +103,7 @@ def _log_sums(
     log_beta, log_gamma = (math.log(c) if c > 0.0 else -math.inf for c in (s.beta, s.gamma))
     const = sum(math.log(g.activity(v, s)) for v, spin in fixed.items() if spin == BLUE)
     unary = {v: [0.0, math.log(g.activity(v, s))] for v in range(g.n) if v not in fixed}
-    factors = []
+    edges = []
     nbrs = {v: set() for v in unary}
     for u, w in g.edges():
         if u in fixed and w in fixed:
@@ -113,30 +117,58 @@ def _log_sums(
                 unary[v][0] += log_gamma
         else:
             # entries: both green, u blue, w blue, both blue
-            factors.append(((u, w), [log_gamma, 0.0, 0.0, log_beta]))
+            edges.append(((u, w), [log_gamma, 0.0, 0.0, log_beta]))
             nbrs[u].add(w)
             nbrs[w].add(u)
-    factors += [((v,), table) for v, table in unary.items()]
+
+    # Factors keyed by creation number, both in one table and in a bucket per
+    # vertex of their scope: dicts keep insertion order, so each bucket lists
+    # its factors in creation order, the order _join receives them in.
+    factors: dict[int, tuple] = {}
+    bucket: dict[int, dict[int, tuple]] = {v: {} for v in unary}
+    made = itertools.count()
+
+    def add(factor) -> None:
+        key = next(made)
+        factors[key] = factor
+        for u in factor[0]:
+            bucket[u][key] = factor
+
+    for f in edges + [((v,), table) for v, table in unary.items()]:
+        add(f)
 
     terms = 0
     todo = set(unary) - set(keep)
+    # a lazy heap: a vertex's live entry is the one keyed by its current
+    # neighbourhood size, and the smallest live entry is min(todo) by that key
+    heap = [(len(nbrs[u]), u) for u in todo]
+    heapq.heapify(heap)
     while todo:
-        v = min(todo, key=lambda u: (len(nbrs[u]), u))
+        size, v = heapq.heappop(heap)
+        if v not in todo or size != len(nbrs[v]):
+            continue
         scope = (v, *sorted(nbrs[v]))  # v first: its spin is the lowest index bit
         if len(scope) > cap:
             raise EnumerationCapError(
                 f"summing out vertex {v} joins {len(scope)} vertices, a table of "
                 f"2^{len(scope)} entries (cap is 2^{cap})"
             )
-        table = _join(scope, [f for f in factors if v in f[0]])
-        factors = [f for f in factors if v not in f[0]]
-        factors.append((scope[1:], list(map(_logaddexp, table[0::2], table[1::2]))))
+        joined = bucket.pop(v)
+        for key, f in joined.items():
+            del factors[key]
+            for u in f[0]:
+                if u != v:
+                    del bucket[u][key]
+        table = _join(scope, joined.values())
+        add((scope[1:], list(map(_logaddexp, table[0::2], table[1::2]))))
         terms += len(table)
         for u in nbrs[v]:
             nbrs[u] |= nbrs[v] - {u}
             nbrs[u].discard(v)
+            if u in todo:
+                heapq.heappush(heap, (len(nbrs[u]), u))
         todo.remove(v)
-    table = _join(keep, factors)
+    table = _join(keep, factors.values())
     if max(table) + const == -math.inf:
         raise ZeroWeightError("every configuration extending the boundary has zero weight")
     return [const + x for x in table], len(unary), terms + len(table)

@@ -18,13 +18,15 @@ order.
 `_walk_single` is the only traversal of the tree.  It walks it with one
 recursive call per expanded node, whose state lives in that call's locals,
 and propagates ratio intervals upward through the recursion of `core`,
-truncated by one of the two policies below (or not at all); the estimator
-calls it for every interval it reports, and `dump_levels` runs it with a
-visitor that records one node per call, so the tree that is dumped is the
-tree that is evaluated.  The recursion is as deep as the longest walk the
-policy allows; a walk that would not fit under the interpreter's recursion
-limit runs on a worker thread sized for it, so no graph ends in a
-RecursionError.
+truncated by one of the two policies below (or not at all).  A free node at
+the truncation frontier is not expanded: it contributes the interval its
+degree allows (`frontier_factors`), which is a point at a pendant vertex, so
+such a leaf is exact.  The estimator calls it for every interval it reports,
+and `dump_levels` runs it with a visitor that records one node per call, so
+the tree that is dumped is the tree that is evaluated.  The recursion is as
+deep as the longest walk the policy allows; a walk that would not fit under
+the interpreter's recursion limit runs on a worker thread sized for it, so no
+graph ends in a RecursionError.
 """
 from __future__ import annotations
 
@@ -45,7 +47,8 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class Depth:
-    """Expand free nodes strictly above depth t; the rest get [0, +inf]."""
+    """Expand free nodes strictly above depth t; free nodes at depth t are
+    frontier leaves, bounded by their degree (`frontier_factors`)."""
 
     t: int
 
@@ -59,7 +62,8 @@ class MBased:
     """Degree-scaled truncation with base m and budget ell.
 
     A node's scaled depth grows by ceil_log(m, d+1) when its parent has d
-    children; nodes whose grandparent's scaled depth reaches ell are trivial.
+    children; free nodes whose grandparent's scaled depth reaches ell are
+    frontier leaves.
     """
 
     m: float
@@ -78,6 +82,41 @@ def closing_spin(departed_to: int, closing_from: int) -> str:
     # Blue exactly when the closing edge outranks the departing edge at the
     # revisited vertex.  Adjacency lists are ascending, so rank order is id order.
     return BLUE if closing_from > departed_to else GREEN
+
+
+def frontier_factors(g: Graph, s: SpinSystem, lam: list[float]) -> list[tuple[float, float]]:
+    """(f_lo, f_hi) per vertex w: the edge factor of a free frontier leaf at w.
+
+    Every edge factor (beta*r + 1)/(r + gamma) of an oriented system lies in
+    [beta, 1/gamma], so a free tree node at w, with k = deg(w) - 1 children,
+    has its ratio in [lam_w * beta**k, lam_w * gamma**-k] whatever lies below
+    it.  The factor is decreasing in the ratio, so f_lo is the factor of the
+    upper end and f_hi that of the lower end.  The ends are taken in log
+    space: an end that overflows is ratio +inf (factor beta), one that
+    underflows, or beta = 0 with k >= 1, is ratio 0 (factor 1/gamma).  A
+    pendant vertex (k = 0) has ratio lam_w exactly, so its pair is a point.
+    The table depends on the activities and the degrees only, not on any
+    boundary.
+    """
+    beta, gamma = s.beta, s.gamma
+    log_beta = math.log(beta) if beta > 0.0 else -_INF
+    log_gamma = math.log(gamma)
+
+    def pair(degree: int, lam_w: float) -> tuple[float, float]:
+        k = degree - 1
+        if k > 0:
+            log_lam = math.log(lam_w)
+            r_lo = guarded_exp(log_lam + k * log_beta)
+            r_hi = guarded_exp(log_lam - k * log_gamma)
+        else:
+            r_lo = r_hi = lam_w
+        return (beta if r_hi == _INF else (beta * r_hi + 1.0) / (r_hi + gamma),
+                beta if r_lo == _INF else (beta * r_lo + 1.0) / (r_lo + gamma))
+
+    # vertices of one degree and activity share a pair, computed once
+    pairs: dict[tuple[int, float], tuple[float, float]] = {}
+    return [pairs.get(key) or pairs.setdefault(key, pair(*key))
+            for key in zip(map(len, g.adj), lam)]
 
 
 # Leaf codes, one per vertex: what a step onto a vertex that is not on the
@@ -136,19 +175,23 @@ def _walk_single(
     s: SpinSystem,
     root: int,
     lam: list[float],
+    leaf: list[tuple[float, float]],
     fixed: dict[int, str],
     s_set: frozenset[int],
     policy: Depth | MBased | None,
     budget: int | None,
     visit=None,
-) -> tuple[float, float, int, bool]:
-    """Returns (r_lo, r_hi, nodes expanded, any trivial leaf used).
+) -> tuple[float, float, int]:
+    """Returns (r_lo, r_hi, nodes expanded).
 
     A child is, in this order: a cycle-closing leaf, a member of the
-    differing set s_set (the trivial interval [0, +inf]), a fixed leaf, a
-    frontier leaf (also trivial), or a free node that is expanded.  The
-    frontier is the policy's: a depth cutoff, a degree-scaled cutoff, or,
-    for policy None, no frontier at all.
+    differing set s_set (the trivial interval [0, +inf], factors
+    [beta, 1/gamma]), a fixed leaf, a frontier leaf (the factors leaf[w] of
+    `frontier_factors`), or a free node that is expanded.  The frontier is
+    the policy's: a depth cutoff, a degree-scaled cutoff, or, for policy
+    None, no frontier at all.  Point leaves (fixed, cycle-closing, and
+    frontier leaves at pendant vertices) keep r_lo == r_hi; the walk is exact
+    exactly when its interval is a point.
     visit(depth, vertex, spin), when given, is called on every node below the
     root in depth-first order; spin is None on free nodes.
     """
@@ -158,13 +201,13 @@ def _walk_single(
     inv_gamma = 1.0 / gamma
     log = math.log
     # A frame at depth >= last_depth, or whose parent's scaled depth reaches
-    # m_limit, is at the frontier: its free children become trivial leaves.
+    # m_limit, is at the frontier: its free children become frontier leaves.
     # Walks are self-avoiding, so no frame reaches depth n, and scaled
     # depths stay 0 without MBased.
     last_depth, m_limit, m_base = n, 1, None
     if isinstance(policy, Depth):
         if policy.t == 0:
-            return 0.0, _INF, 0, True
+            return 0.0, _INF, 0
         last_depth = policy.t - 1
     elif isinstance(policy, MBased):
         m_limit, m_base = policy.ell, policy.m
@@ -177,11 +220,14 @@ def _walk_single(
     for v, spin in fixed.items():
         if v in vertices:
             code[int(v)] = _BLUE if spin == BLUE else _GREEN
-    for v in s_set:
-        if v in vertices:
-            code[int(v)] = _DIFFERING
+    if s_set:
+        # a differing-set member may take either spin, whatever its degree
+        leaf = list(leaf)
+        for v in s_set:
+            if v in vertices:
+                code[int(v)] = _DIFFERING
+                leaf[int(v)] = (beta, inv_gamma)
     expanded = 1
-    trivial_used = False
 
     def expand(u: int, parent: int, depth: int, own_m: int, parent_m: int):
         """(lo, hi) of the node for vertex u, reached from parent (-1 at the
@@ -190,7 +236,7 @@ def _walk_single(
         the factors f_lo and acc_hi the factors f_hi.  Exact-zero factors
         only set zero_lo / zero_hi and never enter the running product, so
         an overflowed product is never multiplied by zero."""
-        nonlocal expanded, trivial_used
+        nonlocal expanded
         kids = adj[u]
         d = len(kids) if parent < 0 else len(kids) - 1
         log_mode = d > LOG_PRODUCT_CUTOFF
@@ -218,8 +264,8 @@ def _walk_single(
                 f_hi = beta if lo == _INF else (beta * lo + 1.0) / (lo + gamma)
             else:
                 if c <= _DIFFERING:
-                    trivial_used = True
-                    f_lo, f_hi, spin = beta, inv_gamma, None
+                    f_lo, f_hi = leaf[w]
+                    spin = None
                 elif c == _BLUE:
                     f_lo = f_hi = beta  # ratio +inf on both ends
                     spin = BLUE
@@ -262,7 +308,7 @@ def _walk_single(
         lo, hi = expand(root, -1, 0, 0, -1)
     else:
         lo, hi = _deep(lambda: expand(root, -1, 0, 0, -1), levels)
-    return lo, hi, expanded, trivial_used
+    return lo, hi, expanded
 
 
 # Any system serves for dump_levels: the tree's shape does not depend on it.
@@ -294,5 +340,7 @@ def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None,
 
     visit(0, v, fixed.get(v))
     if v not in fixed:
-        _walk_single(g, _SHAPE_ONLY, v, [1.0] * g.n, fixed, frozenset(), policy, budget, visit)
+        lam = [1.0] * g.n
+        _walk_single(g, _SHAPE_ONLY, v, lam, frontier_factors(g, _SHAPE_ONLY, lam), fixed,
+                     frozenset(), policy, budget, visit)
     return nodes

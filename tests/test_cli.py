@@ -187,7 +187,9 @@ def test_marginal_is_deterministic(capsys, c4_file):
 def test_marginal_fixed_depth_flag(capsys, c4_file):
     doc = run_json(capsys, "marginal", "--graph", c4_file, "--vertex", "0",
                    "--depth", "1")
-    assert doc["outputs"]["p_lo"] == 0.0
+    # both neighbours are frontier leaves of one child, ratio in [0, 1]; the
+    # [0, +inf] frontier gave [0, 0.5], and the truth is 2/7
+    assert doc["outputs"]["p_lo"] == 0.2
     assert doc["outputs"]["p_hi"] == 0.5
 
 
@@ -371,6 +373,23 @@ def test_commands_fail_with_one_line_and_an_exit_code(command, g, beta, gamma, l
         assert err.getvalue().count("\n") <= 1
     if rc == 0:
         assert err.getvalue() == "" and json.loads(out.getvalue())["command"] == command
+
+
+@given(beta=_ANY_FLOAT, gamma=_ANY_FLOAT, lam=_ANY_FLOAT)
+@settings(max_examples=300, deadline=None)
+# swapping inverts an activity past the float range; a coupling product past it
+@example(beta=1e300, gamma=1e-300, lam=5e-324)
+@example(beta=1e300, gamma=1e300, lam=1e-300)
+def test_classify_fails_with_one_line_and_an_exit_code(beta, gamma, lam):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["classify", f"--beta={beta!r}", f"--gamma={gamma!r}", f"--lambda={lam!r}"])
+    assert rc in {0, 1, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert err.getvalue() == "" and json.loads(out.getvalue())["command"] == "classify"
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 def test_graph_from_stdin(capsys, monkeypatch):

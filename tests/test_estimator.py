@@ -37,6 +37,7 @@ from spindecay.graphs import (
     star,
 )
 from spindecay.oracle import exact_marginal, exact_partition
+from spindecay.saw import FREE, dump_levels
 from spindecay.uniqueness import hardcore_threshold, is_unique_up_to
 
 from helpers import FLIP, SWAP_GRAPH, hand_swapped, inverted
@@ -52,9 +53,12 @@ def test_depth_zero_is_the_trivial_interval():
 
 
 def test_depth_one_on_an_edge():
+    # the neighbour is a pendant frontier leaf, so one level is exact; the
+    # [0, +inf] frontier gave [0, 0.5]
     b = bounds(path(2), HARDCORE, 0, policy=Depth(1))
-    assert b.p_lo == 0.0
-    assert b.p_hi == pytest.approx(0.5)
+    truth = exact_marginal(path(2), HARDCORE, 0).p
+    assert b.exact and b.p_lo == b.p_hi == truth
+    assert 0.0 <= b.p_lo <= b.p_hi <= 0.5
 
 
 def test_full_expansion_hits_the_exact_marginal():
@@ -83,6 +87,83 @@ def test_intervals_contain_the_truth_at_every_depth():
     for t in range(0, 7):
         est = bounds(g, SOFT, 0, policy=Depth(t))
         assert est.p_lo - 1e-12 <= truth <= est.p_hi + 1e-12
+
+
+@st.composite
+def leaf_instances(draw):
+    """A graph of at most 10 vertices with pendant vertices hung on it,
+    per-vertex activities, an anti-ferromagnetic system in either spin
+    orientation (unique or not), and pins with a differing set off the root."""
+    core = draw(st.integers(1, 7))
+    pairs = [(u, w) for u in range(core) for w in range(u + 1, core)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * core)) if pairs else []
+    hung = draw(st.lists(st.integers(0, core - 1), max_size=3))
+    n = core + len(hung)
+    edges += [(u, core + i) for i, u in enumerate(hung)]
+    lam = draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))
+    g = from_edges(n, edges, lambda_v=dict(enumerate(lam)))
+    low = draw(st.sampled_from([0.0, 0.0, 0.1, 0.5]))
+    high = draw(st.floats(max(low, 0.2), 3.0))
+    assume(low * high < 0.95)
+    # beta > gamma is the same system with its spin labels swapped
+    beta, gamma = (high, low) if draw(st.booleans()) else (low, high)
+    s = SpinSystem(beta, gamma, 1.0)
+    spins = draw(st.lists(st.sampled_from([None, BLUE, GREEN]), min_size=n - 1,
+                          max_size=n - 1))
+    fixed = {v: sp for v, sp in zip(range(1, n), spins) if sp is not None}
+    s_set = frozenset(draw(st.lists(st.sampled_from(sorted(fixed)), max_size=2))
+                      if fixed else ())
+    return g, s, fixed, s_set
+
+
+def _contains(b, p):
+    return b.p_lo - 1e-12 <= p <= b.p_hi + 1e-12
+
+
+@given(leaf_instances(), st.sampled_from([1.5, 2.0, 3.0]))
+@settings(max_examples=150, deadline=None)
+def test_degree_bounded_leaves_are_certificates(inst, m):
+    g, s, fixed, s_set = inst
+    # the truth with the differing set at its pinned spins; the walk must
+    # contain it whatever those spins are
+    try:
+        truth = exact_marginal(g, s, 0, Boundary(fixed=fixed)).p
+    except ZeroWeightError:
+        assume(False)
+    boundary = Boundary(fixed=fixed, S=s_set)
+    for family in ([Depth(t) for t in range(g.n + 2)],
+                   [MBased(m, ell) for ell in range(1, 8)]):
+        prev = None
+        for policy in family:
+            b = bounds(g, s, 0, boundary, policy)
+            assert not (math.isnan(b.p_lo) or math.isnan(b.p_hi)) and b.p_lo <= b.p_hi
+            assert _contains(b, truth), policy
+            assert b.p_lo == b.p_hi or not b.exact, policy  # an exact walk is a point
+            if prev is not None:  # a deeper walk only narrows the interval
+                assert prev.p_lo - 1e-12 <= b.p_lo and b.p_hi <= prev.p_hi + 1e-12, policy
+            prev = b
+    # Depth(n + 1) walks the whole tree
+    assert s_set or bounds(g, s, 0, boundary, Depth(g.n + 1)).exact
+    # with no differing set, a walk whose free frontier leaves are all
+    # pendant is exact
+    for t in range(1, g.n + 1):
+        frontier = [r["origin"] for r in dump_levels(g, 0, t, Boundary(fixed=fixed))
+                    if r["depth"] == t and r["kind"] == FREE]
+        b = bounds(g, s, 0, Boundary(fixed=fixed), Depth(t))
+        if all(len(g.adj[w]) == 1 for w in frontier):
+            assert b.exact and _contains(b, truth) and b.p_hi - b.p_lo <= 1e-12, t
+
+
+@pytest.mark.parametrize("leaves", range(1, 10))
+def test_a_star_is_exact_at_depth_one(leaves):
+    g = from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)],
+                   lambda_v={v: 0.3 + 0.4 * v for v in range(leaves + 1)})
+    for s in (HARDCORE, SOFT, SpinSystem(1.5, 0.2, 0.7)):
+        b = bounds(g, s, 0, policy=Depth(1))
+        truth = exact_marginal(g, s, 0).p
+        assert b.exact and b.expanded == 1
+        assert b.p_lo == pytest.approx(truth, rel=1e-12)
+        assert b.p_hi == pytest.approx(truth, rel=1e-12)
 
 
 def test_fixed_vertices_are_point_intervals():
@@ -373,9 +454,10 @@ def test_approx_partition_keeps_shares_finite_at_huge_eps():
     assert pe.rel_error_bound <= 1e20
 
 
-@pytest.mark.parametrize("eps, nodes", [(0.1, 3483), (0.01, 22282)])
+@pytest.mark.parametrize("eps, nodes", [(0.1, 3033), (0.01, 15624)])
 def test_approx_partition_spends_the_budget_on_certified_widths(eps, nodes):
-    # the per-vertex rule eps/(4n) expanded 15 992 and 59 784 nodes here
+    # the per-vertex rule eps/(4n) expanded 15 992 and 59 784 nodes here, and
+    # [0, +inf] frontier leaves 3483 and 22 282
     pe = approx_partition(random_regular(30, 3, seed=1), CUBIC_SYSTEMS[1], eps)
     assert pe.expanded == nodes
     assert pe.rel_error_bound <= eps

@@ -25,7 +25,15 @@ from spindecay.graphs import (
     random_regular,
     star,
 )
-from spindecay.saw import FIXED, FREE, MBased, _walk_single, closing_spin, dump_levels
+from spindecay.saw import (
+    FIXED,
+    FREE,
+    MBased,
+    _walk_single,
+    closing_spin,
+    dump_levels,
+    frontier_factors,
+)
 
 from helpers import saw_tree
 
@@ -163,52 +171,86 @@ _LAM64 = [0.5 + (v % 7) / 10 for v in range(64)]
 _SOFT2 = SpinSystem(0.2, 1.5, 0.9)
 
 # (graph, system, root, activities, fixed, differing set, policy) -> the exact
-# (r_lo, r_hi, expanded, trivial) of the kernel, recorded from an
-# explicit-stack implementation.  Children must be visited in ascending order
-# and every factor must enter each product in the same order for these to
-# stay equal bit for bit.
+# (r_lo, r_hi, expanded) of the kernel with degree-bounded frontier leaves.
+# Children must be visited in ascending order and every factor must enter
+# each product in the same order for these to stay equal bit for bit.
 _PINNED = {
     "depth-12": ((_G64, _SOFT2, 0, [0.9] * 64, {}, frozenset(), Depth(12)),
-                 (0.18182134777407935, 0.18182136585020436, 4878, True)),
+                 (0.1818213482814166, 0.1818213522850641, 4878)),
     "depth-14": ((_G64, _SOFT2, 5, _LAM64, {}, frozenset(), Depth(14)),
-                 (0.20504835929222295, 0.20504835949817599, 13274, True)),
+                 (0.20504835929744555, 0.20504835933922502, 13274)),
     "mbased": ((_G64, _SOFT2, 3, _LAM64, {}, frozenset(), MBased(2.0, 12)),
-               (0.1641613133441924, 0.16416477392044176, 320, True)),
+               (0.16416140300006074, 0.16416211802129038, 320)),
     "mbased-hubs": ((double_star(40), _SOFT2, 0, [1.1] * 82, {}, frozenset(), MBased(3.0, 4)),
-                    (5.2572754765649386e-14, 5.2572754765649386e-14, 82, False)),
+                    (5.2572754765649386e-14, 5.2572754765649386e-14, 82)),
     # more than LOG_PRODUCT_CUTOFF children: the products run in log space
     "log-root": ((star(40), _SOFT2, 0, [0.7] * 41, {}, frozenset(), Depth(2)),
-                 (2.6569590477022274e-12, 2.6569590477022274e-12, 41, False)),
+                 (2.6569590477022274e-12, 2.6569590477022274e-12, 41)),
     "log-inner": ((double_star(40), _SOFT2, 0, [0.7] * 82, {}, frozenset(), Depth(3)),
-                  (1.77130603179929e-12, 1.77130603179929e-12, 82, False)),
+                  (1.77130603179929e-12, 1.77130603179929e-12, 82)),
+    # the 400 frontier leaves are pendant, so the walk is exact
     "log-saturates": ((star(400), SpinSystem(0.005, 0.01, 1.0), 0, [1.0] * 401, {},
                        frozenset(), Depth(1)),
-                      (0.0, math.inf, 1, True)),
+                      (0.13736471503727105, 0.13736471503727105, 1)),
+    # frontier leaves of one child each: 400 factors in [0.0148, 66.3]
+    # overflow and underflow the log-space product
+    "log-overflows": ((from_edges(801, [(0, i) for i in range(1, 401)]
+                                  + [(i, 400 + i) for i in range(1, 401)]),
+                       SpinSystem(0.005, 0.01, 1.0), 0, [1.0] * 801, {}, frozenset(), Depth(1)),
+                      (0.0, math.inf, 1)),
     # hardcore blue leaves are exact-zero factors
     "boundary": ((_G64, HARDCORE, 0, [1.0] * 64,
                   {1: BLUE, 7: GREEN, 9: BLUE, 20: GREEN, 33: BLUE, 40: GREEN},
                   frozenset({9, 20}), Depth(10)),
-                 (0.27368388090901374, 0.3700388729659517, 707, True)),
+                 (0.27368388090901374, 0.3682154825869284, 707)),
     "exhaustive": ((complete(6), _SOFT2, 2, [0.9, 1.1, 0.8, 1.3, 0.6, 1.0], {}, frozenset(),
                     None),
-                   (0.07445742947669122, 0.07445742947669122, 326, False)),
+                   (0.07445742947669122, 0.07445742947669122, 326)),
+}
+
+
+# The intervals of the cases above when every free frontier leaf was
+# [0, +inf]; a degree-bounded leaf may only narrow them.
+_ZERO_INF_FRONTIER = {
+    "boundary": (0.27368388090901374, 0.3700388729659517),
+    "depth-12": (0.18182134777407935, 0.18182136585020436),
+    "depth-14": (0.20504835929222295, 0.20504835949817599),
+    "log-saturates": (0.0, math.inf),
+    "mbased": (0.1641613133441924, 0.16416477392044176),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_kernel_reproduces_pinned_bits(case):
     (g, s, root, lam, fixed, s_set, policy), expected = _PINNED[case]
-    assert _walk_single(g, s, root, lam, fixed, s_set, policy, None) == expected
+    got = _walk_single(g, s, root, lam, frontier_factors(g, s, lam), fixed, s_set, policy, None)
+    assert got == expected
+    lo, hi = _ZERO_INF_FRONTIER.get(case, expected[:2])
+    assert lo <= got[0] <= got[1] <= hi
 
 
 def test_budget_trips_at_an_exact_node_count():
     g = random_regular(30, 3, seed=2)
-    args = (g, _SOFT2, 0, [1.0] * 30, {}, frozenset(), Depth(9))
-    expected = (0.19625645302679012, 0.1962584755391204, 536, True)
+    lam = [1.0] * 30
+    args = (g, _SOFT2, 0, lam, frontier_factors(g, _SOFT2, lam), {}, frozenset(), Depth(9))
+    # the [0, +inf] frontier gave [0.19625645302679012, 0.1962584755391204]
+    expected = (0.19625794285505782, 0.1962584146197283, 536)
+    assert 0.19625645302679012 <= expected[0] <= expected[1] <= 0.1962584755391204
     assert _walk_single(*args, None) == expected
     assert _walk_single(*args, 536) == expected
     with pytest.raises(BudgetExceededError, match="exceeded 535 nodes"):
         _walk_single(*args, 535)
+
+
+def test_frontier_factors_stay_in_the_edge_factor_range():
+    # k = 399 children: lam*gamma**-k overflows (factor beta) and
+    # lam*beta**k underflows (factor 1/gamma); a pendant leaf is a point
+    s = SpinSystem(0.005, 0.01, 1.0)
+    table = frontier_factors(star(400), s, [1.0] * 401)
+    f = (s.beta + 1.0) / (1.0 + s.gamma)
+    assert table[0] == (s.beta, 1.0 / s.gamma) and table[1] == (f, f)
+    # hardcore: beta = 0 puts the lower ratio at 0 whatever the activity
+    assert frontier_factors(path(3), HARDCORE, [2.0] * 3)[1] == (1.0 / 3.0, 1.0)
 
 
 def _transfer_ratio(s, n, closed):
