@@ -246,31 +246,25 @@ def _cmd_uniqueness(args):
     return inputs, outputs
 
 
+# --kind: the threshold function and the arguments it takes, in order
+_THRESHOLDS = {
+    "hardcore": (hardcore_threshold, ("gamma", "delta")),
+    "soft": (soft_thresholds, ("beta", "gamma", "delta")),
+    "gamma": (gamma_threshold, ("beta", "lam", "delta")),
+    "universal": (universal_lambda_threshold, ("beta", "gamma")),
+}
+_SYSTEM_FLAGS = {"beta": "--beta", "gamma": "--gamma", "lam": "--lambda"}
+
+
 def _cmd_thresholds(args):
-    kind = args.kind
-    if kind == "hardcore":
-        if args.gamma is None:
-            raise _UsageError("--kind hardcore needs --gamma")
-        rep = hardcore_threshold(args.gamma, args.delta)
-        inputs = {"kind": kind, "gamma": args.gamma, "delta": args.delta}
-    elif kind == "soft":
-        if args.beta is None or args.gamma is None:
-            raise _UsageError("--kind soft needs --beta and --gamma")
-        rep = soft_thresholds(args.beta, args.gamma, args.delta)
-        inputs = {"kind": kind, "beta": args.beta, "gamma": args.gamma,
-                  "delta": args.delta}
-    elif kind == "gamma":
-        if args.beta is None or args.lam is None:
-            raise _UsageError("--kind gamma needs --beta and --lambda")
-        rep = gamma_threshold(args.beta, args.lam, args.delta)
-        inputs = {"kind": kind, "beta": args.beta, "lambda": args.lam,
-                  "delta": args.delta}
-    else:  # universal
-        if args.beta is None or args.gamma is None:
-            raise _UsageError("--kind universal needs --beta and --gamma")
-        rep = universal_lambda_threshold(args.beta, args.gamma)
-        inputs = {"kind": kind, "beta": args.beta, "gamma": args.gamma}
-    return inputs, rep
+    func, names = _THRESHOLDS[args.kind]
+    values = [getattr(args, name) for name in names]
+    if None in values:  # --delta has a default
+        flags = " and ".join(_SYSTEM_FLAGS[name] for name in names if name != "delta")
+        raise _UsageError(f"--kind {args.kind} needs {flags}")
+    inputs = {"kind": args.kind}
+    inputs.update(("lambda" if name == "lam" else name, v) for name, v in zip(names, values))
+    return inputs, func(*values)
 
 
 def _cmd_marginal(args):
@@ -451,6 +445,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+# The exit code of each failure, tried in order: GraphFormatError is a
+# SpinDecayError too.
+_EXIT_CODES = (
+    ((_UsageError, OSError, GraphFormatError), 1),
+    ((InvalidParameterError, UniquenessError, NoThresholdError, ZeroWeightError), 2),
+    ((BudgetExceededError, EnumerationCapError), 3),
+    (SpinDecayError, 4),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -460,22 +464,9 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         inputs, outputs = args.handler(args)
-    except (_UsageError, GraphFormatError) as e:
+    except (_UsageError, OSError, SpinDecayError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (InvalidParameterError, UniquenessError, NoThresholdError,
-            ZeroWeightError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (BudgetExceededError, EnumerationCapError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except SpinDecayError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
+        return next(code for kinds, code in _EXIT_CODES if isinstance(e, kinds))
     _emit(args.command, inputs, outputs, started)
     return 0
 

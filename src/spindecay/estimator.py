@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 from .core import BLUE, GREEN, SpinSystem, classify, require_antiferromagnetic
 from .errors import InvalidParameterError, SpinDecayError, ZeroWeightError
-from .graphs import Boundary, Graph, max_degree
+from .graphs import Boundary, Graph, max_degree, require_vertex
 from .oracle import log_weight
 from .saw import Depth, MBased, _walk_single, frontier_factors
 from .uniqueness import choose_M, contraction_bound
@@ -107,11 +107,14 @@ def _swap_back(b: MarginalBounds) -> MarginalBounds:
 def _oriented(g: Graph, s: SpinSystem, boundary: Boundary | None):
     """(system, activities, fixed, differing set, swapped) with beta <= gamma:
     when classify() swaps the labels, activities invert and pins flip.
-    Raises InvalidParameterError unless that system is anti-ferromagnetic."""
+    Raises InvalidParameterError unless that system is anti-ferromagnetic and
+    every pin is a vertex of g (the differing set lies among the pins)."""
     cls = classify(s)
     require_antiferromagnetic(cls.system)
     lam = [g.activity(v, s) for v in range(g.n)]
     fixed, s_set = (boundary.fixed, boundary.S) if boundary is not None else ({}, frozenset())
+    for v in fixed:
+        require_vertex(g, v, "fixed vertex")
     if cls.swapped:
         lam = [1.0 / l for l in lam]
         fixed = {v: GREEN if spin == BLUE else BLUE for v, spin in fixed.items()}
@@ -136,8 +139,7 @@ def require_positive_weight(g: Graph, s: SpinSystem, boundary: Boundary | None) 
 def _pinned_root(g: Graph, v: int, fixed: dict[int, str],
                  s_set: frozenset[int]) -> MarginalBounds | None:
     """The interval of a root the boundary decides without a walk, else None."""
-    if not (0 <= v < g.n):
-        raise InvalidParameterError(f"vertex {v} outside 0..{g.n - 1}")
+    require_vertex(g, v)
     if v in s_set:
         return _make_bounds(0.0, _INF, 0, False, "fixed", 0)
     if v in fixed:

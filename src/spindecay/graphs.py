@@ -123,6 +123,12 @@ def max_degree(g: Graph) -> int:
     return max((len(a) for a in g.adj), default=0)
 
 
+def require_vertex(g: Graph, v, what: str = "vertex") -> None:
+    """Raise InvalidParameterError unless v is an int (not a bool) in 0..n-1."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.n:
+        raise InvalidParameterError(f"{what} {v!r} outside 0..{g.n - 1}")
+
+
 @dataclass(frozen=True)
 class Boundary:
     """Fixed spins plus an optional differing set S (a subset of the fixed keys).

@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameterError,
     ZeroWeightError,
 )
-from .graphs import Boundary, Graph
+from .graphs import Boundary, Graph, require_vertex
 
 ENUMERATION_CAP = 25
 
@@ -98,8 +98,7 @@ def _log_sums(
     if boundary is not None and boundary.S:
         raise InvalidParameterError("exact oracles need an empty differing set")
     for v in fixed:
-        if not (0 <= v < g.n):
-            raise InvalidParameterError(f"fixed vertex {v} outside 0..{g.n - 1}")
+        require_vertex(g, v, "fixed vertex")
     log_beta, log_gamma = (math.log(c) if c > 0.0 else -math.inf for c in (s.beta, s.gamma))
     const = sum(math.log(g.activity(v, s)) for v, spin in fixed.items() if spin == BLUE)
     unary = {v: [0.0, math.log(g.activity(v, s))] for v in range(g.n) if v not in fixed}
@@ -221,8 +220,7 @@ def exact_marginal(
     One elimination that keeps v gives both; working from their difference
     keeps the ratio stable even when one side dwarfs the other.
     """
-    if not (0 <= v < g.n):
-        raise InvalidParameterError(f"vertex {v} outside 0..{g.n - 1}")
+    require_vertex(g, v)
     pin = boundary.fixed.get(v) if boundary is not None else None
     if pin is not None:
         lz = exact_partition(g, s, boundary, cap=cap).log_z

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, guarded_exp
 from .errors import BudgetExceededError, InvalidParameterError, SpinDecayError
-from .graphs import Boundary, Graph
+from .graphs import Boundary, Graph, require_vertex
 
 FREE = "free"
 FIXED = "fixed"
@@ -53,8 +53,9 @@ class Depth:
     t: int
 
     def __post_init__(self):
-        if self.t < 0:
-            raise InvalidParameterError(f"depth cutoff must be nonnegative, got {self.t}")
+        if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 0:
+            raise InvalidParameterError(
+                f"depth cutoff must be a nonnegative integer, got {self.t!r}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,9 @@ class MBased:
     def __post_init__(self):
         if not self.m > 1.0:
             raise InvalidParameterError(f"truncation base must exceed 1, got {self.m}")
-        if self.ell < 1:
-            raise InvalidParameterError(f"truncation budget must be positive, got {self.ell}")
+        if isinstance(self.ell, bool) or not isinstance(self.ell, int) or self.ell < 1:
+            raise InvalidParameterError(
+                f"truncation budget must be a positive integer, got {self.ell!r}")
 
 
 def closing_spin(departed_to: int, closing_from: int) -> str:
@@ -193,7 +195,8 @@ def _walk_single(
     frontier leaves at pendant vertices) keep r_lo == r_hi; the walk is exact
     exactly when its interval is a point.
     visit(depth, vertex, spin), when given, is called on every node below the
-    root in depth-first order; spin is None on free nodes.
+    root in depth-first order; spin is None on free nodes.  The caller has
+    checked that the root and every pin are vertices of g (`require_vertex`).
     """
     beta, gamma = s.beta, s.gamma
     adj = g.adj
@@ -216,17 +219,14 @@ def _walk_single(
     # on_walk[v]: the neighbour the walk left v by, or -1 off the walk
     on_walk = [-1] * n
     code = [_FREE] * n
-    vertices = range(n)
     for v, spin in fixed.items():
-        if v in vertices:
-            code[int(v)] = _BLUE if spin == BLUE else _GREEN
+        code[v] = _BLUE if spin == BLUE else _GREEN
     if s_set:
         # a differing-set member may take either spin, whatever its degree
         leaf = list(leaf)
         for v in s_set:
-            if v in vertices:
-                code[int(v)] = _DIFFERING
-                leaf[int(v)] = (beta, inv_gamma)
+            code[v] = _DIFFERING
+            leaf[v] = (beta, inv_gamma)
     expanded = 1
 
     def expand(u: int, parent: int, depth: int, own_m: int, parent_m: int):
@@ -327,9 +327,10 @@ def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None,
     expanded nodes raise BudgetExceededError, as in every other walk.
     """
     policy = Depth(depth)
-    if not (0 <= v < g.n):
-        raise InvalidParameterError(f"root vertex {v} outside 0..{g.n - 1}")
+    require_vertex(g, v, "root vertex")
     fixed = boundary.fixed if boundary is not None else {}
+    for u in fixed:
+        require_vertex(g, u, "fixed vertex")
     nodes: list[dict] = []
 
     def visit(d: int, w: int, spin: str | None) -> None:

@@ -5,9 +5,10 @@ f_d(x) = lam * ((beta*x + 1)/(x + gamma))**d is strictly decreasing, so it has
 exactly one positive fixed point x_hat_d.  The system is "unique up to Delta"
 when |f_d'(x_hat_d)| < 1 for every arity 1 <= d < Delta, and universally
 unique when that holds for every d.  Everything else here builds on that
-predicate: closed-form threshold activities where they exist, a binary-searched
+predicate: closed-form threshold activities where they exist, a bisected
 gamma threshold, the contraction constant alpha that drives truncation depths,
-and the degree-scaled truncation base M for unbounded-degree graphs.
+the degree-scaled truncation base M for unbounded-degree graphs, and a system
+whose uniqueness is not monotone in the arity.
 
 Bounded and unbounded Delta are checked by the same forward scan over the
 arities.  The absolute bound x_hat_d <= lam / gamma**d (gamma > 1) gives
@@ -15,12 +16,15 @@ arities.  The absolute bound x_hat_d <= lam / gamma**d (gamma > 1) gives
 violation, or where that envelope is decreasing and below 1, which certifies
 all larger arities at once.  contraction_bound scans the same way against
 its own envelope.  One doubling-then-bisection search, _first_arity, finds
-every arity of the thresholds: the first admissible arity and the first
-minimiser of a log-convex critical activity.
+every arity of the thresholds and of the non-monotone witness: the first
+admissible arity, the first minimiser of a log-convex critical activity and
+the first unique arity past it.  gamma_threshold is one bisection over gamma
+between a non-unique and a unique end.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -191,7 +195,9 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
     d = 1
     while d < delta:
         if d >= lo:
-            env = d * s.lam * math.exp(-d * math.log(s.gamma))
+            # lam times the power first: d*lam may overflow where the power
+            # underflows, and inf*0 is NaN, which no comparison ends on
+            env = d * (s.lam * math.exp(-d * math.log(s.gamma)))
             if env < 1.0:
                 return UniquenessResult(unique=True, delta=delta, checked=tuple(checked),
                                         tail_start=d, tail_bound=env)
@@ -207,32 +213,6 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
             )
         d += 1
     return UniquenessResult(unique=True, delta=delta, checked=tuple(checked))
-
-
-@dataclass(frozen=True)
-class ProfileEntry:
-    d: int
-    x_hat: float
-    derivative_abs: float
-    unique: bool
-
-
-def uniqueness_profile(s: SpinSystem, d_max: int) -> list[ProfileEntry]:
-    """Per-arity fixed point, derivative magnitude and uniqueness verdict."""
-    if d_max < 1:
-        raise InvalidParameterError(f"d_max must be positive, got {d_max}")
-    out = []
-    for d in range(1, d_max + 1):
-        fp = fixed_point(s, d)
-        out.append(
-            ProfileEntry(
-                d=d,
-                x_hat=fp.x_hat,
-                derivative_abs=fp.derivative_abs,
-                unique=fp.derivative_abs < 1.0,
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +554,19 @@ def soft_thresholds(beta: float, gamma: float, delta) -> ThresholdReport:
 def gamma_threshold(beta: float, lam: float, delta) -> ThresholdReport:
     """The gamma above which (beta, gamma, lam) is unique up to delta.
 
-    Uniqueness is monotone in gamma on the anti-ferromagnetic range, so a
-    plain binary search against is_unique_up_to converges; the unbounded
-    check already reduces itself to finitely many arities, which makes
-    delta = inf no different from a finite delta here.
+    Uniqueness is monotone in gamma on the anti-ferromagnetic range, so the
+    critical gamma is one bisection against is_unique_up_to between a lower
+    end lo that is not unique and an upper end hi that is.  For beta > 0 the
+    range is (beta, 1/beta); 1/beta is never probed, as 1 - beta*gamma tends
+    to 0 there and the system is unique in the limit.  For beta = 0, hi
+    doubles from 1 until unique and lo is the floor 1e-12, below which a
+    fixed point has no correct digits.  When lo is unique, every gamma is,
+    and the report says so with the value beta.  The unbounded check already
+    reduces itself to finitely many arities, which makes delta = inf no
+    different from a finite delta here.
     """
-    if beta < 0 or not math.isfinite(beta):
-        raise InvalidParameterError(f"beta must be nonnegative and finite, got {beta!r}")
+    if not 0.0 <= beta < 1.0:
+        raise InvalidParameterError(f"beta must lie in [0, 1), got {beta!r}")
     if lam <= 0 or not math.isfinite(lam):
         raise InvalidParameterError(f"lam must be positive and finite, got {lam!r}")
     delta = _validate_delta(delta)
@@ -588,53 +574,25 @@ def gamma_threshold(beta: float, lam: float, delta) -> ThresholdReport:
     def unique_at(g: float) -> bool:
         return bool(is_unique_up_to(SpinSystem(beta, g, lam), delta))
 
-    if beta == 0.0:
-        g_true = 1.0
-        for _ in range(200):
-            if unique_at(g_true):
-                break
-            g_true *= 2.0
-        else:
-            raise NoThresholdError("no gamma with uniqueness found for these parameters")
-        g_false = g_true * 0.5
-        while g_false > 1e-12 and unique_at(g_false):
-            g_false *= 0.5
-        if unique_at(g_false):
-            return ThresholdReport(
-                kind="gamma_c", values=(0.0,), delta=delta,
-                extras={"all_gamma_unique": True},
-            )
+    if beta > 0.0:
+        # 1/beta overflows for a subnormal beta; the float range holds hi then
+        lo, hi = beta, min(1.0 / beta, sys.float_info.max)
     else:
-        lo, hi = beta, 1.0 / beta
-        g_true = None
-        for k in range(1, 60):
-            cand = hi - (hi - lo) * 0.5**k
-            if unique_at(cand):
-                g_true = cand
-                break
-        if g_true is None:
-            raise NoThresholdError("no gamma with uniqueness found for these parameters")
-        g_false = None
-        for k in range(1, 60):
-            cand = lo + (hi - lo) * 0.5**k
-            if cand < g_true and not unique_at(cand):
-                g_false = cand
-                break
-        if g_false is None:
-            return ThresholdReport(
-                kind="gamma_c", values=(beta,), delta=delta,
-                extras={"all_gamma_unique": True},
-            )
-
-    while g_true - g_false > 1e-10 * (1.0 + g_true):
-        mid = 0.5 * (g_true + g_false)
+        lo, hi = 1e-12, 1.0
+        while not unique_at(hi):
+            hi *= 2.0
+            if hi == math.inf:
+                raise NoThresholdError("no gamma with uniqueness found for these parameters")
+    if unique_at(lo):
+        return ThresholdReport(kind="gamma_c", values=(beta,), delta=delta,
+                               extras={"all_gamma_unique": True})
+    while hi - lo > 1e-10 * (1.0 + hi):
+        mid = 0.5 * (lo + hi)
         if unique_at(mid):
-            g_true = mid
+            hi = mid
         else:
-            g_false = mid
-    return ThresholdReport(
-        kind="gamma_c", values=(0.5 * (g_true + g_false),), delta=delta
-    )
+            lo = mid
+    return ThresholdReport(kind="gamma_c", values=(0.5 * (lo + hi),), delta=delta)
 
 
 def universal_lambda_threshold(beta: float, gamma: float) -> ThresholdReport:
@@ -689,6 +647,11 @@ def _verify_truncation_base(s: SpinSystem, alpha: float, m: float) -> bool:
     return _log_envelope(s, d) <= relaxed
 
 
+# choose_M's candidate bases, in the order it tries them
+_M_GRID = (*(k / 10 for k in range(11, 200)), *map(float, range(20, 200)),
+           *(200.0 * 2**k for k in range(9)))
+
+
 def choose_M(s: SpinSystem, alpha: float) -> float:
     """Smallest grid value M > 1 making per-level contraction
     alpha**ceil_log(M, d+1) dominate every arity d >= M.
@@ -704,20 +667,7 @@ def choose_M(s: SpinSystem, alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
 
-    def grid():
-        m = 1.1
-        while m < 20.0:
-            yield round(m, 1)
-            m += 0.1
-        m = 20.0
-        while m < 200.0:
-            yield m
-            m += 1.0
-        while m <= 65536.0:
-            yield m
-            m *= 2.0
-
-    for m in grid():
+    for m in _M_GRID:
         if _verify_truncation_base(s, alpha, m):
             return m
     raise NoThresholdError(
@@ -737,40 +687,22 @@ class NonMonotoneWitness:
     unique_d: int
 
 
-# Documented default search grid: small beta, gamma comfortably above 1,
-# activity just above the universal threshold.
-_WITNESS_BETAS = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
-_WITNESS_GAMMAS = (1.1, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0)
-_WITNESS_MULTIPLIERS = (1.01, 1.1, 1.25, 1.5, 2.0)
-
-
-def find_non_monotone_witness(d_max: int = 120) -> NonMonotoneWitness:
+def find_non_monotone_witness() -> NonMonotoneWitness:
     """A system unique at some arity strictly above a non-unique one.
 
-    Scans the default grid for gamma > 1 with activity slightly above the
-    universal threshold: such a system loses uniqueness at some moderate
-    arity yet regains it for all large ones.
+    (beta, gamma) = (0.05, 1.1) with lam 1% above its universal threshold
+    lam_c = lam_low(d_c), d_c the threshold's witness arity: the system is
+    not unique at d_c, as lam_low(d_c) < lam < lam_high(d_c), yet it is unique
+    at every large arity, since lam_low is log-convex and unbounded
+    (_least_critical).  Past d_c, lam_low rises, so uniqueness stays once it
+    holds and _first_arity finds the first unique arity above d_c.  Both
+    arities are checked against their fixed points.
     """
-    for beta in _WITNESS_BETAS:
-        for gamma in _WITNESS_GAMMAS:
-            if beta * gamma >= 1.0:
-                continue
-            try:
-                lam_c = universal_lambda_threshold(beta, gamma).values[0]
-            except (NoThresholdError, InvalidParameterError):
-                continue
-            for mult in _WITNESS_MULTIPLIERS:
-                lam = lam_c * mult
-                if not math.isfinite(lam):
-                    continue
-                s = SpinSystem(beta, gamma, lam)
-                bad = None
-                for entry in uniqueness_profile(s, d_max):
-                    if bad is None:
-                        if not entry.unique:
-                            bad = entry.d
-                    elif entry.unique:
-                        return NonMonotoneWitness(
-                            system=s, non_unique_d=bad, unique_d=entry.d
-                        )
-    raise SpinDecayError("no non-monotone witness found on the default grid")
+    beta, gamma = 0.05, 1.1
+    rep = universal_lambda_threshold(beta, gamma)
+    s = SpinSystem(beta, gamma, 1.01 * rep.values[0])
+    bad = rep.witness_d
+    good = _first_arity(lambda d: fixed_point(s, d).derivative_abs < 1.0, bad + 1)
+    if not fixed_point(s, bad).derivative_abs >= 1.0 > fixed_point(s, good).derivative_abs:
+        raise SpinDecayError(f"arities {bad} and {good} of {s} are no non-monotone witness")
+    return NonMonotoneWitness(system=s, non_unique_d=bad, unique_d=good)

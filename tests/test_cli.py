@@ -28,6 +28,7 @@ from spindecay.graphs import (
     star,
 )
 from spindecay.oracle import exact_partition
+from spindecay.uniqueness import gamma_threshold
 
 from helpers import FLIP, SWAP_GRAPH, brute_log_z, hand_swapped, inverted, saw_tree
 
@@ -98,6 +99,16 @@ def test_thresholds_command(capsys):
     assert doc["outputs"]["values"] == [4.0]
     rc, _, err = run(capsys, "thresholds", "--kind", "hardcore", "--delta", "3")
     assert rc == 1 and "gamma" in err
+    doc = run_json(capsys, "thresholds", "--kind", "gamma", "--beta", "0.1",
+                   "--lambda", "1.2")
+    assert doc["inputs"] == {"kind": "gamma", "beta": 0.1, "lambda": 1.2, "delta": math.inf}
+    assert doc["outputs"]["values"] == [gamma_threshold(0.1, 1.2, math.inf).values[0]]
+    doc = run_json(capsys, "thresholds", "--kind", "gamma", "--beta", "0.3",
+                   "--lambda", "1", "--delta", "2")
+    assert doc["outputs"]["values"] == [0.3]
+    assert doc["outputs"]["extras"] == {"all_gamma_unique": True}
+    rc, out, err = run(capsys, "thresholds", "--kind", "gamma", "--beta", "0.1")
+    assert (rc, out, err) == (1, "", "error: --kind gamma needs --beta and --lambda\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -118,21 +129,35 @@ def _optional(values):
     return st.none() | values
 
 
-@given(kind=st.sampled_from(["hardcore", "soft", "universal"]),
-       beta=_optional(st.floats()), gamma=_optional(st.floats()),
-       delta=_optional(st.just("inf") | st.integers(-3, 10**30).map(str)))
+def _with_delta(kind):
+    # gamma near 1 makes one uniqueness check an arity scan up to delta (up to
+    # 1/(gamma - 1) for delta = inf), and --kind gamma bisects over such
+    # checks, so it takes moderate finite bounds only
+    delta = (st.integers(2, 60).map(str) if kind == "gamma" else
+             _optional(st.just("inf") | st.integers(-3, 10**30).map(str)))
+    return st.tuples(st.just(kind), delta)
+
+
+@given(kind_delta=st.sampled_from(["hardcore", "soft", "gamma", "universal"]).flatmap(_with_delta),
+       beta=_optional(st.floats()), gamma=_optional(st.floats()), lam=_optional(st.floats()))
 @settings(max_examples=300, deadline=None)
 # roots past the float range, either way; a coupling product rounding to 1;
-# powers past the float range; a window that peaks inside (beta > gamma)
-@example(kind="universal", beta=5e-324, gamma=1.25, delta=None)
-@example(kind="soft", beta=1.5, gamma=5e-324, delta="710333980138651")
-@example(kind="soft", beta=1.7976931348623157e308, gamma=5e-324, delta="101800")
-@example(kind="soft", beta=0.9999999999999999, gamma=1.0, delta=str(10**30))
-@example(kind="hardcore", beta=None, gamma=1e200, delta="3")
-@example(kind="soft", beta=1.03, gamma=0.69, delta=str(10**30))
-def test_thresholds_fail_with_one_line_and_an_exit_code(kind, beta, gamma, delta):
+# powers past the float range; a window that peaks inside (beta > gamma);
+# a beta whose 1/beta overflows, and one below which every probe of a capped
+# bracket was unique
+@example(kind_delta=("universal", None), beta=5e-324, gamma=1.25, lam=None)
+@example(kind_delta=("soft", "710333980138651"), beta=1.5, gamma=5e-324, lam=None)
+@example(kind_delta=("soft", "101800"), beta=1.7976931348623157e308, gamma=5e-324, lam=None)
+@example(kind_delta=("soft", str(10**30)), beta=0.9999999999999999, gamma=1.0, lam=None)
+@example(kind_delta=("hardcore", "3"), beta=None, gamma=1e200, lam=None)
+@example(kind_delta=("soft", str(10**30)), beta=1.03, gamma=0.69, lam=None)
+@example(kind_delta=("gamma", "60"), beta=5e-324, gamma=None, lam=1.0)
+@example(kind_delta=("gamma", "60"), beta=1e-20, gamma=None, lam=1.0)
+def test_thresholds_fail_with_one_line_and_an_exit_code(kind_delta, beta, gamma, lam):
+    kind, delta = kind_delta
     argv = ["thresholds", "--kind", kind]
-    for flag, value in (("--beta", beta), ("--gamma", gamma), ("--delta", delta)):
+    for flag, value in (("--beta", beta), ("--gamma", gamma), ("--lambda", lam),
+                        ("--delta", delta)):
         if value is not None:
             argv.append(f"{flag}={value}")
     out, err = io.StringIO(), io.StringIO()
@@ -202,6 +227,25 @@ def test_partition_command_matches_enumeration(capsys, c4_file):
     assert out["log_z_lo"] <= math.log(7.0) <= out["log_z_hi"]
     assert out["rel_error_bound"] == math.expm1(0.5 * (out["log_z_hi"] - out["log_z_lo"]))
     assert out["expanded"] > 0
+
+
+@pytest.mark.parametrize("order, elim", [
+    ("input", [0, 1, 2, 3]), ("reverse", [3, 2, 1, 0]), ("3,2,1,0", [3, 2, 1, 0]),
+    ("1,3,0,2", [1, 3, 0, 2]),
+])
+def test_partition_order_flag(capsys, c4_file, order, elim):
+    doc = run_json(capsys, "partition", "--graph", c4_file, "--eps", "0.02", "--order", order)
+    out = doc["outputs"]
+    assert doc["inputs"]["order"] == order
+    assert [v for v, _ in out["per_vertex_p"]] == elim
+    assert out["log_z_lo"] <= math.log(7.0) <= out["log_z_hi"]
+
+
+@pytest.mark.parametrize("order, code", [("3,2,x,0", 1), ("", 1), ("3,2,1", 2), ("3,2,1,1", 2)])
+def test_partition_order_flag_rejects_what_is_no_order(capsys, c4_file, order, code):
+    # a malformed list is a usage error, a list that is no order a bad parameter
+    rc, out, err = run(capsys, "partition", "--graph", c4_file, "--order", order)
+    assert rc == code and out == "" and err.count("\n") == 1 and "order" in err
 
 
 def test_partition_interval_translates_back_when_swapped(capsys, k2_file):
@@ -348,6 +392,9 @@ _ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 
        eps=st.floats() | st.sampled_from([0.0, -0.1, math.nan, 1e-3, 0.1]),
        vertex=st.integers(-1, 8), t_max=st.integers(-1, 12))
 @settings(max_examples=150, deadline=None)
+# d*lam overflows where gamma**-d underflows: the envelope tail must still end the scan
+@example(command="uniqueness", g=path(2), beta=0.0, gamma=1.7976931348623157e308,
+         lam=1.7976931348623157e308, delta="inf", mode="depth", eps=0.1, vertex=0, t_max=1)
 def test_commands_fail_with_one_line_and_an_exit_code(command, g, beta, gamma, lam, delta,
                                                       mode, eps, vertex, t_max):
     system = [f"--beta={beta!r}", f"--gamma={gamma!r}", f"--lambda={lam!r}"]
@@ -435,6 +482,9 @@ def test_exit_code_usage_errors(capsys, k2_file, tmp_path):
     rc, _, _ = run(capsys, "exact", "--graph", k2_file, "--beta", "0",
                    "--gamma", "1", "--lambda", "1", "--fix", "1=purple")
     assert rc == 1
+    rc, _, err = run(capsys, "exact", "--graph", k2_file, "--beta", "0",
+                     "--gamma", "1", "--lambda", "1", "--fix", "1.5=blue")
+    assert rc == 1 and err == "error: --fix: bad vertex '1.5'\n"
     rc, _, _ = run(capsys, "marginal", "--graph", k2_file, "--vertex", "0", "--beta",
                    "0", "--gamma", "1", "--lambda", "1", "--threads", "2")
     assert rc == 1  # no such flag: evaluation is sequential

@@ -197,10 +197,35 @@ def test_policy_validation():
         bounds(g, HARDCORE, 0, policy=MBased(1.0, 3))
     with pytest.raises(InvalidParameterError):
         bounds(g, HARDCORE, 0, policy=MBased(2.0, 0))
+    for make in (lambda: Depth(2.5), lambda: Depth(True), lambda: MBased(2.0, 1.5),
+                 lambda: MBased(2.0, True)):
+        with pytest.raises(InvalidParameterError):
+            make()  # levels are integers
     with pytest.raises(InvalidParameterError):
         bounds(g, HARDCORE, 0, policy=None)  # None walks the whole tree in the kernel only
     with pytest.raises(InvalidParameterError):
         bounds(g, HARDCORE, 5, policy=Depth(1))
+
+
+_ENTRY_POINTS = {
+    "bounds": lambda g, v, b: bounds(g, SOFT, v, b, Depth(3)),
+    "estimate_marginal": lambda g, v, b: estimate_marginal(g, SOFT, v, b),
+    "decay_curve": lambda g, v, b: decay_curve(g, SOFT, v, b, t_max=3),
+    "approx_partition": lambda g, v, b: approx_partition(
+        g, SOFT, 0.1, b, order=[v, *(u for u in range(g.n) if u != v)]),
+    "exhaustive_ratio": lambda g, v, b: exhaustive_ratio(g, SOFT, v, b),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("root, fixed", [
+    (0, {99: BLUE}), (0, {-1: GREEN}), (0, {1.0: BLUE}), (0, {True: BLUE}),
+    (1.0, {}), (True, {}), (4, {}),
+], ids=["pin-99", "pin-minus-1", "pin-float", "pin-bool", "root-float", "root-bool", "root-4"])
+def test_entry_points_reject_what_is_no_vertex(entry, root, fixed):
+    # approx_partition takes the root as the head of its order (1.0 == 1)
+    with pytest.raises(InvalidParameterError):
+        _ENTRY_POINTS[entry](path(4), root, Boundary(fixed=fixed))
 
 
 def test_accuracy_loop_meets_a_tight_target():

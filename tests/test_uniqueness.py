@@ -26,7 +26,6 @@ from spindecay.uniqueness import (
     hardcore_threshold,
     is_unique_up_to,
     soft_thresholds,
-    uniqueness_profile,
     universal_lambda_threshold,
 )
 
@@ -81,6 +80,14 @@ def test_universal_uniqueness_requires_growing_gamma():
     assert good.unique and good.tail_start is not None
 
 
+def test_envelope_tail_survives_an_overflowing_activity():
+    # d*lam overflows to inf where gamma**-d underflows to 0; their product
+    # was NaN, and the scan never ended
+    big = sys.float_info.max
+    res = is_unique_up_to(SpinSystem(0.0, big, big), math.inf)
+    assert res.unique and res.tail_start == 2 and res.tail_bound == 0.0
+
+
 def test_envelope_shortcut_covers_large_finite_bounds():
     res = is_unique_up_to(SpinSystem(0.2, 4.0, 1.0), 500)
     assert res.unique
@@ -121,15 +128,6 @@ def test_universal_uniqueness_matches_the_inf_threshold():
     assert is_unique_up_to(SpinSystem(0.0, 2.0, 26.0), math.inf).unique
     bad = is_unique_up_to(SpinSystem(0.0, 2.0, 28.0), math.inf)
     assert not bad.unique and bad.violating.d == 3
-
-
-def test_uniqueness_profile_matches_fixed_points():
-    s = SpinSystem(0.0, 1.0, 2.0)
-    prof = uniqueness_profile(s, 6)
-    assert [e.d for e in prof] == list(range(1, 7))
-    for e in prof:
-        assert e.unique == (e.derivative_abs < 1.0)
-        assert e.x_hat == pytest.approx(fixed_point(s, e.d).x_hat, rel=1e-12)
 
 
 def test_contraction_entries_respect_the_derivative_ceiling():
@@ -391,11 +389,45 @@ def test_gamma_threshold_separates_the_regimes():
 
 
 def test_gamma_threshold_bracket_may_probe_gamma_near_one():
-    # the bracket's lower probes approach beta and pass gamma = 1 + 6.3e-6
+    # the bisection's lowest probe above gamma = 1 is 1.039
     beta, lam = 0.09871169290240459, 1.3984426131832892
     gc = gamma_threshold(beta, lam, math.inf).values[0]
     assert not is_unique_up_to(SpinSystem(beta, gc * (1 - 1e-6), lam), math.inf).unique
     assert is_unique_up_to(SpinSystem(beta, gc * (1 + 1e-6), lam), math.inf).unique
+
+
+@pytest.mark.parametrize("beta", [1e-20, 1e-300])
+def test_gamma_threshold_of_a_tiny_beta_matches_beta_zero(beta):
+    # gamma = 0.5 is not unique, so "every gamma is unique" would be wrong
+    assert not is_unique_up_to(SpinSystem(beta, 0.5, 1.0), math.inf)
+    hardcore = gamma_threshold(0.0, 1.0, math.inf).values[0]
+    rep = gamma_threshold(beta, 1.0, math.inf)
+    assert rep.extras == {} and rep.values[0] == pytest.approx(hardcore, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta, lam, delta", [
+    (0.0, 1.0, 5), (0.0, 1.0, math.inf), (0.0, 50.0, 3), (1e-20, 1.0, math.inf),
+    (0.1, 1.2, math.inf), (0.3, 2.0, 6), (0.5, 0.01, 40), (0.6, 5.0, 30),
+])
+def test_gamma_threshold_is_a_crossing(beta, lam, delta):
+    gc = gamma_threshold(beta, lam, delta).values[0]
+    assert not is_unique_up_to(SpinSystem(beta, gc * (1 - 1e-6), lam), delta)
+    assert is_unique_up_to(SpinSystem(beta, gc * (1 + 1e-6), lam), delta)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_gamma_threshold_reports_all_unique_after_two_checks(beta):
+    # arity 1, the only one below delta = 2, is unique for every system
+    is_unique_up_to.cache_clear()
+    rep = gamma_threshold(beta, 1.0, 2)
+    assert rep.values == (beta,) and rep.extras == {"all_gamma_unique": True}
+    assert is_unique_up_to.cache_info().misses <= 2
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, math.inf, math.nan, -0.1])
+def test_gamma_threshold_needs_beta_below_one(beta):
+    with pytest.raises(InvalidParameterError):
+        gamma_threshold(beta, 1.0, 5)
 
 
 def test_universal_lambda_threshold_flips_uniqueness():
@@ -426,6 +458,6 @@ def test_choose_m_rejects_flat_gamma():
 
 def test_non_monotone_witness_is_genuine():
     w = find_non_monotone_witness()
-    assert w.non_unique_d < w.unique_d
+    assert (w.non_unique_d, w.unique_d) == (12, 14)
     assert fixed_point(w.system, w.non_unique_d).derivative_abs >= 1.0
     assert fixed_point(w.system, w.unique_d).derivative_abs < 1.0
