@@ -1,122 +1,83 @@
-"""Certified correlation-decay computations for two-state spin systems."""
-from .core import (
-    ANTIFERROMAGNETIC,
-    BLUE,
-    DEGENERATE,
-    FERROMAGNETIC,
-    GREEN,
-    Classification,
-    SpinSystem,
-    alpha,
-    alpha_sym,
-    classify,
-    edge_factor,
-    fixed_point_derivative,
-    recursion_f,
-    swap_spins,
-    symmetric_f,
-)
-from .errors import (
-    BudgetExceededError,
-    EnumerationCapError,
-    GraphFormatError,
-    InvalidParameterError,
-    NoThresholdError,
-    SpinDecayError,
-    UniquenessError,
-    ZeroWeightError,
-)
-from .estimator import (
-    Depth,
-    MarginalBounds,
-    MBased,
-    PartitionEstimate,
-    approx_partition,
-    bounds,
-    decay_curve,
-    estimate_marginal,
-)
-from .graphs import Boundary, Graph, Instance, from_edges, load, loads, max_degree
-from .oracle import (
-    ExactMarginal,
-    ExactResult,
-    exact_marginal,
-    exact_partition,
-    log_weight,
-)
-from .uniqueness import (
-    ContractionBound,
-    FixedPointResult,
-    ThresholdReport,
-    UniquenessResult,
-    choose_M,
-    contraction_bound,
-    find_non_monotone_witness,
-    fixed_point,
-    gamma_threshold,
-    hardcore_threshold,
-    is_unique_up_to,
-    soft_thresholds,
-    universal_lambda_threshold,
-)
+"""Certified correlation-decay computations for two-state spin systems.
+
+The package's names resolve lazily (PEP 562): ``import spindecay`` loads no
+submodule, and the first use of a name imports the submodule that defines
+it.  ``spindecay.X`` is then the same object as ``spindecay.<module>.X``.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANTIFERROMAGNETIC",
-    "BLUE",
-    "DEGENERATE",
-    "FERROMAGNETIC",
-    "GREEN",
-    "Boundary",
-    "BudgetExceededError",
-    "Classification",
-    "ContractionBound",
-    "Depth",
-    "EnumerationCapError",
-    "ExactMarginal",
-    "ExactResult",
-    "FixedPointResult",
-    "Graph",
-    "GraphFormatError",
-    "Instance",
-    "InvalidParameterError",
-    "MBased",
-    "MarginalBounds",
-    "NoThresholdError",
-    "PartitionEstimate",
-    "SpinDecayError",
-    "SpinSystem",
-    "ThresholdReport",
-    "UniquenessError",
-    "UniquenessResult",
-    "ZeroWeightError",
-    "alpha",
-    "alpha_sym",
-    "approx_partition",
-    "bounds",
-    "choose_M",
-    "classify",
-    "contraction_bound",
-    "decay_curve",
-    "edge_factor",
-    "estimate_marginal",
-    "exact_marginal",
-    "exact_partition",
-    "find_non_monotone_witness",
-    "fixed_point",
-    "fixed_point_derivative",
-    "from_edges",
-    "gamma_threshold",
-    "hardcore_threshold",
-    "is_unique_up_to",
-    "load",
-    "loads",
-    "log_weight",
-    "max_degree",
-    "recursion_f",
-    "soft_thresholds",
-    "swap_spins",
-    "symmetric_f",
-    "universal_lambda_threshold",
-]
+# home submodule -> the names the package exports from it
+_EXPORTS = {
+    "core": (
+        "ANTIFERROMAGNETIC",
+        "BLUE",
+        "DEGENERATE",
+        "FERROMAGNETIC",
+        "GREEN",
+        "Classification",
+        "SpinSystem",
+        "alpha",
+        "alpha_sym",
+        "classify",
+        "edge_factor",
+        "fixed_point_derivative",
+        "recursion_f",
+        "swap_spins",
+        "symmetric_f",
+    ),
+    "errors": (
+        "BudgetExceededError",
+        "EnumerationCapError",
+        "GraphFormatError",
+        "InvalidParameterError",
+        "NoThresholdError",
+        "SpinDecayError",
+        "UniquenessError",
+        "ZeroWeightError",
+    ),
+    "estimator": (
+        "Depth",
+        "MarginalBounds",
+        "MBased",
+        "PartitionEstimate",
+        "approx_partition",
+        "bounds",
+        "decay_curve",
+        "estimate_marginal",
+    ),
+    "graphs": ("Boundary", "Graph", "Instance", "from_edges", "load", "loads", "max_degree"),
+    "oracle": ("ExactMarginal", "ExactResult", "exact_marginal", "exact_partition", "log_weight"),
+    "uniqueness": (
+        "ContractionBound",
+        "FixedPointResult",
+        "ThresholdReport",
+        "UniquenessResult",
+        "choose_M",
+        "contraction_bound",
+        "find_non_monotone_witness",
+        "fixed_point",
+        "gamma_threshold",
+        "hardcore_threshold",
+        "is_unique_up_to",
+        "soft_thresholds",
+        "universal_lambda_threshold",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -29,9 +29,13 @@ import math
 import sys
 import time
 
+# Each handler imports the modules it calls, so that a command loads only
+# what it runs: `classify` needs nothing beyond core.
 from .core import (
     ANTIFERROMAGNETIC,
     BLUE,
+    DEFAULT_BUDGET,
+    ENUMERATION_CAP,
     GREEN,
     SpinSystem,
     classify,
@@ -45,27 +49,6 @@ from .errors import (
     SpinDecayError,
     UniquenessError,
     ZeroWeightError,
-)
-from .estimator import (
-    DEFAULT_BUDGET,
-    Depth,
-    approx_partition,
-    bounds,
-    decay_curve,
-    estimate_marginal,
-    require_positive_weight,
-)
-from .graphs import Boundary, Graph, Instance, load, loads
-from .oracle import ENUMERATION_CAP, exact_marginal, exact_partition
-from .saw import dump_levels
-from .uniqueness import (
-    choose_M,
-    contraction_bound,
-    gamma_threshold,
-    hardcore_threshold,
-    is_unique_up_to,
-    soft_thresholds,
-    universal_lambda_threshold,
 )
 
 
@@ -155,9 +138,8 @@ def _resolve_system(args, embedded: SpinSystem | None) -> SpinSystem:
     missing = [n for n, v in (("--beta", beta), ("--gamma", gamma), ("--lambda", lam))
                if v is None]
     if missing:
-        raise _UsageError(
-            f"missing {', '.join(missing)} (no value on the command line or in the file)"
-        )
+        where = "on the command line or in the file" if "graph" in args else "on the command line"
+        raise _UsageError(f"missing {', '.join(missing)} (no value {where})")
     return SpinSystem(beta, gamma, lam)
 
 
@@ -174,8 +156,10 @@ def _parse_fixes(fixes: list[str]) -> dict[int, str]:
     return out
 
 
-def _load_boundary(args) -> tuple[Instance, Boundary | None]:
+def _load_boundary(args):
     """The instance file and its boundary with the --fix pins added."""
+    from .graphs import Boundary, load, loads
+
     if args.graph == "-":
         inst = loads(sys.stdin.read())
     else:
@@ -190,7 +174,8 @@ def _load_boundary(args) -> tuple[Instance, Boundary | None]:
     return inst, boundary
 
 
-def _load_instance(args) -> tuple[Graph, Boundary | None, SpinSystem]:
+def _load_instance(args):
+    """The graph, its boundary and the system (flags before the file's)."""
     inst, boundary = _load_boundary(args)
     return inst.graph, boundary, _resolve_system(args, inst.system)
 
@@ -200,7 +185,7 @@ def _load_instance(args) -> tuple[Graph, Boundary | None, SpinSystem]:
 
 
 def _cmd_classify(args):
-    s = SpinSystem(args.beta, args.gamma, args.lam)
+    s = _resolve_system(args, None)
     cls = classify(s)
     outputs = {
         "kind": cls.kind,
@@ -215,7 +200,9 @@ _MAX_LISTED = 32
 
 
 def _cmd_uniqueness(args):
-    s0 = SpinSystem(args.beta, args.gamma, args.lam)
+    from .uniqueness import choose_M, contraction_bound, is_unique_up_to
+
+    s0 = _resolve_system(args, None)
     cls = classify(s0)
     s = cls.system
     res = is_unique_up_to(s, args.delta)
@@ -246,17 +233,20 @@ def _cmd_uniqueness(args):
     return inputs, outputs
 
 
-# --kind: the threshold function and the arguments it takes, in order
+# --kind: the threshold function in `uniqueness` and the arguments it takes,
+# in order
 _THRESHOLDS = {
-    "hardcore": (hardcore_threshold, ("gamma", "delta")),
-    "soft": (soft_thresholds, ("beta", "gamma", "delta")),
-    "gamma": (gamma_threshold, ("beta", "lam", "delta")),
-    "universal": (universal_lambda_threshold, ("beta", "gamma")),
+    "hardcore": ("hardcore_threshold", ("gamma", "delta")),
+    "soft": ("soft_thresholds", ("beta", "gamma", "delta")),
+    "gamma": ("gamma_threshold", ("beta", "lam", "delta")),
+    "universal": ("universal_lambda_threshold", ("beta", "gamma")),
 }
 _SYSTEM_FLAGS = {"beta": "--beta", "gamma": "--gamma", "lam": "--lambda"}
 
 
 def _cmd_thresholds(args):
+    from . import uniqueness
+
     func, names = _THRESHOLDS[args.kind]
     values = [getattr(args, name) for name in names]
     if None in values:  # --delta has a default
@@ -264,10 +254,12 @@ def _cmd_thresholds(args):
         raise _UsageError(f"--kind {args.kind} needs {flags}")
     inputs = {"kind": args.kind}
     inputs.update(("lambda" if name == "lam" else name, v) for name, v in zip(names, values))
-    return inputs, func(*values)
+    return inputs, getattr(uniqueness, func)(*values)
 
 
 def _cmd_marginal(args):
+    from .estimator import Depth, bounds, estimate_marginal
+
     g, b, s = _load_instance(args)
     if args.depth is not None:
         est = bounds(g, s, args.vertex, b, Depth(args.depth), budget=args.budget)
@@ -301,6 +293,8 @@ def _parse_order(text: str | None, n: int):
 
 
 def _cmd_partition(args):
+    from .estimator import approx_partition
+
     g, b, s = _load_instance(args)
     order = _parse_order(args.order, g.n)
     est = approx_partition(
@@ -326,6 +320,8 @@ def _cmd_partition(args):
 
 
 def _cmd_exact(args):
+    from .oracle import exact_marginal, exact_partition
+
     g, b, s = _load_instance(args)
     res = exact_partition(g, s, b, cap=args.cap)
     outputs = {
@@ -346,6 +342,8 @@ def _cmd_exact(args):
 
 
 def _cmd_decay(args):
+    from .estimator import decay_curve
+
     g, b, s = _load_instance(args)
     curve = decay_curve(g, s, args.vertex, b, t_max=args.t_max, budget=args.budget)
     inputs = {
@@ -357,6 +355,9 @@ def _cmd_decay(args):
 
 
 def _cmd_saw_dump(args):
+    from .estimator import require_positive_weight
+    from .saw import dump_levels
+
     inst, boundary = _load_boundary(args)
     if inst.system is not None:  # the tree's shape does not need one
         require_positive_weight(inst.graph, inst.system, boundary)

@@ -33,6 +33,12 @@ DEGENERATE = "degenerate"
 # Past this many children the recursion product is accumulated in log space.
 LOG_PRODUCT_CUTOFF = 32
 
+# Defaults of the estimator's walk-tree node budget and of the exact oracle's
+# elimination cap.  They live here, beside the records every command imports,
+# so that the CLI's parser can show them without importing those modules.
+DEFAULT_BUDGET = 5_000_000
+ENUMERATION_CAP = 25
+
 
 @dataclass(frozen=True)
 class SpinSystem:

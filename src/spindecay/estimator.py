@@ -45,14 +45,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .core import BLUE, GREEN, SpinSystem, classify, require_antiferromagnetic
+from .core import (
+    BLUE,
+    DEFAULT_BUDGET,
+    GREEN,
+    SpinSystem,
+    classify,
+    require_antiferromagnetic,
+)
 from .errors import InvalidParameterError, SpinDecayError, ZeroWeightError
 from .graphs import Boundary, Graph, max_degree, require_vertex
 from .oracle import log_weight
 from .saw import Depth, MBased, _walk_single, frontier_factors
 from .uniqueness import choose_M, contraction_bound
-
-DEFAULT_BUDGET = 5_000_000
 
 _INF = math.inf
 

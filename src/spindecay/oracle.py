@@ -23,15 +23,13 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from .core import BLUE, GREEN, SpinSystem, guarded_exp
+from .core import BLUE, ENUMERATION_CAP, GREEN, SpinSystem, guarded_exp
 from .errors import (
     EnumerationCapError,
     InvalidParameterError,
     ZeroWeightError,
 )
 from .graphs import Boundary, Graph, require_vertex
-
-ENUMERATION_CAP = 25
 
 
 def log_weight(g: Graph, s: SpinSystem, spins) -> float:

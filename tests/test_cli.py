@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spindecay.cli import main
+from spindecay import estimator, oracle
+from spindecay.cli import build_parser, main
 from spindecay.core import SpinSystem
 from spindecay.errors import GraphFormatError, SpinDecayError
 from spindecay.estimator import estimate_marginal
@@ -467,6 +468,26 @@ def test_swapped_systems_translate_back(capsys, k2_file):
                     "--beta", "2.0", "--gamma", "0.4", "--lambda", "2.0",
                     "--eps", "1e-9")
     assert doc2["outputs"]["p_lo"] == pytest.approx(expect, abs=1e-8)
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["uniqueness", "--delta", "3"]])
+def test_missing_system_flags_are_usage_errors(capsys, argv):
+    rc, out, err = run(capsys, *argv, "--gamma", "1")
+    assert (rc, out) == (1, "")
+    assert err == "error: missing --beta, --lambda (no value on the command line)\n"
+
+
+def test_parser_defaults_are_the_library_defaults(capsys):
+    parser = build_parser()
+    args = parser.parse_args(["marginal", "--graph", "g.json", "--vertex", "0"])
+    assert args.budget == estimator.DEFAULT_BUDGET == 5_000_000
+    args = parser.parse_args(["exact", "--graph", "g.json"])
+    assert args.cap == oracle.ENUMERATION_CAP == 25
+    for command, line in (("partition", "walk-tree node budget (default 5000000)"),
+                          ("exact", "2^cap entries (default 25)")):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        assert line in " ".join(capsys.readouterr().out.split())
 
 
 def test_exit_code_usage_errors(capsys, k2_file, tmp_path):
