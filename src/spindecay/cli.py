@@ -355,7 +355,7 @@ def _cmd_decay(args):
 
 
 def _cmd_saw_dump(args):
-    from .estimator import require_positive_weight
+    from .graphs import require_positive_weight
     from .saw import dump_levels
 
     inst, boundary = _load_boundary(args)

@@ -12,8 +12,9 @@ On a tree the blue/green ratio at the root satisfies
 
 over the child ratios R_i.  Ratios live on [0, +inf]; +inf means the vertex
 is forced blue, and the per-child factor degenerates to exactly beta there.
-This module holds that recursion, its symmetric specialisation, the potential
-used to amortise decay, and the contraction functions built on it.
+This module holds that recursion, its symmetric specialisation, and the
+contraction functions built on it, which amortise decay by a potential
+(`alpha`).
 """
 from __future__ import annotations
 
@@ -186,15 +187,6 @@ def fixed_point_derivative(s: SpinSystem, d: int, x: float) -> float:
     the cancellation of differentiating the power directly.
     """
     return d * (1.0 - s.beta * s.gamma) * x / ((s.beta * x + 1.0) * (x + s.gamma))
-
-
-def potential_phi(s: SpinSystem, r: float) -> float:
-    """Decay potential 1 / sqrt(r * (beta*r + 1) * (r + gamma)) for r in (0, inf)."""
-    if not isinstance(r, (int, float)) or isinstance(r, bool) or math.isnan(r):
-        raise InvalidParameterError(f"potential argument must be a real number, got {r!r}")
-    if r <= 0 or math.isinf(r):
-        raise InvalidParameterError(f"potential requires 0 < r < +inf, got {r!r}")
-    return 1.0 / math.sqrt(r * (s.beta * r + 1.0) * (r + s.gamma))
 
 
 def alpha(s: SpinSystem, xs: Sequence[float]) -> float:

@@ -21,8 +21,9 @@ earlier.
 
 The kernel and the certificates need beta <= gamma.  A system with
 beta > gamma is the same system with its spin labels swapped, so each entry
-point orients its input once (`_oriented`) and maps its result back into the
-caller's labels (`_swap_back`).
+point orients and checks its input once (`_prepare`).  `_interval` is the one
+place that makes an interval, from a pin or one kernel walk, and it maps the
+interval back into the caller's labels.
 
 Two truncation policies are supported (both live in `saw`): `Depth`, a plain
 depth cutoff for systems unique up to the graph's degree bound, and `MBased`,
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .core import (
     BLUE,
@@ -53,8 +55,8 @@ from .core import (
     classify,
     require_antiferromagnetic,
 )
-from .errors import InvalidParameterError, SpinDecayError, ZeroWeightError
-from .graphs import Boundary, Graph, max_degree, require_vertex
+from .errors import InvalidParameterError, SpinDecayError
+from .graphs import Boundary, Graph, max_degree, require_positive_weight, require_vertex
 from .oracle import log_weight
 from .saw import Depth, MBased, _walk_single, frontier_factors
 from .uniqueness import choose_M, contraction_bound
@@ -103,65 +105,72 @@ def _invert_ratio(r: float) -> float:
     return _INF if r == 0.0 else 0.0 if math.isinf(r) else 1.0 / r
 
 
-def _swap_back(b: MarginalBounds) -> MarginalBounds:
-    """An oriented interval in the caller's labels: blue and green trade places."""
-    return replace(b, r_lo=_invert_ratio(b.r_hi), r_hi=_invert_ratio(b.r_lo),
-                   p_lo=1.0 - b.p_hi, p_hi=1.0 - b.p_lo)
+class _Input(NamedTuple):
+    """One call's input in the orientation beta <= gamma (`_prepare`)."""
+
+    system: SpinSystem
+    lam: list[float]
+    fixed: dict[int, str]
+    s_set: frozenset[int]
+    swapped: bool
 
 
-def _oriented(g: Graph, s: SpinSystem, boundary: Boundary | None):
-    """(system, activities, fixed, differing set, swapped) with beta <= gamma:
-    when classify() swaps the labels, activities invert and pins flip.
-    Raises InvalidParameterError unless that system is anti-ferromagnetic and
-    every pin is a vertex of g (the differing set lies among the pins)."""
+def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, *checks,
+             scan: bool = True) -> _Input:
+    """One call's input, oriented and checked once: beta <= gamma, and when
+    classify() swaps the labels to get there, activities invert and pins
+    flip.  Raises InvalidParameterError unless that system is
+    anti-ferromagnetic and every pin is a vertex of g (the differing set lies
+    among the pins); then runs the caller's own argument checks in order,
+    and then, unless `scan` is False, the zero-weight scan."""
     cls = classify(s)
     require_antiferromagnetic(cls.system)
-    lam = [g.activity(v, s) for v in range(g.n)]
     fixed, s_set = (boundary.fixed, boundary.S) if boundary is not None else ({}, frozenset())
     for v in fixed:
         require_vertex(g, v, "fixed vertex")
+    for check in checks:
+        check()
+    if scan:
+        require_positive_weight(g, s, boundary)
+    lam = [g.activity(v, s) for v in range(g.n)]
     if cls.swapped:
         lam = [1.0 / l for l in lam]
         fixed = {v: GREEN if spin == BLUE else BLUE for v, spin in fixed.items()}
-    return cls.system, lam, fixed, s_set, cls.swapped
+    return _Input(cls.system, lam, fixed, s_set, cls.swapped)
 
 
-def require_positive_weight(g: Graph, s: SpinSystem, boundary: Boundary | None) -> None:
-    """Raise ZeroWeightError when two pinned neighbours of one spin, neither
-    in the differing set, share a zero coupling (beta for blue, gamma for
-    green): every configuration extending such a boundary weighs 0, so no
-    conditional marginal exists."""
-    zero = {spin for spin, c in ((BLUE, s.beta), (GREEN, s.gamma)) if c == 0.0}
-    if not zero or boundary is None:
-        return
-    fixed, s_set = boundary.fixed, boundary.S
-    for u, w in g.edges():
-        spin = fixed.get(u)
-        if spin in zero and fixed.get(w) == spin and not {u, w} & s_set:
-            raise ZeroWeightError(f"pinned {spin} neighbours {u} and {w} have weight 0")
-
-
-def _pinned_root(g: Graph, v: int, fixed: dict[int, str],
-                 s_set: frozenset[int]) -> MarginalBounds | None:
-    """The interval of a root the boundary decides without a walk, else None."""
+def _interval(g: Graph, prep: _Input, v: int, policy: Depth | MBased | None,
+              leaf: list[tuple[float, float]] | None, budget: int | None,
+              spent: int = 0) -> MarginalBounds:
+    """The interval of root v in the caller's labels, with `spent` earlier
+    nodes counted into `expanded`.  A pin or a differing-set member answers
+    without a walk.  Any other root takes one kernel walk under `policy` and
+    the frontier table `leaf`, or over the whole tree when both are None,
+    and is exact when its interval is a point.  Raises InvalidParameterError
+    for a root that is no vertex of g and for any other policy."""
+    s_or, lam, fixed, s_set, swapped = prep
     require_vertex(g, v)
     if v in s_set:
-        return _make_bounds(0.0, _INF, 0, False, "fixed", 0)
-    if v in fixed:
-        r = _INF if fixed[v] == BLUE else 0.0
-        return _make_bounds(r, r, 0, True, "fixed", 0)
-    return None
-
-
-def _walk(g: Graph, s: SpinSystem, v: int, lam: list[float],
-          leaf: list[tuple[float, float]], fixed: dict[int, str],
-          s_set: frozenset[int], policy: Depth | MBased,
-          budget: int | None) -> MarginalBounds:
-    """One kernel walk under a truncation policy; exact when its interval is
-    a point."""
-    r_lo, r_hi, expanded = _walk_single(g, s, v, lam, leaf, fixed, s_set, policy, budget)
-    name, level = ("depth", policy.t) if isinstance(policy, Depth) else ("mbased", policy.ell)
-    return _make_bounds(r_lo, r_hi, expanded, r_lo == r_hi, name, level)
+        r_lo, r_hi, expanded, name, level = 0.0, _INF, 0, "fixed", 0
+    elif v in fixed:
+        r_lo = r_hi = _INF if fixed[v] == BLUE else 0.0
+        expanded, name, level = 0, "fixed", 0
+    else:
+        if isinstance(policy, Depth):
+            name, level = "depth", policy.t
+        elif isinstance(policy, MBased):
+            name, level = "mbased", policy.ell
+        elif policy is None and leaf is None:
+            name, level = "exhaustive", 0
+        else:
+            raise InvalidParameterError(f"unknown truncation policy {policy!r}")
+        r_lo, r_hi, expanded = _walk_single(g, s_or, v, lam, leaf, fixed, s_set, policy, budget)
+    out = _make_bounds(r_lo, r_hi, spent + expanded, r_lo == r_hi, name, level)
+    if not swapped:
+        return out
+    # back in the caller's labels, where blue and green trade places
+    return replace(out, r_lo=_invert_ratio(out.r_hi), r_hi=_invert_ratio(out.r_lo),
+                   p_lo=1.0 - out.p_hi, p_hi=1.0 - out.p_lo)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +191,8 @@ def bounds(
     true marginal inside [p_lo, p_hi]; deeper policies only tighten it.
     Raises ZeroWeightError when the boundary has zero weight.
     """
-    s_or, lam, fixed, s_set, swapped = _oriented(g, s, boundary)
-    require_positive_weight(g, s, boundary)
-    out = _pinned_root(g, v, fixed, s_set)
-    if out is None:
-        if not isinstance(policy, (Depth, MBased)):
-            raise InvalidParameterError(f"unknown truncation policy {policy!r}")
-        out = _walk(g, s_or, v, lam, frontier_factors(g, s_or, lam), fixed, s_set, policy,
-                    budget)
-    return _swap_back(out) if swapped else out
+    prep = _prepare(g, s, boundary)
+    return _interval(g, prep, v, policy, frontier_factors(g, prep.system, prep.lam), budget)
 
 
 def exhaustive_ratio(
@@ -206,18 +208,13 @@ def exhaustive_ratio(
     point; this is the reference the truncated estimates converge to.
     Raises ZeroWeightError when the boundary has zero weight.
     """
-    s_or, lam, fixed, s_set, swapped = _oriented(g, s, boundary)
-    require_positive_weight(g, s, boundary)
-    if s_set:
+    prep = _prepare(g, s, boundary)
+    if prep.s_set:
         raise InvalidParameterError("exhaustive evaluation needs an empty differing set")
-    b = _pinned_root(g, v, fixed, s_set)
-    if b is None:
-        r_lo, r_hi, expanded = _walk_single(g, s_or, v, lam, frontier_factors(g, s_or, lam),
-                                            fixed, s_set, None, budget)
-        if r_lo != r_hi:
-            raise SpinDecayError(f"exhaustive walk did not collapse to a point: [{r_lo}, {r_hi}]")
-        b = _make_bounds(r_lo, r_hi, expanded, True, "exhaustive", 0)
-    return (_swap_back(b) if swapped else b).r_lo
+    b = _interval(g, prep, v, None, None, budget)
+    if not b.exact:
+        raise SpinDecayError(f"exhaustive walk did not collapse to a point: [{b.r_lo}, {b.r_hi}]")
+    return b.r_lo
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +229,11 @@ class _Strategy:
     leaf: list[tuple[float, float]]  # frontier_factors of the oriented activities
 
 
-def _require_mode(mode: str) -> None:
+def _require_accuracy(mode: str, eps: float) -> None:
     if mode not in ("depth", "mbased"):
         raise InvalidParameterError(f"mode must be 'depth' or 'mbased', got {mode!r}")
+    if not (eps > 0.0) or not math.isfinite(eps):
+        raise InvalidParameterError(f"eps must be positive and finite, got {eps!r}")
 
 
 def _resolve_strategy(g: Graph, s: SpinSystem, lam: list[float], mode: str) -> _Strategy:
@@ -301,32 +300,27 @@ def estimate_marginal(
     ZeroWeightError when the boundary has zero weight, and
     BudgetExceededError when a walk runs out of budget.
     """
-    s_or, lam, fixed, s_set, swapped = _oriented(g, s, boundary)
-    _require_mode(mode)
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise InvalidParameterError(f"eps must be positive and finite, got {eps!r}")
-    if _strategy is None:  # approx_partition checked its boundaries itself
-        require_positive_weight(g, s, boundary)
-    if s_set:
+    prep = _prepare(g, s, boundary, lambda: _require_accuracy(mode, eps),
+                    scan=_strategy is None)  # approx_partition scanned its boundaries itself
+    if prep.s_set:
         raise InvalidParameterError(
             "estimate_marginal needs an empty differing set; width cannot "
             "shrink below the gap a differing set forces"
         )
-    out = _pinned_root(g, v, fixed, s_set)
-    if out is not None:
-        return _swap_back(out) if swapped else out
+    require_vertex(g, v)
+    if v in prep.fixed:  # a pin answers before any certificate is needed
+        return _interval(g, prep, v, None, None, budget)
 
-    strat = _strategy if _strategy is not None else _resolve_strategy(g, s_or, lam, mode)
+    strat = _strategy or _resolve_strategy(g, prep.system, prep.lam, mode)
     cap = _level_for(eps, strat.alpha)
-    level, expanded = 1, 0
+    level, spent = 1, 0
     while True:
         policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
-        out = _walk(g, s_or, v, lam, strat.leaf, fixed, s_set, policy, budget)
-        expanded += out.expanded
+        out = _interval(g, prep, v, policy, strat.leaf, budget, spent)
+        spent = out.expanded
         if out.exact or out.width <= eps or (
                 _share is not None and _log_width(out) <= _share):
-            out = replace(out, expanded=expanded)
-            return _swap_back(out) if swapped else out
+            return out
         if level >= cap:
             raise SpinDecayError(
                 f"width {out.width} still above eps={eps} at the certified level {cap}; "
@@ -385,13 +379,12 @@ def approx_partition(
     ZeroWeightError when two pinned neighbours share a zero coupling; that
     is checked once, as each vertex is only pinned to a spin whose q_lo > 0.
     """
-    s_or, lam, _, s_set, _ = _oriented(g, s, boundary)
-    _require_mode(mode)
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise InvalidParameterError(f"eps must be positive and finite, got {eps!r}")
-    if s_set:
-        raise InvalidParameterError("approx_partition needs an empty differing set")
-    require_positive_weight(g, s, boundary)
+    def require_no_differing_set():
+        if boundary is not None and boundary.S:
+            raise InvalidParameterError("approx_partition needs an empty differing set")
+
+    prep = _prepare(g, s, boundary, lambda: _require_accuracy(mode, eps),
+                    require_no_differing_set)
     fixed0 = boundary.fixed if boundary is not None else {}
 
     free = [v for v in range(g.n) if v not in fixed0]
@@ -412,7 +405,7 @@ def approx_partition(
             per_vertex_p=(), eps=eps, mode="exact",
         )
 
-    strat = _resolve_strategy(g, s_or, lam, mode)
+    strat = _resolve_strategy(g, prep.system, prep.lam, mode)
     sigma = dict(fixed0)
     remaining = 2.0 * math.log1p(eps)
     sum_lo = sum_hi = 0.0  # sums of log q_lo and log q_hi over the chosen spins
@@ -480,18 +473,16 @@ def decay_curve(
     twice its deepest point on trees of branching 2.  Widths are nonincreasing.
     Raises ZeroWeightError when the boundary has zero weight.
     """
-    s_or, lam, fixed, s_set, swapped = _oriented(g, s, boundary)
-    if t_max < 0:
-        raise InvalidParameterError(f"t_max must be nonnegative, got {t_max}")
-    require_positive_weight(g, s, boundary)
-    pinned = _pinned_root(g, v, fixed, s_set)
-    leaf = frontier_factors(g, s_or, lam)
+    def require_cutoff():
+        if isinstance(t_max, bool) or not isinstance(t_max, int):
+            raise InvalidParameterError(f"t_max must be an integer, got {t_max!r}")
+        if t_max < 0:
+            raise InvalidParameterError(f"t_max must be nonnegative, got {t_max}")
+
+    prep = _prepare(g, s, boundary, require_cutoff)
+    leaf = frontier_factors(g, prep.system, prep.lam)
     out = []
     for t in range(t_max + 1):
-        b = pinned if pinned is not None else _walk(
-            g, s_or, v, lam, leaf, fixed, s_set, Depth(t), budget
-        )
-        if swapped:
-            b = _swap_back(b)
+        b = _interval(g, prep, v, Depth(t), leaf, budget)
         out.append(DecayPoint(t=t, width=b.width, p_lo=b.p_lo, p_hi=b.p_hi))
     return out

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .core import BLUE, GREEN, SpinSystem
-from .errors import GraphFormatError, InvalidParameterError
+from .errors import GraphFormatError, InvalidParameterError, ZeroWeightError
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,21 @@ class Boundary:
         for v in self.fixed:
             if not isinstance(v, int) or not (0 <= v < g.n):
                 raise GraphFormatError(f"fixed: vertex {v!r} outside 0..{g.n - 1}")
+
+
+def require_positive_weight(g: Graph, s: SpinSystem, boundary: Boundary | None) -> None:
+    """Raise ZeroWeightError when two pinned neighbours of one spin, neither
+    in the differing set, share a zero coupling (beta for blue, gamma for
+    green): every configuration extending such a boundary weighs 0, so no
+    conditional marginal exists."""
+    zero = {spin for spin, c in ((BLUE, s.beta), (GREEN, s.gamma)) if c == 0.0}
+    if not zero or boundary is None:
+        return
+    fixed, s_set = boundary.fixed, boundary.S
+    for u, w in g.edges():
+        spin = fixed.get(u)
+        if spin in zero and fixed.get(w) == spin and not {u, w} & s_set:
+            raise ZeroWeightError(f"pinned {spin} neighbours {u} and {w} have weight 0")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from spindecay.core import (
     classify,
     edge_factor,
     fixed_point_derivative,
-    potential_phi,
     recursion_f,
     require_antiferromagnetic,
     swap_spins,
@@ -137,13 +136,6 @@ def test_recursion_zero_and_infinite_children():
     # 31 factors of 1/gamma overflow a direct product before the zero arrives
     wide = [0.0] * 31 + [math.inf]
     assert recursion_f(SpinSystem(0.0, 1e-12, 1.0), 1.0, wide) == 0.0
-
-
-def test_potential_reference_value():
-    s = SpinSystem(0.0, 5.0, 1.0)
-    assert potential_phi(s, 1.0) == pytest.approx(0.40824829046386302, rel=1e-13)
-    with pytest.raises(InvalidParameterError):
-        potential_phi(s, 0.0)
 
 
 def test_alpha_reference_value_and_symmetry():

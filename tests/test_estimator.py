@@ -198,7 +198,8 @@ def test_policy_validation():
     with pytest.raises(InvalidParameterError):
         bounds(g, HARDCORE, 0, policy=MBased(2.0, 0))
     for make in (lambda: Depth(2.5), lambda: Depth(True), lambda: MBased(2.0, 1.5),
-                 lambda: MBased(2.0, True)):
+                 lambda: MBased(2.0, True), lambda: decay_curve(g, HARDCORE, 0, t_max=2.5),
+                 lambda: decay_curve(g, HARDCORE, 0, t_max=True)):
         with pytest.raises(InvalidParameterError):
             make()  # levels are integers
     with pytest.raises(InvalidParameterError):
@@ -513,6 +514,13 @@ def test_decay_curve_on_pinned_roots():
 def test_decay_curve_validates_the_vertex():
     with pytest.raises(InvalidParameterError):
         decay_curve(path(3), HARDCORE, 5, t_max=2)
+
+
+def test_swapped_marginal_width_is_measured_as_returned():
+    # oriented, the level-1 interval is [0.2, 0.5] of float width 0.3; in the
+    # caller's labels it is [0.5, 0.8], of float width 0.30000000000000004
+    b = estimate_marginal(path(5), SpinSystem(1.0, 0.0, 1.0), 2, eps=0.3)
+    assert b.width <= 0.3 and b.level == 3
 
 
 def test_wide_products_with_a_zero_factor_stay_exact():

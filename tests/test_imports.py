@@ -92,7 +92,7 @@ _SYSTEM = ["--beta", "0", "--gamma", "1", "--lambda", "1"]
     (["marginal", "--graph", "{graph}", "--vertex", "0"], _ESTIMATOR),
     (["partition", "--graph", "{graph}"], _ESTIMATOR),
     (["decay", "--graph", "{graph}", "--vertex", "0", "--t-max", "3"], _ESTIMATOR),
-    (["saw-dump", "--graph", "{graph}", "--vertex", "0"], _ESTIMATOR),
+    (["saw-dump", "--graph", "{graph}", "--vertex", "0"], ["spindecay.graphs", "spindecay.saw"]),
 ])
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
     graph = tmp_path / "c4.json"
