@@ -6,8 +6,10 @@ a free node at the truncation frontier contributes the interval its degree
 allows, [lam_w * beta**k, lam_w * gamma**-k] for k = deg(w) - 1 (a point at a
 pendant vertex), and pinned leaves contribute exact points.  Each entry point
 builds that per-vertex table (`saw.frontier_factors`) once from its oriented
-activities; approx_partition hands its one table to all its marginals, since
-pinning a vertex changes neither activities nor degrees.  This module holds
+activities, and its pins as one leaf-code list (`saw.leaf_codes`).
+approx_partition hands its one table to all its marginals, since pinning a
+vertex changes neither activities nor degrees, and writes each spin it
+chooses into its one code list.  This module holds
 what is built on it: the accuracy loop, the decay curve and the partition
 pipeline.
 
@@ -58,7 +60,17 @@ from .core import (
 from .errors import InvalidParameterError, SpinDecayError
 from .graphs import Boundary, Graph, max_degree, require_positive_weight, require_vertex
 from .oracle import log_weight
-from .saw import Depth, MBased, _walk_single, frontier_factors
+from .saw import (
+    _BLUE,
+    _DIFFERING,
+    _FREE,
+    _GREEN,
+    Depth,
+    MBased,
+    _walk_single,
+    frontier_factors,
+    leaf_codes,
+)
 from .uniqueness import choose_M, contraction_bound
 
 _INF = math.inf
@@ -106,23 +118,24 @@ def _invert_ratio(r: float) -> float:
 
 
 class _Input(NamedTuple):
-    """One call's input in the orientation beta <= gamma (`_prepare`)."""
+    """One call's input in the orientation beta <= gamma (`_prepare`), its
+    pins and differing set held as one leaf code per vertex."""
 
     system: SpinSystem
     lam: list[float]
-    fixed: dict[int, str]
+    code: list[int]
     s_set: frozenset[int]
     swapped: bool
 
 
-def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, *checks,
-             scan: bool = True) -> _Input:
+def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, *checks) -> _Input:
     """One call's input, oriented and checked once: beta <= gamma, and when
     classify() swaps the labels to get there, activities invert and pins
-    flip.  Raises InvalidParameterError unless that system is
-    anti-ferromagnetic and every pin is a vertex of g (the differing set lies
-    among the pins); then runs the caller's own argument checks in order,
-    and then, unless `scan` is False, the zero-weight scan."""
+    flip, into a fresh list of leaf codes (`saw.leaf_codes`).  Raises
+    InvalidParameterError unless that system is anti-ferromagnetic and every
+    pin is a vertex of g (the differing set lies among the pins); then runs
+    the caller's own argument checks in order, and then the zero-weight
+    scan."""
     cls = classify(s)
     require_antiferromagnetic(cls.system)
     fixed, s_set = (boundary.fixed, boundary.S) if boundary is not None else ({}, frozenset())
@@ -130,13 +143,12 @@ def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, *checks,
         require_vertex(g, v, "fixed vertex")
     for check in checks:
         check()
-    if scan:
-        require_positive_weight(g, s, boundary)
+    require_positive_weight(g, s, boundary)
     lam = [g.activity(v, s) for v in range(g.n)]
     if cls.swapped:
         lam = [1.0 / l for l in lam]
         fixed = {v: GREEN if spin == BLUE else BLUE for v, spin in fixed.items()}
-    return _Input(cls.system, lam, fixed, s_set, cls.swapped)
+    return _Input(cls.system, lam, leaf_codes(g.n, fixed, s_set), s_set, cls.swapped)
 
 
 def _interval(g: Graph, prep: _Input, v: int, policy: Depth | MBased | None,
@@ -144,16 +156,16 @@ def _interval(g: Graph, prep: _Input, v: int, policy: Depth | MBased | None,
               spent: int = 0) -> MarginalBounds:
     """The interval of root v in the caller's labels, with `spent` earlier
     nodes counted into `expanded`.  A pin or a differing-set member answers
-    without a walk.  Any other root takes one kernel walk under `policy` and
-    the frontier table `leaf`, or over the whole tree when both are None,
-    and is exact when its interval is a point.  Raises InvalidParameterError
-    for a root that is no vertex of g and for any other policy."""
-    s_or, lam, fixed, s_set, swapped = prep
-    require_vertex(g, v)
-    if v in s_set:
+    from its leaf code without a walk.  Any other root takes one kernel walk
+    under `policy` and the frontier table `leaf`, or over the whole tree
+    when both are None, and is exact when its interval is a point.  The
+    caller has checked that v is a vertex of g.  Raises
+    InvalidParameterError for any other policy."""
+    s_or, lam, code, _, swapped = prep
+    if code[v] == _DIFFERING:
         r_lo, r_hi, expanded, name, level = 0.0, _INF, 0, "fixed", 0
-    elif v in fixed:
-        r_lo = r_hi = _INF if fixed[v] == BLUE else 0.0
+    elif code[v] != _FREE:
+        r_lo = r_hi = _INF if code[v] == _BLUE else 0.0
         expanded, name, level = 0, "fixed", 0
     else:
         if isinstance(policy, Depth):
@@ -164,7 +176,7 @@ def _interval(g: Graph, prep: _Input, v: int, policy: Depth | MBased | None,
             name, level = "exhaustive", 0
         else:
             raise InvalidParameterError(f"unknown truncation policy {policy!r}")
-        r_lo, r_hi, expanded = _walk_single(g, s_or, v, lam, leaf, fixed, s_set, policy, budget)
+        r_lo, r_hi, expanded = _walk_single(g, s_or, v, lam, leaf, code, policy, budget)
     out = _make_bounds(r_lo, r_hi, spent + expanded, r_lo == r_hi, name, level)
     if not swapped:
         return out
@@ -192,7 +204,9 @@ def bounds(
     Raises ZeroWeightError when the boundary has zero weight.
     """
     prep = _prepare(g, s, boundary)
-    return _interval(g, prep, v, policy, frontier_factors(g, prep.system, prep.lam), budget)
+    require_vertex(g, v)
+    leaf = frontier_factors(g, prep.system, prep.lam, prep.s_set)
+    return _interval(g, prep, v, policy, leaf, budget)
 
 
 def exhaustive_ratio(
@@ -211,6 +225,7 @@ def exhaustive_ratio(
     prep = _prepare(g, s, boundary)
     if prep.s_set:
         raise InvalidParameterError("exhaustive evaluation needs an empty differing set")
+    require_vertex(g, v)
     b = _interval(g, prep, v, None, None, budget)
     if not b.exact:
         raise SpinDecayError(f"exhaustive walk did not collapse to a point: [{b.r_lo}, {b.r_hi}]")
@@ -277,8 +292,7 @@ def estimate_marginal(
     eps: float = 1e-2,
     mode: str = "depth",
     budget: int | None = DEFAULT_BUDGET,
-    _strategy: _Strategy | None = None,
-    _share: float | None = None,
+    _run: tuple[_Input, _Strategy, float] | None = None,
 ) -> MarginalBounds:
     """Blue-marginal interval of width at most eps.
 
@@ -288,10 +302,13 @@ def estimate_marginal(
     certified contraction assigns to eps, where the width provably complies,
     so the loop ends; a width still above eps there raises SpinDecayError.
 
-    approx_partition also passes a log-width share with eps = tanh(share/2):
-    a walk then complies as soon as its likelier spin's interval has
-    log(q_hi/q_lo) <= share.  A p-width of at most tanh(share/2) around a
-    midpoint of at least 1/2 implies that, so the same cap ends the loop.
+    approx_partition passes `_run`: its oriented and checked input, whose
+    leaf codes hold the pins so far, its strategy, and a log-width share
+    with eps = tanh(share/2).  Nothing is then prepared or checked again,
+    and boundary and mode go unused.  A walk then complies as soon as its
+    likelier spin's interval has log(q_hi/q_lo) <= share.  A p-width of at
+    most tanh(share/2) around a midpoint of at least 1/2 implies that, so
+    the same cap ends the loop.
 
     mode is "depth" (needs uniqueness up to the graph's degree bound) or
     "mbased" (needs universal uniqueness).  `expanded` is the total over all
@@ -300,26 +317,26 @@ def estimate_marginal(
     ZeroWeightError when the boundary has zero weight, and
     BudgetExceededError when a walk runs out of budget.
     """
-    prep = _prepare(g, s, boundary, lambda: _require_accuracy(mode, eps),
-                    scan=_strategy is None)  # approx_partition scanned its boundaries itself
-    if prep.s_set:
-        raise InvalidParameterError(
-            "estimate_marginal needs an empty differing set; width cannot "
-            "shrink below the gap a differing set forces"
-        )
-    require_vertex(g, v)
-    if v in prep.fixed:  # a pin answers before any certificate is needed
-        return _interval(g, prep, v, None, None, budget)
-
-    strat = _strategy or _resolve_strategy(g, prep.system, prep.lam, mode)
+    if _run is None:
+        prep = _prepare(g, s, boundary, lambda: _require_accuracy(mode, eps))
+        if prep.s_set:
+            raise InvalidParameterError(
+                "estimate_marginal needs an empty differing set; width cannot "
+                "shrink below the gap a differing set forces"
+            )
+        require_vertex(g, v)
+        if prep.code[v] != _FREE:  # a pin answers before any certificate is needed
+            return _interval(g, prep, v, None, None, budget)
+        strat, share = _resolve_strategy(g, prep.system, prep.lam, mode), None
+    else:
+        prep, strat, share = _run
     cap = _level_for(eps, strat.alpha)
     level, spent = 1, 0
     while True:
         policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
         out = _interval(g, prep, v, policy, strat.leaf, budget, spent)
         spent = out.expanded
-        if out.exact or out.width <= eps or (
-                _share is not None and _log_width(out) <= _share):
+        if out.exact or out.width <= eps or (share is not None and _log_width(out) <= share):
             return out
         if level >= cap:
             raise SpinDecayError(
@@ -378,6 +395,9 @@ def approx_partition(
     allowance).  `expanded` totals the nodes of every walk.  Raises
     ZeroWeightError when two pinned neighbours share a zero coupling; that
     is checked once, as each vertex is only pinned to a spin whose q_lo > 0.
+    The input is oriented and checked once, every order entry included,
+    before any walk; each chosen spin is then written into the one list of
+    leaf codes that every marginal reads.
     """
     def require_no_differing_set():
         if boundary is not None and boundary.S:
@@ -391,6 +411,8 @@ def approx_partition(
     if order is None:
         elim = free
     else:
+        for v in order:
+            require_vertex(g, v, "order entry")
         elim = [v for v in order if v not in fixed0]
         if sorted(elim) != sorted(free):
             raise InvalidParameterError(
@@ -406,17 +428,15 @@ def approx_partition(
         )
 
     strat = _resolve_strategy(g, prep.system, prep.lam, mode)
-    sigma = dict(fixed0)
+    sigma = [fixed0.get(v) for v in range(g.n)]  # in the caller's labels
     remaining = 2.0 * math.log1p(eps)
     sum_lo = sum_hi = 0.0  # sums of log q_lo and log q_hi over the chosen spins
     expanded = 0
     chosen_p: list[tuple[int, float]] = []
     for i, v in enumerate(elim):
         share = min(remaining / (n_free - i), _MAX_SHARE)
-        est = estimate_marginal(
-            g, s, v, Boundary(fixed=dict(sigma)), eps=math.tanh(0.5 * share),
-            budget=budget, _strategy=strat, _share=share,
-        )
+        est = estimate_marginal(g, s, v, eps=math.tanh(0.5 * share), budget=budget,
+                                _run=(prep, strat, share))
         expanded += est.expanded
         spin, q_lo, q_hi = _likelier(est)
         if q_lo <= 0.0:
@@ -426,9 +446,10 @@ def approx_partition(
         sum_lo += log_lo
         sum_hi += log_hi
         sigma[v] = spin
+        prep.code[v] = _BLUE if (spin == BLUE) != prep.swapped else _GREEN
         chosen_p.append((v, 0.5 * (q_lo + q_hi)))
 
-    spins = tuple(sigma[v] for v in range(g.n))
+    spins = tuple(sigma)
     lw = log_weight(g, s, spins)
     if lw == -_INF:
         raise SpinDecayError(
@@ -480,7 +501,8 @@ def decay_curve(
             raise InvalidParameterError(f"t_max must be nonnegative, got {t_max}")
 
     prep = _prepare(g, s, boundary, require_cutoff)
-    leaf = frontier_factors(g, prep.system, prep.lam)
+    require_vertex(g, v)
+    leaf = frontier_factors(g, prep.system, prep.lam, prep.s_set)
     out = []
     for t in range(t_max + 1):
         b = _interval(g, prep, v, Depth(t), leaf, budget)

@@ -86,7 +86,8 @@ def closing_spin(departed_to: int, closing_from: int) -> str:
     return BLUE if closing_from > departed_to else GREEN
 
 
-def frontier_factors(g: Graph, s: SpinSystem, lam: list[float]) -> list[tuple[float, float]]:
+def frontier_factors(g: Graph, s: SpinSystem, lam: list[float],
+                     s_set: frozenset[int] = frozenset()) -> list[tuple[float, float]]:
     """(f_lo, f_hi) per vertex w: the edge factor of a free frontier leaf at w.
 
     Every edge factor (beta*r + 1)/(r + gamma) of an oriented system lies in
@@ -97,8 +98,10 @@ def frontier_factors(g: Graph, s: SpinSystem, lam: list[float]) -> list[tuple[fl
     space: an end that overflows is ratio +inf (factor beta), one that
     underflows, or beta = 0 with k >= 1, is ratio 0 (factor 1/gamma).  A
     pendant vertex (k = 0) has ratio lam_w exactly, so its pair is a point.
-    The table depends on the activities and the degrees only, not on any
-    boundary.
+    A member of the differing set s_set may take either spin, whatever its
+    degree, so its pair is the whole range (beta, 1/gamma).  Apart from
+    s_set, the table depends on the activities and the degrees only, not on
+    any boundary.
     """
     beta, gamma = s.beta, s.gamma
     log_beta = math.log(beta) if beta > 0.0 else -_INF
@@ -117,13 +120,29 @@ def frontier_factors(g: Graph, s: SpinSystem, lam: list[float]) -> list[tuple[fl
 
     # vertices of one degree and activity share a pair, computed once
     pairs: dict[tuple[int, float], tuple[float, float]] = {}
-    return [pairs.get(key) or pairs.setdefault(key, pair(*key))
-            for key in zip(map(len, g.adj), lam)]
+    table = [pairs.get(key) or pairs.setdefault(key, pair(*key))
+             for key in zip(map(len, g.adj), lam)]
+    for v in s_set:
+        table[v] = (beta, 1.0 / gamma)
+    return table
 
 
 # Leaf codes, one per vertex: what a step onto a vertex that is not on the
 # walk finds there.
 _FREE, _DIFFERING, _BLUE, _GREEN = 0, 1, 2, 3
+
+
+def leaf_codes(n: int, fixed: dict[int, str], s_set: frozenset[int]) -> list[int]:
+    """A fresh list of n leaf codes: _BLUE or _GREEN at a pin, _DIFFERING at
+    a member of the differing set s_set (which lies among the pins), and
+    _FREE elsewhere.  A caller may write later pins into it in place."""
+    code = [_FREE] * n
+    for v, spin in fixed.items():
+        code[v] = _BLUE if spin == BLUE else _GREEN
+    for v in s_set:
+        code[v] = _DIFFERING
+    return code
+
 
 # A walk whose recursion, beside this many frames of its caller's, would not
 # fit under the recursion limit runs on a worker thread instead (see _deep).
@@ -178,8 +197,7 @@ def _walk_single(
     root: int,
     lam: list[float],
     leaf: list[tuple[float, float]],
-    fixed: dict[int, str],
-    s_set: frozenset[int],
+    code: list[int],
     policy: Depth | MBased | None,
     budget: int | None,
     visit=None,
@@ -187,16 +205,19 @@ def _walk_single(
     """Returns (r_lo, r_hi, nodes expanded).
 
     A child is, in this order: a cycle-closing leaf, a member of the
-    differing set s_set (the trivial interval [0, +inf], factors
-    [beta, 1/gamma]), a fixed leaf, a frontier leaf (the factors leaf[w] of
-    `frontier_factors`), or a free node that is expanded.  The frontier is
+    differing set or a fixed leaf (by its `leaf_codes` entry code[w]), a
+    frontier leaf, or a free node that is expanded.  A differing-set member
+    and a frontier leaf contribute the factors leaf[w] of `frontier_factors`,
+    whose table gives each member the trivial interval [0, +inf], factors
+    [beta, 1/gamma].  The frontier is
     the policy's: a depth cutoff, a degree-scaled cutoff, or, for policy
     None, no frontier at all.  Point leaves (fixed, cycle-closing, and
     frontier leaves at pendant vertices) keep r_lo == r_hi; the walk is exact
     exactly when its interval is a point.
     visit(depth, vertex, spin), when given, is called on every node below the
     root in depth-first order; spin is None on free nodes.  The caller has
-    checked that the root and every pin are vertices of g (`require_vertex`).
+    checked that the root is a vertex of g (`require_vertex`) and that
+    code[root] is _FREE.
     """
     beta, gamma = s.beta, s.gamma
     adj = g.adj
@@ -218,15 +239,6 @@ def _walk_single(
 
     # on_walk[v]: the neighbour the walk left v by, or -1 off the walk
     on_walk = [-1] * n
-    code = [_FREE] * n
-    for v, spin in fixed.items():
-        code[v] = _BLUE if spin == BLUE else _GREEN
-    if s_set:
-        # a differing-set member may take either spin, whatever its degree
-        leaf = list(leaf)
-        for v in s_set:
-            code[v] = _DIFFERING
-            leaf[v] = (beta, inv_gamma)
     expanded = 1
 
     def expand(u: int, parent: int, depth: int, own_m: int, parent_m: int):
@@ -342,6 +354,6 @@ def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None,
     visit(0, v, fixed.get(v))
     if v not in fixed:
         lam = [1.0] * g.n
-        _walk_single(g, _SHAPE_ONLY, v, lam, frontier_factors(g, _SHAPE_ONLY, lam), fixed,
-                     frozenset(), policy, budget, visit)
+        _walk_single(g, _SHAPE_ONLY, v, lam, frontier_factors(g, _SHAPE_ONLY, lam),
+                     leaf_codes(g.n, fixed, frozenset()), policy, budget, visit)
     return nodes

@@ -642,3 +642,62 @@ def test_approx_partition_scans_the_boundary_once(monkeypatch):
     assert len(pe.per_vertex_p) == 15 and len(scans) == 1
     estimate_marginal(g, CUBIC_SYSTEMS[1], 1, Boundary(fixed={0: GREEN}), eps=0.1)
     assert len(scans) == 2  # a caller's own marginal is still checked
+
+
+def _count_marginals(monkeypatch) -> list[int]:
+    """The roots of every estimate_marginal call made through the module
+    attribute, as approx_partition makes them (and a tracer wraps them)."""
+    roots = []
+    marginal = estimator.estimate_marginal
+
+    def counted(g, s, v, *args, **kwargs):
+        roots.append(v)
+        return marginal(g, s, v, *args, **kwargs)
+
+    monkeypatch.setattr(estimator, "estimate_marginal", counted)
+    return roots
+
+
+def test_approx_partition_checks_every_order_entry_before_any_walk(monkeypatch):
+    roots = _count_marginals(monkeypatch)
+    # 2.0 == 2, so the order passes as a permutation of the free vertices
+    with pytest.raises(InvalidParameterError, match="order entry 2.0"):
+        approx_partition(path(4), HARDCORE, 0.1, order=[0, 1, 2.0, 3])
+    assert roots == []
+
+
+@pytest.mark.parametrize("g, s", [(random_regular(16, 3, seed=1), CUBIC_SYSTEMS[1]),
+                                  (SWAP_GRAPH, SWAPPED_SYSTEMS[0])])
+def test_approx_partition_calls_estimate_marginal_once_per_free_vertex(monkeypatch, g, s):
+    roots = _count_marginals(monkeypatch)
+    fixed = {0: GREEN, 5: BLUE}
+    b = Boundary(fixed=fixed)
+    order = list(range(g.n - 1, -1, -1))
+    pe = approx_partition(g, s, 0.1, b, order=order)
+    assert roots == [v for v in order if v not in fixed]
+    # the chosen spins go into the driver's own pins, not the caller's
+    assert b.fixed is fixed and fixed == {0: GREEN, 5: BLUE}
+    assert (pe.chosen_config[0], pe.chosen_config[5]) == (GREEN, BLUE)
+
+
+# A swapped system (beta > gamma) with pins and per-vertex activities: the
+# pins and chosen spins run in the oriented labels, where an error shows in
+# no width, so these bits are pinned.
+PINNED_PARTITION_GRAPH = Graph(n=16, adj=random_regular(16, 3, seed=2).adj,
+                               lambda_v={0: 0.3, 3: 2.5, 7: 0.5, 11: 1.8, 14: 0.4})
+
+
+@pytest.mark.parametrize("eps, order, expected", [
+    (0.01, list(range(15, -1, -1)),
+     (-3.8167815172005426, -3.812979317390049, "gbbbggbbgbgbbggg", 192)),
+    (0.05, None,
+     (-3.8238152625391746, -3.8072729206500173, "gbbbggbbgbgbbggg", 93)),
+])
+def test_swapped_pinned_partition_reproduces_pinned_bits(eps, order, expected):
+    g, s = PINNED_PARTITION_GRAPH, SpinSystem(0.8, 0.3, 0.3)
+    b = Boundary(fixed={2: BLUE, 5: GREEN, 12: BLUE})
+    pe = approx_partition(g, s, eps, b, order=order)
+    log_z_lo, log_z_hi, config, nodes = expected
+    assert (pe.log_z_lo, pe.log_z_hi, pe.expanded) == (log_z_lo, log_z_hi, nodes)
+    assert pe.chosen_config == tuple(BLUE if c == "b" else GREEN for c in config)
+    assert pe.log_z_lo <= exact_partition(g, s, b).log_z <= pe.log_z_hi

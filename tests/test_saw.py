@@ -33,6 +33,7 @@ from spindecay.saw import (
     closing_spin,
     dump_levels,
     frontier_factors,
+    leaf_codes,
 )
 
 from helpers import saw_tree
@@ -223,7 +224,8 @@ _ZERO_INF_FRONTIER = {
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_kernel_reproduces_pinned_bits(case):
     (g, s, root, lam, fixed, s_set, policy), expected = _PINNED[case]
-    got = _walk_single(g, s, root, lam, frontier_factors(g, s, lam), fixed, s_set, policy, None)
+    got = _walk_single(g, s, root, lam, frontier_factors(g, s, lam, s_set),
+                       leaf_codes(g.n, fixed, s_set), policy, None)
     assert got == expected
     lo, hi = _ZERO_INF_FRONTIER.get(case, expected[:2])
     assert lo <= got[0] <= got[1] <= hi
@@ -232,7 +234,8 @@ def test_kernel_reproduces_pinned_bits(case):
 def test_budget_trips_at_an_exact_node_count():
     g = random_regular(30, 3, seed=2)
     lam = [1.0] * 30
-    args = (g, _SOFT2, 0, lam, frontier_factors(g, _SOFT2, lam), {}, frozenset(), Depth(9))
+    args = (g, _SOFT2, 0, lam, frontier_factors(g, _SOFT2, lam), leaf_codes(30, {}, frozenset()),
+            Depth(9))
     # the [0, +inf] frontier gave [0.19625645302679012, 0.1962584755391204]
     expected = (0.19625794285505782, 0.1962584146197283, 536)
     assert 0.19625645302679012 <= expected[0] <= expected[1] <= 0.1962584755391204
