@@ -39,9 +39,9 @@ the telescoping product of the chosen conditional probabilities, and each
 probability's interval [q_lo, q_hi] bounds its factor, so log Z has a
 certified interval of log-width sum(log(q_hi/q_lo)).  approx_partition
 spends one log-width budget, 2*log1p(eps), vertex by vertex: each deepens
-only until its own log-width fits an even split of what is left, and a
-vertex that needs less (an exact one needs none) leaves the rest to the
-vertices after it.
+only until its own log-width fits its share of what is left, weighted by its
+free neighbours, and a vertex that needs less (an exact one needs none)
+leaves the rest to the vertices after it.
 """
 from __future__ import annotations
 
@@ -308,7 +308,9 @@ def estimate_marginal(
     and boundary and mode go unused.  A walk then complies as soon as its
     likelier spin's interval has log(q_hi/q_lo) <= share.  A p-width of at
     most tanh(share/2) around a midpoint of at least 1/2 implies that, so
-    the same cap ends the loop.
+    the same cap ends the loop.  The cap is computed only after a walk that
+    does not comply, so a share of 0, which approx_partition gives only to
+    a vertex whose first walk is exact, never reaches it.
 
     mode is "depth" (needs uniqueness up to the graph's degree bound) or
     "mbased" (needs universal uniqueness).  `expanded` is the total over all
@@ -330,14 +332,15 @@ def estimate_marginal(
         strat, share = _resolve_strategy(g, prep.system, prep.lam, mode), None
     else:
         prep, strat, share = _run
-    cap = _level_for(eps, strat.alpha)
-    level, spent = 1, 0
+    level, spent, cap = 1, 0, None
     while True:
         policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
         out = _interval(g, prep, v, policy, strat.leaf, budget, spent)
         spent = out.expanded
         if out.exact or out.width <= eps or (share is not None and _log_width(out) <= share):
             return out
+        if cap is None:  # only now: a share of 0 comes with an exact first walk
+            cap = _level_for(eps, strat.alpha)
         if level >= cap:
             raise SpinDecayError(
                 f"width {out.width} still above eps={eps} at the certified level {cap}; "
@@ -386,13 +389,20 @@ def approx_partition(
     conditioning.  The chosen spin's interval [q_lo, q_hi] holds its true
     conditional probability, so log Z lies in
     [log w - sum(log q_hi), log w - sum(log q_lo)] for the final
-    configuration's weight w.  That interval's log-width is a budget of
-    2*log1p(eps): the i-th of the k free vertices deepens until its
-    log-width fits remaining/(k - i), and what it leaves unspent rolls
-    forward.  The interval is widened by a float rounding allowance; log_z
-    is its midpoint and rel_error_bound = expm1(half-width), which bounds
-    the relative error of exp(log_z) and is at most eps (up to that
-    allowance).  `expanded` totals the nodes of every walk.  Raises
+    configuration's weight w.  That interval's log-width is a budget B of
+    2*log1p(eps), spent by weights known before any walk: the i-th of the k
+    free vertices (in `order`) has f_i neighbours still free at its turn
+    and weight w_i = f_i * (k - i), and it deepens until its log-width fits
+    min(R_i * w_i / W_i, log 3), where R_i is the budget left and W_i the
+    weight of the vertices from the i-th on.  What it leaves unspent rolls
+    forward.  No vertex spends more than its share, so R_i >= B * W_i / W_0,
+    and a vertex with f_i > 0 keeps at least min(B * w_i / W_0, log 3), at
+    least 2B/(D*k*(k+1)) at maximum degree D.  A vertex with f_i = 0 has
+    every neighbour pinned, so its first walk is exact on a share of 0.
+    The interval is widened by a float rounding allowance; log_z is its
+    midpoint and rel_error_bound = expm1(half-width), which bounds the
+    relative error of exp(log_z) and is at most eps (up to that allowance).
+    `expanded` totals the nodes of every walk.  Raises
     ZeroWeightError when two pinned neighbours share a zero coupling; that
     is checked once, as each vertex is only pinned to a spin whose q_lo > 0.
     The input is oriented and checked once, every order entry included,
@@ -428,13 +438,22 @@ def approx_partition(
         )
 
     strat = _resolve_strategy(g, prep.system, prep.lam, mode)
+    # the i-th vertex weighs its neighbours still free at its turn times the
+    # n_free - i vertices left; `total` is the weight of the unfixed vertices
+    pos = [-1] * g.n
+    for i, v in enumerate(elim):
+        pos[v] = i
+    weight = [sum(pos[u] > i for u in g.adj[v]) * (n_free - i) for i, v in enumerate(elim)]
+    total = sum(weight)
     sigma = [fixed0.get(v) for v in range(g.n)]  # in the caller's labels
     remaining = 2.0 * math.log1p(eps)
     sum_lo = sum_hi = 0.0  # sums of log q_lo and log q_hi over the chosen spins
     expanded = 0
     chosen_p: list[tuple[int, float]] = []
     for i, v in enumerate(elim):
-        share = min(remaining / (n_free - i), _MAX_SHARE)
+        # a vertex of weight 0 has every neighbour pinned: its first walk is exact
+        share = min(remaining * weight[i] / total, _MAX_SHARE) if weight[i] else 0.0
+        total -= weight[i]
         est = estimate_marginal(g, s, v, eps=math.tanh(0.5 * share), budget=budget,
                                 _run=(prep, strat, share))
         expanded += est.expanded

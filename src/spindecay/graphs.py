@@ -80,10 +80,7 @@ def from_edges(
         except (TypeError, ValueError):
             raise GraphFormatError(f"edges[{i}]: expected a pair, got {e!r}")
         for x in (u, w):
-            if not isinstance(x, int) or isinstance(x, bool) or not (0 <= x < n):
-                raise GraphFormatError(
-                    f"edges[{i}]: vertex {x!r} outside 0..{n - 1}"
-                )
+            _check_vertex(x, n, f"edges[{i}]: vertex", GraphFormatError)
         if u == w:
             raise GraphFormatError(f"edges[{i}]: self-loop at vertex {u}")
         key = (min(u, w), max(u, w))
@@ -95,8 +92,7 @@ def from_edges(
     lv: dict[int, float] = {}
     if lambda_v:
         for v, val in lambda_v.items():
-            if not isinstance(v, int) or not (0 <= v < n):
-                raise GraphFormatError(f"lambda_v: vertex {v!r} outside 0..{n - 1}")
+            _check_vertex(v, n, "lambda_v: vertex", GraphFormatError)
             x = _as_float(val)
             if x is None or x <= 0 or not math.isfinite(x):
                 raise GraphFormatError(
@@ -123,10 +119,18 @@ def max_degree(g: Graph) -> int:
     return max((len(a) for a in g.adj), default=0)
 
 
+def _check_vertex(v, n: int, what: str, error: type[Exception]) -> None:
+    """Raise `error`, naming v as `what`, unless v is a vertex of an
+    n-vertex graph: an int (a bool is not one) in 0..n-1."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise error(f"{what} {v!r} is not an integer vertex")
+    if not 0 <= v < n:
+        raise error(f"{what} {v!r} outside 0..{n - 1}")
+
+
 def require_vertex(g: Graph, v, what: str = "vertex") -> None:
     """Raise InvalidParameterError unless v is an int (not a bool) in 0..n-1."""
-    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < g.n:
-        raise InvalidParameterError(f"{what} {v!r} outside 0..{g.n - 1}")
+    _check_vertex(v, g.n, what, InvalidParameterError)
 
 
 @dataclass(frozen=True)
@@ -150,8 +154,7 @@ class Boundary:
 
     def validate_against(self, g: Graph) -> None:
         for v in self.fixed:
-            if not isinstance(v, int) or not (0 <= v < g.n):
-                raise GraphFormatError(f"fixed: vertex {v!r} outside 0..{g.n - 1}")
+            _check_vertex(v, g.n, "fixed: vertex", GraphFormatError)
 
 
 def require_positive_weight(g: Graph, s: SpinSystem, boundary: Boundary | None) -> None:

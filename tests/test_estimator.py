@@ -480,13 +480,105 @@ def test_approx_partition_keeps_shares_finite_at_huge_eps():
     assert pe.rel_error_bound <= 1e20
 
 
-@pytest.mark.parametrize("eps, nodes", [(0.1, 3033), (0.01, 15624)])
+@pytest.mark.parametrize("eps, nodes", [(0.1, 1230), (0.01, 7865)])
 def test_approx_partition_spends_the_budget_on_certified_widths(eps, nodes):
-    # the per-vertex rule eps/(4n) expanded 15 992 and 59 784 nodes here, and
-    # [0, +inf] frontier leaves 3483 and 22 282
+    # the per-vertex rule eps/(4n) expanded 15 992 and 59 784 nodes here,
+    # [0, +inf] frontier leaves 3483 and 22 282, and equal shares 3033 and
+    # 15 624
     pe = approx_partition(random_regular(30, 3, seed=1), CUBIC_SYSTEMS[1], eps)
     assert pe.expanded == nodes
     assert pe.rel_error_bound <= eps
+
+
+def test_approx_partition_spends_the_budget_where_the_trees_are_large():
+    # degree 5: the first vertices' trees dwarf the rest, and equal shares
+    # expanded 2 376 875 nodes here
+    g, s = random_regular(40, 5, seed=3), SpinSystem(0.0, 1.0, 0.5)
+    pe = approx_partition(g, s, 0.1)
+    assert pe.expanded == 215906
+    assert pe.rel_error_bound <= 0.1
+    assert pe.log_z_lo <= exact_partition(g, s).log_z <= pe.log_z_hi
+
+
+@st.composite
+def partition_instances(draw):
+    """A small graph, a mode and a system unique in its regime (in either
+    spin orientation), pins of positive weight, a vertex order over every
+    vertex, and eps."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=min(n, len(pairs)),
+                          max_size=2 * n)) if pairs else []
+    g = from_edges(n, edges)
+    mode = draw(st.sampled_from(["depth", "mbased"]))
+    low = draw(st.sampled_from([0.0, 0.0, 0.1, 0.4]))
+    high = draw(st.floats(max(low, 0.3), 2.5))
+    assume(low * high < 0.95)
+    s = SpinSystem(low, high, draw(st.floats(0.05, 3.0)))
+    assume(is_unique_up_to(s, max(2, max_degree(g) + 1) if mode == "depth" else math.inf))
+    if draw(st.booleans()):  # the same system with its spin labels swapped
+        s = SpinSystem(high, low, 1.0 / s.lam)
+    spins = draw(st.lists(st.sampled_from([None, None, BLUE, GREEN]), min_size=n, max_size=n))
+    boundary = Boundary(fixed={v: sp for v, sp in enumerate(spins) if sp is not None})
+    try:
+        truth = exact_partition(g, s, boundary).log_z
+    except ZeroWeightError:
+        assume(False)
+    order = draw(st.permutations(range(n)))
+    eps = draw(st.sampled_from([0.5, 0.1, 1e-2, 1e-3]))
+    return g, s, boundary, order, mode, eps, truth
+
+
+def _record_shares(mp) -> list:
+    """(root, share, result) of every estimate_marginal call that
+    approx_partition makes through the module attribute, patched with the
+    MonkeyPatch mp."""
+    calls = []
+    marginal = estimator.estimate_marginal
+
+    def recorded(g, s, v, *args, **kwargs):
+        out = marginal(g, s, v, *args, **kwargs)
+        calls.append((v, kwargs["_run"][2], out))
+        return out
+
+    mp.setattr(estimator, "estimate_marginal", recorded)
+    return calls
+
+
+@given(partition_instances())
+@settings(max_examples=150, deadline=None)
+def test_every_vertex_with_a_free_neighbour_keeps_its_share_floor(inst):
+    g, s, boundary, order, mode, eps, truth = inst
+    with pytest.MonkeyPatch.context() as mp:  # hypothesis reuses no fixture
+        calls = _record_shares(mp)
+        pe = approx_partition(g, s, eps, boundary, order=list(order), mode=mode)
+    elim = [v for v in order if v not in boundary.fixed]
+    assert [v for v, _, _ in calls] == elim
+    # f: the neighbours of each vertex still free at its turn; w = f*(k - i)
+    turn = {v: i for i, v in enumerate(elim)}
+    k = len(elim)
+    f = [sum(turn.get(u, -1) > i for u in g.adj[v]) for i, v in enumerate(elim)]
+    w = [fi * (k - i) for i, fi in enumerate(f)]
+    budget = 2.0 * math.log1p(eps)
+    for (v, share, est), fi, wi in zip(calls, f, w):
+        if fi > 0:
+            floor = min(budget * wi / sum(w), math.log(3.0))
+            assert share >= floor * (1.0 - 1e-12), (v, share, floor)
+        else:  # every neighbour pinned: one level-1 walk, exact, on a share of 0
+            assert share == 0.0
+            assert est.exact and est.level == 1 and est.expanded == 1, (v, est)
+    assert pe.log_z_lo <= truth <= pe.log_z_hi
+    assert pe.rel_error_bound <= eps
+
+
+def test_a_zero_share_never_reaches_the_level_cap(monkeypatch):
+    # the last vertex of a path has its one neighbour pinned by then: its
+    # share, and so its eps, is 0, and _level_for(0, alpha) would divide by 0
+    calls = _record_shares(monkeypatch)
+    pe = approx_partition(path(3), HARDCORE, 0.1)
+    v, share, est = calls[-1]
+    assert (v, share, est.exact, est.level) == (2, 0.0, True, 1)
+    assert pe.log_z_lo <= math.log(5.0) <= pe.log_z_hi
 
 
 def test_decay_curve_widths_shrink():
@@ -689,9 +781,9 @@ PINNED_PARTITION_GRAPH = Graph(n=16, adj=random_regular(16, 3, seed=2).adj,
 
 @pytest.mark.parametrize("eps, order, expected", [
     (0.01, list(range(15, -1, -1)),
-     (-3.8167815172005426, -3.812979317390049, "gbbbggbbgbgbbggg", 192)),
+     (-3.818656841208286, -3.811089047228166, "gbbbggbbgbgbbggg", 161)),
     (0.05, None,
-     (-3.8238152625391746, -3.8072729206500173, "gbbbggbbgbgbbggg", 93)),
+     (-3.823815262539178, -3.7793224363082927, "gbbbggbbgbgbbggg", 91)),
 ])
 def test_swapped_pinned_partition_reproduces_pinned_bits(eps, order, expected):
     g, s = PINNED_PARTITION_GRAPH, SpinSystem(0.8, 0.3, 0.3)

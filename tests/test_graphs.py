@@ -22,6 +22,7 @@ from spindecay.graphs import (
     path,
     random_regular,
     random_tree,
+    require_vertex,
     star,
 )
 
@@ -46,6 +47,25 @@ def test_from_edges_rejects_malformed_edges(edges, fragment):
     with pytest.raises(GraphFormatError) as exc:
         from_edges(3, edges)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("v, fragment", [
+    (True, "True is not an integer vertex"),
+    (1.0, "1.0 is not an integer vertex"),
+    ("1", "'1' is not an integer vertex"),
+    (3, "3 outside 0..2"),
+    (-1, "-1 outside 0..2"),
+], ids=["bool", "float", "str", "too-large", "negative"])
+def test_every_vertex_check_names_what_is_wrong(v, fragment):
+    # a bool is an int to Python, and 1.0 == 1, so neither may pass as vertex 1
+    with pytest.raises(GraphFormatError, match=f"edges\\[1\\]: vertex {fragment}"):
+        from_edges(3, [(0, 2), (0, v)])
+    with pytest.raises(GraphFormatError, match=f"lambda_v: vertex {fragment}"):
+        from_edges(3, [(0, 1)], lambda_v={v: 2.0})
+    with pytest.raises(GraphFormatError, match=f"fixed: vertex {fragment}"):
+        Boundary(fixed={v: BLUE}).validate_against(path(3))
+    with pytest.raises(InvalidParameterError, match=f"order entry {fragment}"):
+        require_vertex(path(3), v, "order entry")
 
 
 def test_activity_falls_back_to_the_global_field():
