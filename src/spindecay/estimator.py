@@ -1,15 +1,17 @@
 """Deterministic marginal and partition-function estimation.
 
-Every interval comes from the walk kernel `saw._walk_single`, which walks the
-self-avoiding-walk tree once per call and propagates ratio intervals upward:
+Every interval comes from the walk kernel, a `saw.walker` that each entry
+call builds once and that walks the self-avoiding-walk tree once per call of
+it, propagating ratio intervals upward:
 a free node at the truncation frontier contributes the interval its degree
 allows, [lam_w * beta**k, lam_w * gamma**-k] for k = deg(w) - 1 (a point at a
 pendant vertex), and pinned leaves contribute exact points.  Each entry point
 builds that per-vertex table (`saw.frontier_factors`) once from its oriented
 activities, and its pins as one leaf-code list (`saw.leaf_codes`).
-approx_partition hands its one table to all its marginals, since pinning a
-vertex changes neither activities nor degrees, and writes each spin it
-chooses into its one code list.  This module holds
+approx_partition hands its one table and its one walker to all its
+marginals, since pinning a vertex changes neither activities nor degrees,
+and writes each spin it chooses into the code list that the walker reads.
+This module holds
 what is built on it: the accuracy loop, the decay curve and the partition
 pipeline.
 
@@ -23,9 +25,11 @@ earlier.
 
 The kernel and the certificates need beta <= gamma.  A system with
 beta > gamma is the same system with its spin labels swapped, so each entry
-point orients and checks its input once (`_prepare`).  `_interval` is the one
-place that makes an interval, from a pin or one kernel walk, and it maps the
-interval back into the caller's labels.
+point orients and checks its input once (`_prepare`).  `_ends` is the one
+place that maps a walk's ratio ends back into the caller's labels, as a
+probability interval too: `_interval` makes a record of it for a pin or one
+walk, and the accuracy loop tests it on each walk's raw ends and makes one
+record, of its last walk.
 
 Two truncation policies are supported (both live in `saw`): `Depth`, a plain
 depth cutoff for systems unique up to the graph's degree bound, and `MBased`,
@@ -46,7 +50,8 @@ leaves the rest to the vertices after it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -67,9 +72,9 @@ from .saw import (
     _GREEN,
     Depth,
     MBased,
-    _walk_single,
     frontier_factors,
     leaf_codes,
+    walker,
 )
 from .uniqueness import choose_M, contraction_bound
 
@@ -100,21 +105,29 @@ def _to_p(r: float) -> float:
     return 1.0 if math.isinf(r) else r / (1.0 + r)
 
 
-def _make_bounds(r_lo: float, r_hi: float, expanded: int, exact: bool,
-                 policy: str, level: int) -> MarginalBounds:
+def _invert_ratio(r: float) -> float:
+    return _INF if r == 0.0 else 0.0 if math.isinf(r) else 1.0 / r
+
+
+def _ends(r_lo: float, r_hi: float,
+          swapped: bool) -> tuple[float, float, float, float]:
+    """(r_lo, r_hi, p_lo, p_hi) in the caller's labels of a walk's ratio
+    ends in the oriented ones."""
     if r_lo > r_hi:  # only ever by accumulated rounding; keep the order sane
         r_lo, r_hi = r_hi, r_lo
     # r / (1 + r) is not monotone in floating point: one ulp apart in r can
     # invert in p, so take the ends' min and max to keep a certificate
     p_a, p_b = _to_p(r_lo), _to_p(r_hi)
-    return MarginalBounds(
-        r_lo=r_lo, r_hi=r_hi, p_lo=min(p_a, p_b), p_hi=max(p_a, p_b),
-        expanded=expanded, exact=exact, policy=policy, level=level,
-    )
+    p_lo, p_hi = min(p_a, p_b), max(p_a, p_b)
+    if not swapped:
+        return r_lo, r_hi, p_lo, p_hi
+    # back in the caller's labels, where blue and green trade places
+    return _invert_ratio(r_hi), _invert_ratio(r_lo), 1.0 - p_hi, 1.0 - p_lo
 
 
-def _invert_ratio(r: float) -> float:
-    return _INF if r == 0.0 else 0.0 if math.isinf(r) else 1.0 / r
+def _make_bounds(r_lo: float, r_hi: float, expanded: int, exact: bool,
+                 policy: str, level: int, swapped: bool = False) -> MarginalBounds:
+    return MarginalBounds(*_ends(r_lo, r_hi, swapped), expanded, exact, policy, level)
 
 
 class _Input(NamedTuple):
@@ -151,17 +164,16 @@ def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, *checks) -> _In
     return _Input(cls.system, lam, leaf_codes(g.n, fixed, s_set), s_set, cls.swapped)
 
 
-def _interval(g: Graph, prep: _Input, v: int, policy: Depth | MBased | None,
-              leaf: list[tuple[float, float]] | None, budget: int | None,
-              spent: int = 0) -> MarginalBounds:
-    """The interval of root v in the caller's labels, with `spent` earlier
-    nodes counted into `expanded`.  A pin or a differing-set member answers
-    from its leaf code without a walk.  Any other root takes one kernel walk
-    under `policy` and the frontier table `leaf`, or over the whole tree
-    when both are None, and is exact when its interval is a point.  The
-    caller has checked that v is a vertex of g.  Raises
-    InvalidParameterError for any other policy."""
-    s_or, lam, code, _, swapped = prep
+def _interval(prep: _Input, v: int, walk: Callable | None, policy: Depth | MBased | None,
+              exhaustive: bool = False) -> MarginalBounds:
+    """The interval of root v in the caller's labels.  A pin or a
+    differing-set member answers from its leaf code without a walk.  Any
+    other root takes one walk of `walk` (a `saw.walker` over prep) under
+    `policy`, or over the whole tree when policy is None and `exhaustive`,
+    and is exact when its interval is a point.  The caller has checked that
+    v is a vertex of g.  Raises InvalidParameterError for any other
+    policy."""
+    code = prep.code
     if code[v] == _DIFFERING:
         r_lo, r_hi, expanded, name, level = 0.0, _INF, 0, "fixed", 0
     elif code[v] != _FREE:
@@ -172,17 +184,12 @@ def _interval(g: Graph, prep: _Input, v: int, policy: Depth | MBased | None,
             name, level = "depth", policy.t
         elif isinstance(policy, MBased):
             name, level = "mbased", policy.ell
-        elif policy is None and leaf is None:
+        elif policy is None and exhaustive:
             name, level = "exhaustive", 0
         else:
             raise InvalidParameterError(f"unknown truncation policy {policy!r}")
-        r_lo, r_hi, expanded = _walk_single(g, s_or, v, lam, leaf, code, policy, budget)
-    out = _make_bounds(r_lo, r_hi, spent + expanded, r_lo == r_hi, name, level)
-    if not swapped:
-        return out
-    # back in the caller's labels, where blue and green trade places
-    return replace(out, r_lo=_invert_ratio(out.r_hi), r_hi=_invert_ratio(out.r_lo),
-                   p_lo=1.0 - out.p_hi, p_hi=1.0 - out.p_lo)
+        r_lo, r_hi, expanded = walk(v, policy)
+    return _make_bounds(r_lo, r_hi, expanded, r_lo == r_hi, name, level, prep.swapped)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +213,8 @@ def bounds(
     prep = _prepare(g, s, boundary)
     require_vertex(g, v)
     leaf = frontier_factors(g, prep.system, prep.lam, prep.s_set)
-    return _interval(g, prep, v, policy, leaf, budget)
+    walk = walker(g, prep.system, prep.lam, leaf, prep.code, budget)
+    return _interval(prep, v, walk, policy)
 
 
 def exhaustive_ratio(
@@ -226,7 +234,8 @@ def exhaustive_ratio(
     if prep.s_set:
         raise InvalidParameterError("exhaustive evaluation needs an empty differing set")
     require_vertex(g, v)
-    b = _interval(g, prep, v, None, None, budget)
+    b = _interval(prep, v, walker(g, prep.system, prep.lam, None, prep.code, budget), None,
+                  exhaustive=True)
     if not b.exact:
         raise SpinDecayError(f"exhaustive walk did not collapse to a point: [{b.r_lo}, {b.r_hi}]")
     return b.r_lo
@@ -270,17 +279,18 @@ def _level_for(eps: float, alpha: float) -> int:
     return max(1, math.ceil(math.log(4.0 / eps) / math.log(1.0 / alpha)))
 
 
-def _likelier(b: MarginalBounds) -> tuple[str, float, float]:
+def _likelier(p_lo: float, p_hi: float) -> tuple[str, float, float]:
     """The spin whose interval has the larger midpoint (blue on a tie), with
-    that spin's probability interval [q_lo, q_hi]."""
-    if b.p_lo + b.p_hi >= 1.0:
-        return BLUE, b.p_lo, b.p_hi
-    return GREEN, 1.0 - b.p_hi, 1.0 - b.p_lo
+    that spin's probability interval [q_lo, q_hi], of a blue interval
+    [p_lo, p_hi]."""
+    if p_lo + p_hi >= 1.0:
+        return BLUE, p_lo, p_hi
+    return GREEN, 1.0 - p_hi, 1.0 - p_lo
 
 
-def _log_width(b: MarginalBounds) -> float:
+def _log_width(p_lo: float, p_hi: float) -> float:
     """log(q_hi/q_lo) of the likelier spin, as approx_partition spends it."""
-    _, q_lo, q_hi = _likelier(b)
+    _, q_lo, q_hi = _likelier(p_lo, p_hi)
     return math.log(q_hi) - math.log(q_lo) if q_lo > 0.0 else _INF
 
 
@@ -292,7 +302,7 @@ def estimate_marginal(
     eps: float = 1e-2,
     mode: str = "depth",
     budget: int | None = DEFAULT_BUDGET,
-    _run: tuple[_Input, _Strategy, float] | None = None,
+    _run: tuple[_Input, _Strategy, float, Callable] | None = None,
 ) -> MarginalBounds:
     """Blue-marginal interval of width at most eps.
 
@@ -303,9 +313,10 @@ def estimate_marginal(
     so the loop ends; a width still above eps there raises SpinDecayError.
 
     approx_partition passes `_run`: its oriented and checked input, whose
-    leaf codes hold the pins so far, its strategy, and a log-width share
-    with eps = tanh(share/2).  Nothing is then prepared or checked again,
-    and boundary and mode go unused.  A walk then complies as soon as its
+    leaf codes hold the pins so far, its strategy, a log-width share with
+    eps = tanh(share/2), and its walker over that input.  Nothing is then
+    prepared, checked or built again, and boundary, mode and budget go
+    unused.  A walk then complies as soon as its
     likelier spin's interval has log(q_hi/q_lo) <= share.  A p-width of at
     most tanh(share/2) around a midpoint of at least 1/2 implies that, so
     the same cap ends the loop.  The cap is computed only after a walk that
@@ -314,7 +325,9 @@ def estimate_marginal(
 
     mode is "depth" (needs uniqueness up to the graph's degree bound) or
     "mbased" (needs universal uniqueness).  `expanded` is the total over all
-    walks, and the budget applies to each walk, as in decay_curve.  Raises
+    walks, and the budget applies to each walk, as in decay_curve.  Each
+    walk is tested on its raw ends, and one MarginalBounds is made, of the
+    walk that complies.  Raises
     UniquenessError when the mode's regime does not cover the instance,
     ZeroWeightError when the boundary has zero weight, and
     BudgetExceededError when a walk runs out of budget.
@@ -328,22 +341,26 @@ def estimate_marginal(
             )
         require_vertex(g, v)
         if prep.code[v] != _FREE:  # a pin answers before any certificate is needed
-            return _interval(g, prep, v, None, None, budget)
+            return _interval(prep, v, None, None)
         strat, share = _resolve_strategy(g, prep.system, prep.lam, mode), None
+        walk = walker(g, prep.system, prep.lam, strat.leaf, prep.code, budget)
     else:
-        prep, strat, share = _run
+        prep, strat, share, walk = _run
+    name, m_base, swapped = strat.mode, strat.m_base, prep.swapped
     level, spent, cap = 1, 0, None
     while True:
-        policy = Depth(level) if strat.mode == "depth" else MBased(strat.m_base, level)
-        out = _interval(g, prep, v, policy, strat.leaf, budget, spent)
-        spent = out.expanded
-        if out.exact or out.width <= eps or (share is not None and _log_width(out) <= share):
-            return out
+        r_lo, r_hi, nodes = walk(v, Depth(level) if name == "depth" else MBased(m_base, level))
+        spent += nodes
+        ends = _ends(r_lo, r_hi, swapped)
+        width = ends[3] - ends[2]
+        if (r_lo == r_hi or width <= eps
+                or (share is not None and _log_width(ends[2], ends[3]) <= share)):
+            return MarginalBounds(*ends, spent, r_lo == r_hi, name, level)
         if cap is None:  # only now: a share of 0 comes with an exact first walk
             cap = _level_for(eps, strat.alpha)
         if level >= cap:
             raise SpinDecayError(
-                f"width {out.width} still above eps={eps} at the certified level {cap}; "
+                f"width {width} still above eps={eps} at the certified level {cap}; "
                 "this should be unreachable for a certified strategy"
             )
         level = min(level + 2, cap)
@@ -438,6 +455,7 @@ def approx_partition(
         )
 
     strat = _resolve_strategy(g, prep.system, prep.lam, mode)
+    walk = walker(g, prep.system, prep.lam, strat.leaf, prep.code, budget)
     # the i-th vertex weighs its neighbours still free at its turn times the
     # n_free - i vertices left; `total` is the weight of the unfixed vertices
     pos = [-1] * g.n
@@ -454,10 +472,10 @@ def approx_partition(
         # a vertex of weight 0 has every neighbour pinned: its first walk is exact
         share = min(remaining * weight[i] / total, _MAX_SHARE) if weight[i] else 0.0
         total -= weight[i]
-        est = estimate_marginal(g, s, v, eps=math.tanh(0.5 * share), budget=budget,
-                                _run=(prep, strat, share))
+        est = estimate_marginal(g, s, v, eps=math.tanh(0.5 * share),
+                                _run=(prep, strat, share, walk))
         expanded += est.expanded
-        spin, q_lo, q_hi = _likelier(est)
+        spin, q_lo, q_hi = _likelier(est.p_lo, est.p_hi)
         if q_lo <= 0.0:
             raise SpinDecayError(f"conditional probability degenerated at vertex {v}")
         log_lo, log_hi = math.log(q_lo), math.log(q_hi)
@@ -522,8 +540,9 @@ def decay_curve(
     prep = _prepare(g, s, boundary, require_cutoff)
     require_vertex(g, v)
     leaf = frontier_factors(g, prep.system, prep.lam, prep.s_set)
+    walk = walker(g, prep.system, prep.lam, leaf, prep.code, budget)
     out = []
     for t in range(t_max + 1):
-        b = _interval(g, prep, v, Depth(t), leaf, budget)
+        b = _interval(prep, v, walk, Depth(t))
         out.append(DecayPoint(t=t, width=b.width, p_lo=b.p_lo, p_hi=b.p_hi))
     return out

@@ -15,14 +15,15 @@ Flipping the comparison corresponds to ranking every adjacency descending
 instead of ascending, which is just a different (equally valid) canonical
 order.
 
-`_walk_single` is the only traversal of the tree.  It walks it with one
-recursive call per expanded node, whose state lives in that call's locals,
-and propagates ratio intervals upward through the recursion of `core`,
-truncated by one of the two policies below (or not at all).  A free node at
-the truncation frontier is not expanded: it contributes the interval its
-degree allows (`frontier_factors`), which is a point at a pendant vertex, so
-such a leaf is exact.  The estimator calls it for every interval it reports,
-and `dump_levels` runs it with a visitor that records one node per call, so
+The walk that `walker` returns is the only traversal of the tree.  It walks
+it with one recursive call per expanded node, whose state lives in that
+call's locals, and propagates ratio intervals upward through the recursion
+of `core`, truncated by one of the two policies below (or not at all).  A
+free node at the truncation frontier is not expanded: it contributes the
+interval its degree allows (`frontier_factors`), which is a point at a
+pendant vertex, so such a leaf is exact.  Each entry call builds one walker
+and walks it once or many times: the estimator for every interval it
+reports, and `dump_levels` with a visitor that records one node per call, so
 the tree that is dumped is the tree that is evaluated.  The recursion is as
 deep as the longest walk the policy allows; a walk that would not fit under
 the interpreter's recursion limit runs on a worker thread sized for it, so no
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, guarded_exp
@@ -191,18 +193,17 @@ def _deep(call, levels: int):
     return out[0]
 
 
-def _walk_single(
+def walker(
     g: Graph,
     s: SpinSystem,
-    root: int,
     lam: list[float],
-    leaf: list[tuple[float, float]],
+    leaf: list[tuple[float, float]] | None,
     code: list[int],
-    policy: Depth | MBased | None,
     budget: int | None,
     visit=None,
-) -> tuple[float, float, int]:
-    """Returns (r_lo, r_hi, nodes expanded).
+) -> Callable[[int, Depth | MBased | None], tuple[float, float, int]]:
+    """One entry call's walker: walk(root, policy) -> (r_lo, r_hi, nodes
+    expanded), one walk of the tree rooted at root.
 
     A child is, in this order: a cycle-closing leaf, a member of the
     differing set or a fixed leaf (by its `leaf_codes` entry code[w]), a
@@ -218,28 +219,29 @@ def _walk_single(
     root in depth-first order; spin is None on free nodes.  The caller has
     checked that the root is a vertex of g (`require_vertex`) and that
     code[root] is _FREE.
+
+    The walker is built once per entry call and walks as often as it is
+    asked: the adjacency, the system's constants, the recursion and the
+    on-walk list are made here, and a walk only resets its node count and
+    its policy's cut-offs.  code is read, not copied, so a pin written into
+    it between walks holds from the next walk on.  Every walk, finished or
+    failed, leaves the on-walk list all -1.  The budget applies to each walk.
     """
     beta, gamma = s.beta, s.gamma
     adj = g.adj
     n = g.n
     inv_gamma = 1.0 / gamma
     log = math.log
-    # A frame at depth >= last_depth, or whose parent's scaled depth reaches
-    # m_limit, is at the frontier: its free children become frontier leaves.
-    # Walks are self-avoiding, so no frame reaches depth n, and scaled
-    # depths stay 0 without MBased.
-    last_depth, m_limit, m_base = n, 1, None
-    if isinstance(policy, Depth):
-        if policy.t == 0:
-            return 0.0, _INF, 0
-        last_depth = policy.t - 1
-    elif isinstance(policy, MBased):
-        m_limit, m_base = policy.ell, policy.m
     cap = _INF if budget is None else budget
 
     # on_walk[v]: the neighbour the walk left v by, or -1 off the walk
     on_walk = [-1] * n
-    expanded = 1
+    # Set by each walk.  A frame at depth >= last_depth, or whose parent's
+    # scaled depth reaches m_limit, is at the frontier: its free children
+    # become frontier leaves.  Walks are self-avoiding, so no frame reaches
+    # depth n, and scaled depths stay 0 without MBased.
+    root = expanded = 0
+    last_depth, m_limit, m_base = n, 1, None
 
     def expand(u: int, parent: int, depth: int, own_m: int, parent_m: int):
         """(lo, hi) of the node for vertex u, reached from parent (-1 at the
@@ -308,19 +310,37 @@ def _walk_single(
             hi = 0.0 if zero_hi else lam_u * acc_hi
         return lo, hi
 
-    # The recursion is one frame per tree level: at most n levels, since
-    # walks are self-avoiding, and t under Depth(t).  Under MBased(m, ell) a
-    # level adds at least 1 to the scaled depth (ceil_log(m, d + 1) >= 1 for
-    # d >= 1 children) and a frame takes free children only while its
-    # parent's scaled depth is below ell, so no node lies deeper than ell + 1.
-    levels = min(n, last_depth + 1)
-    if m_base is not None:
-        levels = min(levels, m_limit + 2)
-    if levels + _CALLER_FRAMES + _EXTRA_FRAMES <= sys.getrecursionlimit():
-        lo, hi = expand(root, -1, 0, 0, -1)
-    else:
-        lo, hi = _deep(lambda: expand(root, -1, 0, 0, -1), levels)
-    return lo, hi, expanded
+    def walk(v: int, policy: Depth | MBased | None) -> tuple[float, float, int]:
+        nonlocal root, expanded, last_depth, m_limit, m_base
+        last_depth, m_limit, m_base = n, 1, None
+        if isinstance(policy, Depth):
+            if policy.t == 0:
+                return 0.0, _INF, 0
+            last_depth = policy.t - 1
+        elif isinstance(policy, MBased):
+            m_limit, m_base = policy.ell, policy.m
+        root, expanded = v, 1
+        # The recursion is one frame per tree level: at most n levels, since
+        # walks are self-avoiding, and t under Depth(t).  Under MBased(m, ell)
+        # a level adds at least 1 to the scaled depth (ceil_log(m, d + 1) >= 1
+        # for d >= 1 children) and a frame takes free children only while its
+        # parent's scaled depth is below ell, so no node lies deeper than
+        # ell + 1.
+        levels = min(n, last_depth + 1)
+        if m_base is not None:
+            levels = min(levels, m_limit + 2)
+        try:
+            if levels + _CALLER_FRAMES + _EXTRA_FRAMES <= sys.getrecursionlimit():
+                lo, hi = expand(v, -1, 0, 0, -1)
+            else:
+                lo, hi = _deep(lambda: expand(v, -1, 0, 0, -1), levels)
+        except BaseException:
+            # a failed walk leaves its path marked; the next walk needs none
+            on_walk[:] = [-1] * n
+            raise
+        return lo, hi, expanded
+
+    return walk
 
 
 # Any system serves for dump_levels: the tree's shape does not depend on it.
@@ -354,6 +374,7 @@ def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None,
     visit(0, v, fixed.get(v))
     if v not in fixed:
         lam = [1.0] * g.n
-        _walk_single(g, _SHAPE_ONLY, v, lam, frontier_factors(g, _SHAPE_ONLY, lam),
-                     leaf_codes(g.n, fixed, frozenset()), policy, budget, visit)
+        walk = walker(g, _SHAPE_ONLY, lam, frontier_factors(g, _SHAPE_ONLY, lam),
+                      leaf_codes(g.n, fixed, frozenset()), budget, visit)
+        walk(v, policy)
     return nodes

@@ -17,6 +17,7 @@ from spindecay.errors import (
 )
 from spindecay.estimator import (
     Depth,
+    MarginalBounds,
     MBased,
     _make_bounds,
     approx_partition,
@@ -793,3 +794,48 @@ def test_swapped_pinned_partition_reproduces_pinned_bits(eps, order, expected):
     assert (pe.log_z_lo, pe.log_z_hi, pe.expanded) == (log_z_lo, log_z_hi, nodes)
     assert pe.chosen_config == tuple(BLUE if c == "b" else GREEN for c in config)
     assert pe.log_z_lo <= exact_partition(g, s, b).log_z <= pe.log_z_hi
+
+
+# The accuracy loop decides on each walk's raw ratio ends, mapped into the
+# caller's labels; an error in that mapping shows in no containment check
+# when it only moves a level, so these bits are pinned: mbased partitions
+# that deepen past level 1, in both orientations ...
+@pytest.mark.parametrize("s, expected", [
+    (SpinSystem(0.4, 2.0, 1.2),
+     (16.48703899574931, 16.487039648140772, "ggbggggggggggggg", 157)),
+    (SpinSystem(1.5, 0.6, 1.0),
+     (11.30345025697088, 11.303450261806915, "bbbbbbbbbgbbbbbb", 165)),
+])
+def test_mbased_partition_reproduces_pinned_bits(s, expected):
+    g, b = PINNED_PARTITION_GRAPH, Boundary(fixed={2: BLUE, 9: GREEN})
+    pe = approx_partition(g, s, 1e-6, b, mode="mbased")
+    log_z_lo, log_z_hi, config, nodes = expected
+    assert (pe.log_z_lo, pe.log_z_hi, pe.expanded, pe.mode) == (log_z_lo, log_z_hi, nodes,
+                                                                  "mbased")
+    assert pe.chosen_config == tuple(BLUE if c == "b" else GREEN for c in config)
+    assert pe.log_z_lo <= exact_partition(g, s, b).log_z <= pe.log_z_hi
+
+
+# ... a swapped standalone marginal, whole ...
+def test_swapped_marginal_reproduces_pinned_bits():
+    b = Boundary(fixed={2: BLUE, 5: GREEN, 12: BLUE})
+    est = estimate_marginal(PINNED_PARTITION_GRAPH, SpinSystem(0.8, 0.3, 0.3), 4, b, eps=1e-3)
+    assert est == MarginalBounds(
+        r_lo=1.0168059617417755, r_hi=1.0193745273344437, p_lo=0.5041664795871739,
+        p_hi=0.5047971604752334, expanded=41, exact=False, policy="depth", level=7)
+    truth = exact_marginal(PINNED_PARTITION_GRAPH, SpinSystem(0.8, 0.3, 0.3), 4, b).p
+    assert est.p_lo <= truth <= est.p_hi
+
+
+# ... and a swapped decay curve, at a free root and at a pinned one
+@pytest.mark.parametrize("v, expected", [
+    (4, [(1.0, 0.0, 1.0), (0.20556682247738478, 0.4467005076142132, 0.652267330091598),
+         (0.13411635672633815, 0.48768016630189714, 0.6217965230282353),
+         (0.040037090947787624, 0.4949632882748266, 0.5350003792226142),
+         (0.02621092693805882, 0.5013733429834455, 0.5275842699215043)]),
+    (2, [(0.0, 1.0, 1.0)] * 5),
+])
+def test_swapped_decay_curve_reproduces_pinned_bits(v, expected):
+    b = Boundary(fixed={2: BLUE, 5: GREEN, 12: BLUE})
+    curve = decay_curve(PINNED_PARTITION_GRAPH, SpinSystem(0.8, 0.3, 0.3), v, b, t_max=4)
+    assert [(pt.width, pt.p_lo, pt.p_hi) for pt in curve] == expected

@@ -29,11 +29,11 @@ from spindecay.saw import (
     FIXED,
     FREE,
     MBased,
-    _walk_single,
     closing_spin,
     dump_levels,
     frontier_factors,
     leaf_codes,
+    walker,
 )
 
 from helpers import saw_tree
@@ -224,25 +224,83 @@ _ZERO_INF_FRONTIER = {
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_kernel_reproduces_pinned_bits(case):
     (g, s, root, lam, fixed, s_set, policy), expected = _PINNED[case]
-    got = _walk_single(g, s, root, lam, frontier_factors(g, s, lam, s_set),
-                       leaf_codes(g.n, fixed, s_set), policy, None)
+    got = walker(g, s, lam, frontier_factors(g, s, lam, s_set),
+                 leaf_codes(g.n, fixed, s_set), None)(root, policy)
     assert got == expected
     lo, hi = _ZERO_INF_FRONTIER.get(case, expected[:2])
     assert lo <= got[0] <= got[1] <= hi
 
 
-def test_budget_trips_at_an_exact_node_count():
-    g = random_regular(30, 3, seed=2)
+_BUDGET_GRAPH = random_regular(30, 3, seed=2)
+
+
+def _budget_walker(budget):
     lam = [1.0] * 30
-    args = (g, _SOFT2, 0, lam, frontier_factors(g, _SOFT2, lam), leaf_codes(30, {}, frozenset()),
-            Depth(9))
+    return walker(_BUDGET_GRAPH, _SOFT2, lam, frontier_factors(_BUDGET_GRAPH, _SOFT2, lam),
+                  leaf_codes(30, {}, frozenset()), budget)
+
+
+def test_budget_trips_at_an_exact_node_count():
     # the [0, +inf] frontier gave [0.19625645302679012, 0.1962584755391204]
     expected = (0.19625794285505782, 0.1962584146197283, 536)
     assert 0.19625645302679012 <= expected[0] <= expected[1] <= 0.1962584755391204
-    assert _walk_single(*args, None) == expected
-    assert _walk_single(*args, 536) == expected
+    assert _budget_walker(None)(0, Depth(9)) == expected
+    assert _budget_walker(536)(0, Depth(9)) == expected
     with pytest.raises(BudgetExceededError, match="exceeded 535 nodes"):
-        _walk_single(*args, 535)
+        _budget_walker(535)(0, Depth(9))
+
+
+def test_a_failed_walk_leaves_the_walker_clean():
+    # the budget trips deep in the tree, with a whole path marked on the walk
+    walk = _budget_walker(535)
+    with pytest.raises(BudgetExceededError, match="exceeded 535 nodes"):
+        walk(0, Depth(9))
+    assert walk(0, Depth(3)) == _budget_walker(535)(0, Depth(3))
+    # and a walk that fails on the worker thread of a deep recursion
+    limit = sys.getrecursionlimit()
+    g = path(limit + 10)
+    lam = [1.0] * g.n
+    walk = walker(g, _SOFT2, lam, frontier_factors(g, _SOFT2, lam),
+                  leaf_codes(g.n, {}, frozenset()), limit)
+    with pytest.raises(BudgetExceededError):
+        walk(0, None)
+    assert walk(0, Depth(5)) == walker(g, _SOFT2, lam, frontier_factors(g, _SOFT2, lam),
+                                       leaf_codes(g.n, {}, frozenset()), None)(0, Depth(5))
+
+
+def test_one_walker_walks_every_case_of_its_graph_in_any_order():
+    # cases over one graph, activities and pins share a walker
+    groups: dict[tuple, list[str]] = {}
+    for case, ((g, s, _, lam, fixed, s_set, _), _) in sorted(_PINNED.items()):
+        key = (id(g), s, tuple(lam), tuple(sorted(fixed.items())), s_set)
+        groups.setdefault(key, []).append(case)
+    assert max(map(len, groups.values())) >= 2
+    for cases in groups.values():
+        (g, s, _, lam, fixed, s_set, _), _ = _PINNED[cases[0]]
+        for order in (cases, cases[::-1]):
+            walk = walker(g, s, lam, frontier_factors(g, s, lam, s_set),
+                          leaf_codes(g.n, fixed, s_set), None)
+            for case in order + order:
+                (_, _, root, _, _, _, policy), expected = _PINNED[case]
+                assert walk(root, policy) == expected
+
+
+def test_a_pin_written_between_walks_holds_from_the_next_walk():
+    # approx_partition writes each chosen spin into the code list its
+    # walker reads: the next walk sees the tree of the updated pins
+    g, lam = _G64, _LAM64
+    leaf = frontier_factors(g, _SOFT2, lam)
+    code = leaf_codes(g.n, {}, frozenset())
+    walk = walker(g, _SOFT2, lam, leaf, code, None)
+    pins: dict[int, str] = {}
+    for v, spin in ((0, BLUE), (1, GREEN), (5, GREEN), (12, BLUE)):
+        root = next(u for u in g.adj[v] if u not in pins)
+        unpinned = walk(root, Depth(7))
+        pins[v] = spin
+        code[v] = leaf_codes(g.n, pins, frozenset())[v]
+        got = walk(root, Depth(7))
+        fresh = walker(g, _SOFT2, lam, leaf, leaf_codes(g.n, pins, frozenset()), None)
+        assert got == fresh(root, Depth(7)) != unpinned
 
 
 def test_frontier_factors_stay_in_the_edge_factor_range():
