@@ -1,19 +1,19 @@
 """Deterministic marginal and partition-function estimation.
 
-Every interval comes from the walk kernel, a `saw.walker` that each entry
-call builds once and that walks the self-avoiding-walk tree once per call of
-it, propagating ratio intervals upward:
+Every interval comes from the walk kernel, a `saw.walker` that `_prepare`
+builds once per entry call and that walks the self-avoiding-walk tree once
+per call of it, propagating ratio intervals upward:
 a free node at the truncation frontier contributes the interval its degree
 allows, [lam_w * beta**k, lam_w * gamma**-k] for k = deg(w) - 1 (a point at a
-pendant vertex), and pinned leaves contribute exact points.  Each entry point
-builds that per-vertex table (`saw.frontier_factors`) once from its oriented
-activities, and its pins as one leaf-code list (`saw.leaf_codes`).
-approx_partition hands its one table and its one walker to all its
+pendant vertex), and pinned leaves contribute exact points.  `_prepare`
+builds that per-vertex table (`saw.frontier_factors`) once from the oriented
+activities, and the pins as one leaf-code list (`saw.leaf_codes`).
+approx_partition hands its one prepared input, walker included, to all its
 marginals, since pinning a vertex changes neither activities nor degrees,
 and writes each spin it chooses into the code list that the walker reads.
-This module holds
-what is built on it: the accuracy loop, the decay curve and the partition
-pipeline.
+Every walk is truncated by a policy; a depth cutoff past n walks the whole
+tree.  This module holds what is built on the kernel: the accuracy loop, the
+decay curve and the partition pipeline.
 
 The interval of every walk is a certificate, whatever its depth, so the
 accuracy loop starts at level 1 and deepens by 2 until the measured width
@@ -125,30 +125,29 @@ def _ends(r_lo: float, r_hi: float,
     return _invert_ratio(r_hi), _invert_ratio(r_lo), 1.0 - p_hi, 1.0 - p_lo
 
 
-def _make_bounds(r_lo: float, r_hi: float, expanded: int, exact: bool,
-                 policy: str, level: int, swapped: bool = False) -> MarginalBounds:
-    return MarginalBounds(*_ends(r_lo, r_hi, swapped), expanded, exact, policy, level)
-
-
 class _Input(NamedTuple):
     """One call's input in the orientation beta <= gamma (`_prepare`), its
-    pins and differing set held as one leaf code per vertex."""
+    pins and differing set held as one leaf code per vertex, and the one
+    walker over them."""
 
     system: SpinSystem
     lam: list[float]
     code: list[int]
-    s_set: frozenset[int]
+    walk: Callable[[int, Depth | MBased], tuple[float, float, int]]
     swapped: bool
 
 
-def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, *checks) -> _Input:
+def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, budget: int | None,
+             *checks) -> _Input:
     """One call's input, oriented and checked once: beta <= gamma, and when
     classify() swaps the labels to get there, activities invert and pins
     flip, into a fresh list of leaf codes (`saw.leaf_codes`).  Raises
     InvalidParameterError unless that system is anti-ferromagnetic and every
     pin is a vertex of g (the differing set lies among the pins); then runs
     the caller's own argument checks in order, and then the zero-weight
-    scan."""
+    scan.  Last it builds the call's one walker (`saw.walker`) over the
+    frontier table of those activities and differing set, which reads the
+    code list in place and applies `budget` to each walk."""
     cls = classify(s)
     require_antiferromagnetic(cls.system)
     fixed, s_set = (boundary.fixed, boundary.S) if boundary is not None else ({}, frozenset())
@@ -161,18 +160,19 @@ def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, *checks) -> _In
     if cls.swapped:
         lam = [1.0 / l for l in lam]
         fixed = {v: GREEN if spin == BLUE else BLUE for v, spin in fixed.items()}
-    return _Input(cls.system, lam, leaf_codes(g.n, fixed, s_set), s_set, cls.swapped)
+    code = leaf_codes(g.n, fixed, s_set)
+    leaf = frontier_factors(g, cls.system, lam, s_set)
+    return _Input(cls.system, lam, code, walker(g, cls.system, lam, leaf, code, budget),
+                  cls.swapped)
 
 
-def _interval(prep: _Input, v: int, walk: Callable | None, policy: Depth | MBased | None,
-              exhaustive: bool = False) -> MarginalBounds:
+def _interval(prep: _Input, v: int, policy: Depth | MBased | None) -> MarginalBounds:
     """The interval of root v in the caller's labels.  A pin or a
-    differing-set member answers from its leaf code without a walk.  Any
-    other root takes one walk of `walk` (a `saw.walker` over prep) under
-    `policy`, or over the whole tree when policy is None and `exhaustive`,
-    and is exact when its interval is a point.  The caller has checked that
-    v is a vertex of g.  Raises InvalidParameterError for any other
-    policy."""
+    differing-set member answers from its leaf code without a walk, whatever
+    the policy.  Any other root takes one walk of prep's walker under
+    `policy`, and is exact when its interval is a point.  The caller has
+    checked that v is a vertex of g.  Raises InvalidParameterError when such
+    a root's policy is neither Depth nor MBased."""
     code = prep.code
     if code[v] == _DIFFERING:
         r_lo, r_hi, expanded, name, level = 0.0, _INF, 0, "fixed", 0
@@ -184,12 +184,11 @@ def _interval(prep: _Input, v: int, walk: Callable | None, policy: Depth | MBase
             name, level = "depth", policy.t
         elif isinstance(policy, MBased):
             name, level = "mbased", policy.ell
-        elif policy is None and exhaustive:
-            name, level = "exhaustive", 0
         else:
             raise InvalidParameterError(f"unknown truncation policy {policy!r}")
-        r_lo, r_hi, expanded = walk(v, policy)
-    return _make_bounds(r_lo, r_hi, expanded, r_lo == r_hi, name, level, prep.swapped)
+        r_lo, r_hi, expanded = prep.walk(v, policy)
+    return MarginalBounds(*_ends(r_lo, r_hi, prep.swapped), expanded, r_lo == r_hi,
+                          name, level)
 
 
 # ---------------------------------------------------------------------------
@@ -210,35 +209,9 @@ def bounds(
     true marginal inside [p_lo, p_hi]; deeper policies only tighten it.
     Raises ZeroWeightError when the boundary has zero weight.
     """
-    prep = _prepare(g, s, boundary)
+    prep = _prepare(g, s, boundary, budget)
     require_vertex(g, v)
-    leaf = frontier_factors(g, prep.system, prep.lam, prep.s_set)
-    walk = walker(g, prep.system, prep.lam, leaf, prep.code, budget)
-    return _interval(prep, v, walk, policy)
-
-
-def exhaustive_ratio(
-    g: Graph,
-    s: SpinSystem,
-    v: int,
-    boundary: Boundary | None = None,
-    budget: int | None = DEFAULT_BUDGET,
-) -> float:
-    """Exact ratio from expanding the whole walk tree (no truncation).
-
-    The walk tree is finite, so with no frontier the interval collapses to a
-    point; this is the reference the truncated estimates converge to.
-    Raises ZeroWeightError when the boundary has zero weight.
-    """
-    prep = _prepare(g, s, boundary)
-    if prep.s_set:
-        raise InvalidParameterError("exhaustive evaluation needs an empty differing set")
-    require_vertex(g, v)
-    b = _interval(prep, v, walker(g, prep.system, prep.lam, None, prep.code, budget), None,
-                  exhaustive=True)
-    if not b.exact:
-        raise SpinDecayError(f"exhaustive walk did not collapse to a point: [{b.r_lo}, {b.r_hi}]")
-    return b.r_lo
+    return _interval(prep, v, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +223,6 @@ class _Strategy:
     mode: str  # "depth" | "mbased"
     alpha: float
     m_base: float | None
-    leaf: list[tuple[float, float]]  # frontier_factors of the oriented activities
 
 
 def _require_accuracy(mode: str, eps: float) -> None:
@@ -262,15 +234,14 @@ def _require_accuracy(mode: str, eps: float) -> None:
 
 def _resolve_strategy(g: Graph, s: SpinSystem, lam: list[float], mode: str) -> _Strategy:
     """The certified decay rate of a mode for an oriented system and its
-    activities, with the truncation base for "mbased" and the frontier table;
-    raises UniquenessError (with the failing arity) when some activity is not
-    unique up to the mode's degree bound: the graph's for "depth", none for
-    "mbased"."""
+    activities, with the truncation base for "mbased"; raises UniquenessError
+    (with the failing arity) when some activity is not unique up to the
+    mode's degree bound: the graph's for "depth", none for "mbased"."""
     delta = max(2, max_degree(g) + 1) if mode == "depth" else math.inf
     systems = [s.with_field(l) for l in sorted(set(lam))]
     alpha = max(contraction_bound(sl, delta).alpha for sl in systems)
     m_base = max(choose_M(sl, alpha) for sl in systems) if mode == "mbased" else None
-    return _Strategy(mode=mode, alpha=alpha, m_base=m_base, leaf=frontier_factors(g, s, lam))
+    return _Strategy(mode=mode, alpha=alpha, m_base=m_base)
 
 
 def _level_for(eps: float, alpha: float) -> int:
@@ -302,7 +273,7 @@ def estimate_marginal(
     eps: float = 1e-2,
     mode: str = "depth",
     budget: int | None = DEFAULT_BUDGET,
-    _run: tuple[_Input, _Strategy, float, Callable] | None = None,
+    _run: tuple[_Input, _Strategy, float] | None = None,
 ) -> MarginalBounds:
     """Blue-marginal interval of width at most eps.
 
@@ -313,9 +284,9 @@ def estimate_marginal(
     so the loop ends; a width still above eps there raises SpinDecayError.
 
     approx_partition passes `_run`: its oriented and checked input, whose
-    leaf codes hold the pins so far, its strategy, a log-width share with
-    eps = tanh(share/2), and its walker over that input.  Nothing is then
-    prepared, checked or built again, and boundary, mode and budget go
+    leaf codes hold the pins so far and whose walker reads them, its
+    strategy, and a log-width share with eps = tanh(share/2).  Nothing is
+    then prepared, checked or built again, and boundary, mode and budget go
     unused.  A walk then complies as soon as its
     likelier spin's interval has log(q_hi/q_lo) <= share.  A p-width of at
     most tanh(share/2) around a midpoint of at least 1/2 implies that, so
@@ -333,20 +304,19 @@ def estimate_marginal(
     BudgetExceededError when a walk runs out of budget.
     """
     if _run is None:
-        prep = _prepare(g, s, boundary, lambda: _require_accuracy(mode, eps))
-        if prep.s_set:
+        prep = _prepare(g, s, boundary, budget, lambda: _require_accuracy(mode, eps))
+        if boundary is not None and boundary.S:
             raise InvalidParameterError(
                 "estimate_marginal needs an empty differing set; width cannot "
                 "shrink below the gap a differing set forces"
             )
         require_vertex(g, v)
         if prep.code[v] != _FREE:  # a pin answers before any certificate is needed
-            return _interval(prep, v, None, None)
+            return _interval(prep, v, None)
         strat, share = _resolve_strategy(g, prep.system, prep.lam, mode), None
-        walk = walker(g, prep.system, prep.lam, strat.leaf, prep.code, budget)
     else:
-        prep, strat, share, walk = _run
-    name, m_base, swapped = strat.mode, strat.m_base, prep.swapped
+        prep, strat, share = _run
+    walk, name, m_base, swapped = prep.walk, strat.mode, strat.m_base, prep.swapped
     level, spent, cap = 1, 0, None
     while True:
         r_lo, r_hi, nodes = walk(v, Depth(level) if name == "depth" else MBased(m_base, level))
@@ -430,7 +400,7 @@ def approx_partition(
         if boundary is not None and boundary.S:
             raise InvalidParameterError("approx_partition needs an empty differing set")
 
-    prep = _prepare(g, s, boundary, lambda: _require_accuracy(mode, eps),
+    prep = _prepare(g, s, boundary, budget, lambda: _require_accuracy(mode, eps),
                     require_no_differing_set)
     fixed0 = boundary.fixed if boundary is not None else {}
 
@@ -455,7 +425,6 @@ def approx_partition(
         )
 
     strat = _resolve_strategy(g, prep.system, prep.lam, mode)
-    walk = walker(g, prep.system, prep.lam, strat.leaf, prep.code, budget)
     # the i-th vertex weighs its neighbours still free at its turn times the
     # n_free - i vertices left; `total` is the weight of the unfixed vertices
     pos = [-1] * g.n
@@ -473,7 +442,7 @@ def approx_partition(
         share = min(remaining * weight[i] / total, _MAX_SHARE) if weight[i] else 0.0
         total -= weight[i]
         est = estimate_marginal(g, s, v, eps=math.tanh(0.5 * share),
-                                _run=(prep, strat, share, walk))
+                                _run=(prep, strat, share))
         expanded += est.expanded
         spin, q_lo, q_hi = _likelier(est.p_lo, est.p_hi)
         if q_lo <= 0.0:
@@ -537,12 +506,10 @@ def decay_curve(
         if t_max < 0:
             raise InvalidParameterError(f"t_max must be nonnegative, got {t_max}")
 
-    prep = _prepare(g, s, boundary, require_cutoff)
+    prep = _prepare(g, s, boundary, budget, require_cutoff)
     require_vertex(g, v)
-    leaf = frontier_factors(g, prep.system, prep.lam, prep.s_set)
-    walk = walker(g, prep.system, prep.lam, leaf, prep.code, budget)
     out = []
     for t in range(t_max + 1):
-        b = _interval(prep, v, walk, Depth(t))
+        b = _interval(prep, v, Depth(t))
         out.append(DecayPoint(t=t, width=b.width, p_lo=b.p_lo, p_hi=b.p_hi))
     return out

@@ -18,13 +18,14 @@ order.
 The walk that `walker` returns is the only traversal of the tree.  It walks
 it with one recursive call per expanded node, whose state lives in that
 call's locals, and propagates ratio intervals upward through the recursion
-of `core`, truncated by one of the two policies below (or not at all).  A
-free node at the truncation frontier is not expanded: it contributes the
-interval its degree allows (`frontier_factors`), which is a point at a
-pendant vertex, so such a leaf is exact.  Each entry call builds one walker
-and walks it once or many times: the estimator for every interval it
-reports, and `dump_levels` with a visitor that records one node per call, so
-the tree that is dumped is the tree that is evaluated.  The recursion is as
+of `core`, truncated by one of the two policies below; a depth cutoff past
+the number of vertices walks the whole tree.  A free node at the truncation
+frontier is not expanded: it contributes the interval its degree allows
+(`frontier_factors`), which is a point at a pendant vertex, so such a leaf
+is exact.  Each entry call builds one walker and walks it once or many
+times: the estimator (in its `_prepare`) for every interval it reports, and
+`dump_levels` with a visitor that records one node per call, so the tree
+that is dumped is the tree that is evaluated.  The recursion is as
 deep as the longest walk the policy allows; a walk that would not fit under
 the interpreter's recursion limit runs on a worker thread sized for it, so no
 graph ends in a RecursionError.
@@ -197,11 +198,11 @@ def walker(
     g: Graph,
     s: SpinSystem,
     lam: list[float],
-    leaf: list[tuple[float, float]] | None,
+    leaf: list[tuple[float, float]],
     code: list[int],
     budget: int | None,
     visit=None,
-) -> Callable[[int, Depth | MBased | None], tuple[float, float, int]]:
+) -> Callable[[int, Depth | MBased], tuple[float, float, int]]:
     """One entry call's walker: walk(root, policy) -> (r_lo, r_hi, nodes
     expanded), one walk of the tree rooted at root.
 
@@ -210,9 +211,9 @@ def walker(
     frontier leaf, or a free node that is expanded.  A differing-set member
     and a frontier leaf contribute the factors leaf[w] of `frontier_factors`,
     whose table gives each member the trivial interval [0, +inf], factors
-    [beta, 1/gamma].  The frontier is
-    the policy's: a depth cutoff, a degree-scaled cutoff, or, for policy
-    None, no frontier at all.  Point leaves (fixed, cycle-closing, and
+    [beta, 1/gamma].  The frontier is the policy's, a Depth or an MBased
+    cutoff; Depth(t) with t > n has none, and its walk is a point unless
+    it meets a differing-set member.  Point leaves (fixed, cycle-closing, and
     frontier leaves at pendant vertices) keep r_lo == r_hi; the walk is exact
     exactly when its interval is a point.
     visit(depth, vertex, spin), when given, is called on every node below the
@@ -239,7 +240,7 @@ def walker(
     # Set by each walk.  A frame at depth >= last_depth, or whose parent's
     # scaled depth reaches m_limit, is at the frontier: its free children
     # become frontier leaves.  Walks are self-avoiding, so no frame reaches
-    # depth n, and scaled depths stay 0 without MBased.
+    # depth n, and scaled depths stay 0 under Depth.
     root = expanded = 0
     last_depth, m_limit, m_base = n, 1, None
 
@@ -310,15 +311,14 @@ def walker(
             hi = 0.0 if zero_hi else lam_u * acc_hi
         return lo, hi
 
-    def walk(v: int, policy: Depth | MBased | None) -> tuple[float, float, int]:
+    def walk(v: int, policy: Depth | MBased) -> tuple[float, float, int]:
         nonlocal root, expanded, last_depth, m_limit, m_base
-        last_depth, m_limit, m_base = n, 1, None
         if isinstance(policy, Depth):
             if policy.t == 0:
                 return 0.0, _INF, 0
-            last_depth = policy.t - 1
-        elif isinstance(policy, MBased):
-            m_limit, m_base = policy.ell, policy.m
+            last_depth, m_limit, m_base = policy.t - 1, 1, None
+        else:
+            last_depth, m_limit, m_base = n, policy.ell, policy.m
         root, expanded = v, 1
         # The recursion is one frame per tree level: at most n levels, since
         # walks are self-avoiding, and t under Depth(t).  Under MBased(m, ell)

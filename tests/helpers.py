@@ -13,6 +13,7 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from spindecay.core import BLUE, GREEN, SpinSystem, swap_spins
+from spindecay.estimator import Depth, bounds
 from spindecay.graphs import Boundary, Graph, from_edges, random_regular
 from spindecay.saw import FREE
 from spindecay.uniqueness import is_unique_up_to
@@ -175,6 +176,14 @@ def hand_swapped(
     b2 = None if boundary is None else Boundary(
         fixed={v: FLIP[sp] for v, sp in boundary.fixed.items()}, S=boundary.S)
     return g2, swap_spins(s), b2
+
+
+def exhaustive_ratio(g: Graph, s: SpinSystem, v: int, boundary: Boundary | None = None) -> float:
+    """The ratio of root v from a walk of its whole tree: a depth cutoff past
+    n meets no frontier, so the interval is a point."""
+    b = bounds(g, s, v, boundary, Depth(g.n + 1))
+    assert b.exact, (b.r_lo, b.r_hi)
+    return b.r_lo
 
 
 def inverted(r: float) -> float:

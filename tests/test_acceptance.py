@@ -22,7 +22,6 @@ from spindecay.estimator import (
     bounds,
     decay_curve,
     estimate_marginal,
-    exhaustive_ratio,
 )
 from spindecay.graphs import (
     Graph,
@@ -106,7 +105,7 @@ def check_saw_equals_enumeration(lamv_seed: int | None) -> None:
     started = time.perf_counter()
     for key, g, s, b in cases(lamv_seed):
         want = oracle((lamv_seed, *key), g, s, b)
-        got = exhaustive_ratio(g, s, 0, b)
+        got = helpers.exhaustive_ratio(g, s, 0, b)
         assert abs(got - want.ratio) <= 1e-8 * max(1.0, want.ratio), (key, got, want)
         assert abs(to_p(got) - want.p) <= 1e-8, (key, got, want)
     assert time.perf_counter() - started < 60.0
@@ -306,7 +305,7 @@ def test_criterion_09_degree_scaled_truncation():
         est = estimate_marginal(g, s, 0, eps=0.01, mode="mbased")
         assert est.exact or est.width <= 0.01
         assert est.expanded <= g.n ** 2 * m ** est.level, (g.n, est)
-        truth = exhaustive_ratio(g, s, 0)
+        truth = helpers.exhaustive_ratio(g, s, 0)
         tol = 1e-9 * max(1.0, truth)
         assert est.r_lo - tol <= truth <= est.r_hi + tol, (g.n, truth, est)
 

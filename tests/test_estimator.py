@@ -19,12 +19,11 @@ from spindecay.estimator import (
     Depth,
     MarginalBounds,
     MBased,
-    _make_bounds,
+    _ends,
     approx_partition,
     bounds,
     decay_curve,
     estimate_marginal,
-    exhaustive_ratio,
 )
 from spindecay.graphs import (
     Boundary,
@@ -41,7 +40,7 @@ from spindecay.oracle import exact_marginal, exact_partition
 from spindecay.saw import FREE, dump_levels
 from spindecay.uniqueness import hardcore_threshold, is_unique_up_to
 
-from helpers import FLIP, SWAP_GRAPH, hand_swapped, inverted
+from helpers import FLIP, SWAP_GRAPH, exhaustive_ratio, hand_swapped, inverted
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 SOFT = SpinSystem(0.3, 1.2, 0.8)
@@ -204,7 +203,7 @@ def test_policy_validation():
         with pytest.raises(InvalidParameterError):
             make()  # levels are integers
     with pytest.raises(InvalidParameterError):
-        bounds(g, HARDCORE, 0, policy=None)  # None walks the whole tree in the kernel only
+        bounds(g, HARDCORE, 0, policy=None)  # no policy; Depth(g.n + 1) walks the whole tree
     with pytest.raises(InvalidParameterError):
         bounds(g, HARDCORE, 5, policy=Depth(1))
 
@@ -215,17 +214,18 @@ _ENTRY_POINTS = {
     "decay_curve": lambda g, v, b: decay_curve(g, SOFT, v, b, t_max=3),
     "approx_partition": lambda g, v, b: approx_partition(
         g, SOFT, 0.1, b, order=[v, *(u for u in range(g.n) if u != v)]),
-    "exhaustive_ratio": lambda g, v, b: exhaustive_ratio(g, SOFT, v, b),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 @pytest.mark.parametrize("root, fixed", [
     (0, {99: BLUE}), (0, {-1: GREEN}), (0, {1.0: BLUE}), (0, {True: BLUE}),
-    (1.0, {}), (True, {}), (4, {}),
-], ids=["pin-99", "pin-minus-1", "pin-float", "pin-bool", "root-float", "root-bool", "root-4"])
+    (1.0, {}), (True, {}), (4, {}), (-1, {}),
+], ids=["pin-99", "pin-minus-1", "pin-float", "pin-bool", "root-float", "root-bool", "root-4",
+        "root-minus-1"])
 def test_entry_points_reject_what_is_no_vertex(entry, root, fixed):
-    # approx_partition takes the root as the head of its order (1.0 == 1)
+    # approx_partition takes the root as the head of its order (1.0 == 1);
+    # a root of -1 is no vertex, although adj[-1] exists
     with pytest.raises(InvalidParameterError):
         _ENTRY_POINTS[entry](path(4), root, Boundary(fixed=fixed))
 
@@ -298,21 +298,11 @@ def test_accuracy_loop_certifies_a_uniqueness_tie_within_rounding():
     assert est.p_lo <= truth <= est.p_hi and est.width <= 1e-3
 
 
-def test_exhaustive_ratio_rejects_zero_weight_boundaries():
-    with pytest.raises(ZeroWeightError):
-        exhaustive_ratio(path(3), SpinSystem(0.0, 1.0, 1.0), 2,
-                         Boundary(fixed={0: BLUE, 1: BLUE}))
-
-
 def test_exhaustive_ratio_matches_enumeration():
     g = cycle(6)
     assert exhaustive_ratio(g, SOFT, 2) == pytest.approx(
         exact_marginal(g, SOFT, 2).ratio, rel=1e-10
     )
-    with pytest.raises(InvalidParameterError):
-        exhaustive_ratio(g, SOFT, 0, Boundary(fixed={1: BLUE}, S=frozenset({1})))
-    with pytest.raises(InvalidParameterError):
-        exhaustive_ratio(g, SOFT, -1)  # not a vertex, even though adj[-1] exists
 
 
 def test_estimate_marginal_meets_the_width_target():
@@ -632,10 +622,10 @@ def test_probability_interval_stays_ordered_where_r_over_1_plus_r_inverts():
     r_lo = 0.42017085930776654
     r_hi = math.nextafter(r_lo, math.inf)
     assert r_lo / (1.0 + r_lo) > r_hi / (1.0 + r_hi)  # the rounding this guards
-    b = _make_bounds(r_lo, r_hi, 1, False, "depth", 1)
-    assert (b.r_lo, b.r_hi) == (r_lo, r_hi)
-    assert b.p_lo < b.p_hi
-    assert {b.p_lo, b.p_hi} == {r_lo / (1.0 + r_lo), r_hi / (1.0 + r_hi)}
+    lo, hi, p_lo, p_hi = _ends(r_lo, r_hi, False)
+    assert (lo, hi) == (r_lo, r_hi)
+    assert p_lo < p_hi
+    assert {p_lo, p_hi} == {r_lo / (1.0 + r_lo), r_hi / (1.0 + r_hi)}
 
 
 @pytest.mark.parametrize("leaves", [20, 40])
@@ -716,7 +706,6 @@ def test_pinned_green_neighbours_weigh_zero_at_gamma_zero():
     b = Boundary(fixed={1: GREEN, 3: GREEN})
     for call in (lambda: bounds(g, s, 0, b, Depth(2)),
                  lambda: estimate_marginal(g, s, 0, b, eps=0.1),
-                 lambda: exhaustive_ratio(g, s, 0, b),
                  lambda: decay_curve(g, s, 0, b, t_max=2),
                  lambda: approx_partition(g, s, 0.1, b)):
         with pytest.raises(ZeroWeightError, match="pinned green neighbours 1 and 3"):

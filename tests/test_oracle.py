@@ -14,11 +14,10 @@ from spindecay.errors import (
     InvalidParameterError,
     ZeroWeightError,
 )
-from spindecay.estimator import exhaustive_ratio
 from spindecay.graphs import Boundary, Graph, complete, cycle, from_edges, path
 from spindecay.oracle import exact_marginal, exact_partition, log_weight
 
-from helpers import brute_log_z
+from helpers import brute_log_z, exhaustive_ratio
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 

@@ -14,7 +14,7 @@ import pytest
 
 from spindecay.core import BLUE, GREEN, SpinSystem
 from spindecay.errors import BudgetExceededError, InvalidParameterError
-from spindecay.estimator import Depth, bounds, decay_curve, exhaustive_ratio
+from spindecay.estimator import Depth, bounds, decay_curve
 from spindecay.graphs import (
     Boundary,
     complete,
@@ -36,7 +36,7 @@ from spindecay.saw import (
     walker,
 )
 
-from helpers import saw_tree
+from helpers import exhaustive_ratio, saw_tree
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 SOFT = SpinSystem(0.3, 1.2, 0.8)
@@ -204,8 +204,9 @@ _PINNED = {
                   {1: BLUE, 7: GREEN, 9: BLUE, 20: GREEN, 33: BLUE, 40: GREEN},
                   frozenset({9, 20}), Depth(10)),
                  (0.27368388090901374, 0.3682154825869284, 707)),
+    # past n = 6 levels the walk meets no frontier
     "exhaustive": ((complete(6), _SOFT2, 2, [0.9, 1.1, 0.8, 1.3, 0.6, 1.0], {}, frozenset(),
-                    None),
+                    Depth(7)),
                    (0.07445742947669122, 0.07445742947669122, 326)),
 }
 
@@ -263,7 +264,7 @@ def test_a_failed_walk_leaves_the_walker_clean():
     walk = walker(g, _SOFT2, lam, frontier_factors(g, _SOFT2, lam),
                   leaf_codes(g.n, {}, frozenset()), limit)
     with pytest.raises(BudgetExceededError):
-        walk(0, None)
+        walk(0, Depth(g.n + 1))
     assert walk(0, Depth(5)) == walker(g, _SOFT2, lam, frontier_factors(g, _SOFT2, lam),
                                        leaf_codes(g.n, {}, frozenset()), None)(0, Depth(5))
 
