@@ -1,16 +1,16 @@
 """Deterministic marginal and partition-function estimation.
 
-Every interval comes from the walk kernel, a `saw.walker` that `_prepare`
-builds once per entry call and that walks the self-avoiding-walk tree once
-per call of it, propagating ratio intervals upward:
-a free node at the truncation frontier contributes the interval its degree
-allows, [lam_w * beta**k, lam_w * gamma**-k] for k = deg(w) - 1 (a point at a
-pendant vertex), and pinned leaves contribute exact points.  `_prepare`
-builds that per-vertex table (`saw.frontier_factors`) once from the oriented
-activities, and the pins as one leaf-code list (`saw.leaf_codes`).
+Every interval comes from the walk kernel, a `saw.walker` that each entry
+call builds once over its oriented activities, pins and differing set, and
+that walks the self-avoiding-walk tree once per walk, propagating ratio
+intervals upward: a free node at the truncation frontier contributes the
+interval its degree allows, [lam_w * beta**k, lam_w * gamma**-k] for
+k = deg(w) - 1 (a point at a pendant vertex), and pinned leaves contribute
+exact points.  The walker owns that boundary: it answers a pinned root or a
+member of the differing set without a walk, and this module only asks it
+whether a root is free and pins the spins approx_partition chooses.
 approx_partition hands its one prepared input, walker included, to all its
-marginals, since pinning a vertex changes neither activities nor degrees,
-and writes each spin it chooses into the code list that the walker reads.
+marginals, since pinning a vertex changes neither activities nor degrees.
 Every walk is truncated by a policy; a depth cutoff past n walks the whole
 tree.  This module holds what is built on the kernel: the accuracy loop, the
 decay curve and the partition pipeline.
@@ -27,8 +27,8 @@ The kernel and the certificates need beta <= gamma.  A system with
 beta > gamma is the same system with its spin labels swapped, so each entry
 point orients and checks its input once (`_prepare`).  `_ends` is the one
 place that maps a walk's ratio ends back into the caller's labels, as a
-probability interval too: `_interval` makes a record of it for a pin or one
-walk, and the accuracy loop tests it on each walk's raw ends and makes one
+probability interval too: `_interval` makes a record of it for one walk,
+and the accuracy loop tests it on each walk's raw ends and makes one
 record, of its last walk.
 
 Two truncation policies are supported (both live in `saw`): `Depth`, a plain
@@ -65,17 +65,7 @@ from .core import (
 from .errors import InvalidParameterError, SpinDecayError
 from .graphs import Boundary, Graph, max_degree, require_positive_weight, require_vertex
 from .oracle import log_weight
-from .saw import (
-    _BLUE,
-    _DIFFERING,
-    _FREE,
-    _GREEN,
-    Depth,
-    MBased,
-    frontier_factors,
-    leaf_codes,
-    walker,
-)
+from .saw import Depth, MBased, walker
 from .uniqueness import choose_M, contraction_bound
 
 _INF = math.inf
@@ -126,14 +116,15 @@ def _ends(r_lo: float, r_hi: float,
 
 
 class _Input(NamedTuple):
-    """One call's input in the orientation beta <= gamma (`_prepare`), its
-    pins and differing set held as one leaf code per vertex, and the one
-    walker over them."""
+    """One call's input in the orientation beta <= gamma (`_prepare`), and
+    the three calls of its one walker (`saw.walker`), which holds the pins
+    and the differing set in that orientation."""
 
     system: SpinSystem
     lam: list[float]
-    code: list[int]
     walk: Callable[[int, Depth | MBased], tuple[float, float, int]]
+    pin: Callable[[int, str], None]
+    free: Callable[[int], bool]
     swapped: bool
 
 
@@ -141,13 +132,12 @@ def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, budget: int | N
              *checks) -> _Input:
     """One call's input, oriented and checked once: beta <= gamma, and when
     classify() swaps the labels to get there, activities invert and pins
-    flip, into a fresh list of leaf codes (`saw.leaf_codes`).  Raises
-    InvalidParameterError unless that system is anti-ferromagnetic and every
-    pin is a vertex of g (the differing set lies among the pins); then runs
-    the caller's own argument checks in order, and then the zero-weight
-    scan.  Last it builds the call's one walker (`saw.walker`) over the
-    frontier table of those activities and differing set, which reads the
-    code list in place and applies `budget` to each walk."""
+    flip.  Raises InvalidParameterError unless that system is
+    anti-ferromagnetic and every pin is a vertex of g (the differing set
+    lies among the pins); then runs the caller's own argument checks in
+    order, and then the zero-weight scan.  Last it builds the call's one
+    walker over those activities, pins and differing set, which applies
+    `budget` to each walk."""
     cls = classify(s)
     require_antiferromagnetic(cls.system)
     fixed, s_set = (boundary.fixed, boundary.S) if boundary is not None else ({}, frozenset())
@@ -160,33 +150,23 @@ def _prepare(g: Graph, s: SpinSystem, boundary: Boundary | None, budget: int | N
     if cls.swapped:
         lam = [1.0 / l for l in lam]
         fixed = {v: GREEN if spin == BLUE else BLUE for v, spin in fixed.items()}
-    code = leaf_codes(g.n, fixed, s_set)
-    leaf = frontier_factors(g, cls.system, lam, s_set)
-    return _Input(cls.system, lam, code, walker(g, cls.system, lam, leaf, code, budget),
+    return _Input(cls.system, lam, *walker(g, cls.system, lam, fixed, s_set, budget),
                   cls.swapped)
 
 
-def _interval(prep: _Input, v: int, policy: Depth | MBased | None) -> MarginalBounds:
-    """The interval of root v in the caller's labels.  A pin or a
-    differing-set member answers from its leaf code without a walk, whatever
-    the policy.  Any other root takes one walk of prep's walker under
-    `policy`, and is exact when its interval is a point.  The caller has
-    checked that v is a vertex of g.  Raises InvalidParameterError when such
-    a root's policy is neither Depth nor MBased."""
-    code = prep.code
-    if code[v] == _DIFFERING:
-        r_lo, r_hi, expanded, name, level = 0.0, _INF, 0, "fixed", 0
-    elif code[v] != _FREE:
-        r_lo = r_hi = _INF if code[v] == _BLUE else 0.0
-        expanded, name, level = 0, "fixed", 0
+def _interval(prep: _Input, v: int, policy: Depth | MBased) -> MarginalBounds:
+    """The interval of root v in the caller's labels: one walk of prep's
+    walker under `policy`, exact when its interval is a point, and named
+    "fixed" at level 0 when v is pinned or in the differing set.  The caller
+    has checked that v is a vertex of g.  Raises InvalidParameterError when
+    the policy is neither Depth nor MBased, whatever the root."""
+    r_lo, r_hi, expanded = prep.walk(v, policy)
+    if not prep.free(v):
+        name, level = "fixed", 0
+    elif isinstance(policy, Depth):
+        name, level = "depth", policy.t
     else:
-        if isinstance(policy, Depth):
-            name, level = "depth", policy.t
-        elif isinstance(policy, MBased):
-            name, level = "mbased", policy.ell
-        else:
-            raise InvalidParameterError(f"unknown truncation policy {policy!r}")
-        r_lo, r_hi, expanded = prep.walk(v, policy)
+        name, level = "mbased", policy.ell
     return MarginalBounds(*_ends(r_lo, r_hi, prep.swapped), expanded, r_lo == r_hi,
                           name, level)
 
@@ -284,13 +264,12 @@ def estimate_marginal(
     so the loop ends; a width still above eps there raises SpinDecayError.
 
     approx_partition passes `_run`: its oriented and checked input, whose
-    leaf codes hold the pins so far and whose walker reads them, its
-    strategy, and a log-width share with eps = tanh(share/2).  Nothing is
-    then prepared, checked or built again, and boundary, mode and budget go
-    unused.  A walk then complies as soon as its
-    likelier spin's interval has log(q_hi/q_lo) <= share.  A p-width of at
-    most tanh(share/2) around a midpoint of at least 1/2 implies that, so
-    the same cap ends the loop.  The cap is computed only after a walk that
+    walker holds the pins so far, its strategy, and a log-width share with
+    eps = tanh(share/2).  Nothing is then prepared, checked or built again,
+    and boundary, mode and budget go unused.  A walk then complies as soon
+    as its likelier spin's interval has log(q_hi/q_lo) <= share.  A p-width
+    of at most tanh(share/2) around a midpoint of at least 1/2 implies that,
+    so the same cap ends the loop.  The cap is computed only after a walk that
     does not comply, so a share of 0, which approx_partition gives only to
     a vertex whose first walk is exact, never reaches it.
 
@@ -311,8 +290,8 @@ def estimate_marginal(
                 "shrink below the gap a differing set forces"
             )
         require_vertex(g, v)
-        if prep.code[v] != _FREE:  # a pin answers before any certificate is needed
-            return _interval(prep, v, None)
+        if not prep.free(v):  # any policy serves a pin, which needs no certificate
+            return _interval(prep, v, Depth(0))
         strat, share = _resolve_strategy(g, prep.system, prep.lam, mode), None
     else:
         prep, strat, share = _run
@@ -393,8 +372,8 @@ def approx_partition(
     ZeroWeightError when two pinned neighbours share a zero coupling; that
     is checked once, as each vertex is only pinned to a spin whose q_lo > 0.
     The input is oriented and checked once, every order entry included,
-    before any walk; each chosen spin is then written into the one list of
-    leaf codes that every marginal reads.
+    before any walk; each chosen spin is then pinned in the one walker that
+    every marginal walks.
     """
     def require_no_differing_set():
         if boundary is not None and boundary.S:
@@ -452,7 +431,7 @@ def approx_partition(
         sum_lo += log_lo
         sum_hi += log_hi
         sigma[v] = spin
-        prep.code[v] = _BLUE if (spin == BLUE) != prep.swapped else _GREEN
+        prep.pin(v, BLUE if (spin == BLUE) != prep.swapped else GREEN)
         chosen_p.append((v, 0.5 * (q_lo + q_hi)))
 
     spins = tuple(sigma)

@@ -340,7 +340,10 @@ def random_tree(n: int, seed: int) -> Graph:
     return from_edges(n, edges)
 
 
-def random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Graph:
+_PAIRING_TRIES = 1000  # pairings random_regular draws before switch repair
+
+
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular simple graph via the pairing model, retrying until simple.
 
     The pairing model rarely gives a simple graph once d >= 6, so when every
@@ -351,10 +354,8 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Graph:
         raise InvalidParameterError(f"n*d must be even, got n={n}, d={d}")
     if d >= n:
         raise InvalidParameterError(f"degree {d} impossible on {n} vertices")
-    if max_tries < 1:
-        raise InvalidParameterError(f"max_tries must be at least 1, got {max_tries}")
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_PAIRING_TRIES):
         points = [v for v in range(n) for _ in range(d)]
         rng.shuffle(points)
         edges = set()
@@ -371,7 +372,7 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 1000) -> Graph:
     if edges is None:
         raise InvalidParameterError(
             f"no simple {d}-regular graph on {n} vertices: the pairing model "
-            f"failed {max_tries} times and its switch repair found none"
+            f"failed {_PAIRING_TRIES} times and its switch repair found none"
         )
     return from_edges(n, edges)
 

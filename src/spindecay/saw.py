@@ -15,20 +15,22 @@ Flipping the comparison corresponds to ranking every adjacency descending
 instead of ascending, which is just a different (equally valid) canonical
 order.
 
-The walk that `walker` returns is the only traversal of the tree.  It walks
-it with one recursive call per expanded node, whose state lives in that
-call's locals, and propagates ratio intervals upward through the recursion
-of `core`, truncated by one of the two policies below; a depth cutoff past
-the number of vertices walks the whole tree.  A free node at the truncation
-frontier is not expanded: it contributes the interval its degree allows
-(`frontier_factors`), which is a point at a pendant vertex, so such a leaf
-is exact.  Each entry call builds one walker and walks it once or many
-times: the estimator (in its `_prepare`) for every interval it reports, and
-`dump_levels` with a visitor that records one node per call, so the tree
-that is dumped is the tree that is evaluated.  The recursion is as
-deep as the longest walk the policy allows; a walk that would not fit under
-the interpreter's recursion limit runs on a worker thread sized for it, so no
-graph ends in a RecursionError.
+The walker that `walker` builds is the only traversal of the tree, and the
+only code that knows how the pins and the differing set S are held: it
+answers a pinned root (a point) and a root in S ([0, +inf]) without a walk,
+and takes later pins through `pin`.  It walks the tree with one recursive
+call per expanded node, whose state lives in that call's locals, and
+propagates ratio intervals upward through the recursion of `core`,
+truncated by one of the two policies below; a depth cutoff past the number
+of vertices walks the whole tree.  A free node at the truncation frontier
+is not expanded: it contributes the interval its degree allows, which is a
+point at a pendant vertex, so such a leaf is exact.  Each entry
+call builds one walker and walks it once or many times: the estimator for
+every interval it reports, and `dump_levels` with a visitor that records one
+node per call, so the tree that is dumped is the tree that is evaluated.
+The recursion is as deep as the longest walk the policy allows; a walk that
+would not fit under the interpreter's recursion limit runs on a worker
+thread sized for it, so no graph ends in a RecursionError.
 """
 from __future__ import annotations
 
@@ -37,8 +39,9 @@ import sys
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, guarded_exp
+from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, edge_factor, guarded_exp
 from .errors import BudgetExceededError, InvalidParameterError, SpinDecayError
 from .graphs import Boundary, Graph, require_vertex
 
@@ -51,7 +54,9 @@ _INF = math.inf
 @dataclass(frozen=True)
 class Depth:
     """Expand free nodes strictly above depth t; free nodes at depth t are
-    frontier leaves, bounded by their degree (`frontier_factors`)."""
+    frontier leaves, bounded by their degree (`frontier_factors`).  Depth(0)
+    expands nothing, not even the root, whose interval is the trivial
+    [0, +inf]."""
 
     t: int
 
@@ -118,8 +123,7 @@ def frontier_factors(g: Graph, s: SpinSystem, lam: list[float],
             r_hi = guarded_exp(log_lam - k * log_gamma)
         else:
             r_lo = r_hi = lam_w
-        return (beta if r_hi == _INF else (beta * r_hi + 1.0) / (r_hi + gamma),
-                beta if r_lo == _INF else (beta * r_lo + 1.0) / (r_lo + gamma))
+        return edge_factor(s, r_hi), edge_factor(s, r_lo)
 
     # vertices of one degree and activity share a pair, computed once
     pairs: dict[tuple[int, float], tuple[float, float]] = {}
@@ -131,20 +135,10 @@ def frontier_factors(g: Graph, s: SpinSystem, lam: list[float],
 
 
 # Leaf codes, one per vertex: what a step onto a vertex that is not on the
-# walk finds there.
+# walk finds there.  Only the walker reads and writes them.
 _FREE, _DIFFERING, _BLUE, _GREEN = 0, 1, 2, 3
-
-
-def leaf_codes(n: int, fixed: dict[int, str], s_set: frozenset[int]) -> list[int]:
-    """A fresh list of n leaf codes: _BLUE or _GREEN at a pin, _DIFFERING at
-    a member of the differing set s_set (which lies among the pins), and
-    _FREE elsewhere.  A caller may write later pins into it in place."""
-    code = [_FREE] * n
-    for v, spin in fixed.items():
-        code[v] = _BLUE if spin == BLUE else _GREEN
-    for v in s_set:
-        code[v] = _DIFFERING
-    return code
+# (r_lo, r_hi, nodes) of a root that is not free, by its leaf code
+_BOUNDARY_ROOT = {_DIFFERING: (0.0, _INF, 0), _BLUE: (_INF, _INF, 0), _GREEN: (0.0, 0.0, 0)}
 
 
 # A walk whose recursion, beside this many frames of its caller's, would not
@@ -194,39 +188,51 @@ def _deep(call, levels: int):
     return out[0]
 
 
+class Walker(NamedTuple):
+    """What `walker` builds: walk(root, policy) -> (r_lo, r_hi, nodes
+    expanded); pin(v, spin), after which v holds spin from the next walk on;
+    and free(v), whether v is neither pinned nor in the differing set."""
+
+    walk: Callable[[int, Depth | MBased], tuple[float, float, int]]
+    pin: Callable[[int, str], None]
+    free: Callable[[int], bool]
+
+
 def walker(
     g: Graph,
     s: SpinSystem,
     lam: list[float],
-    leaf: list[tuple[float, float]],
-    code: list[int],
+    fixed: dict[int, str],
+    s_set: frozenset[int],
     budget: int | None,
     visit=None,
-) -> Callable[[int, Depth | MBased], tuple[float, float, int]]:
-    """One entry call's walker: walk(root, policy) -> (r_lo, r_hi, nodes
-    expanded), one walk of the tree rooted at root.
+) -> Walker:
+    """One entry call's walker over the activities lam, the pins fixed and
+    the differing set s_set (which lies among the pins), all in the labels
+    of s.  walk(root, policy) is one walk of the tree rooted at root; a
+    policy that is neither Depth nor MBased raises InvalidParameterError,
+    whatever the root, and a root that is not free is answered with 0
+    nodes: a pin by its point, a differing-set member by [0, +inf].
 
     A child is, in this order: a cycle-closing leaf, a member of the
-    differing set or a fixed leaf (by its `leaf_codes` entry code[w]), a
-    frontier leaf, or a free node that is expanded.  A differing-set member
-    and a frontier leaf contribute the factors leaf[w] of `frontier_factors`,
-    whose table gives each member the trivial interval [0, +inf], factors
-    [beta, 1/gamma].  The frontier is the policy's, a Depth or an MBased
-    cutoff; Depth(t) with t > n has none, and its walk is a point unless
-    it meets a differing-set member.  Point leaves (fixed, cycle-closing, and
-    frontier leaves at pendant vertices) keep r_lo == r_hi; the walk is exact
-    exactly when its interval is a point.
+    differing set or a fixed leaf, a frontier leaf, or a free node that is
+    expanded.  A differing-set member and a frontier leaf contribute their
+    `frontier_factors`, whose table gives each member the trivial interval
+    [0, +inf], factors [beta, 1/gamma].  The frontier is the policy's, a
+    Depth or an MBased cutoff; Depth(t) with t > n has none, and its walk is
+    a point unless it meets a differing-set member.  Point leaves (fixed,
+    cycle-closing, and frontier leaves at pendant vertices) keep
+    r_lo == r_hi; the walk is exact exactly when its interval is a point.
     visit(depth, vertex, spin), when given, is called on every node below the
     root in depth-first order; spin is None on free nodes.  The caller has
-    checked that the root is a vertex of g (`require_vertex`) and that
-    code[root] is _FREE.
+    checked that the root and every pin are vertices of g (`require_vertex`).
 
     The walker is built once per entry call and walks as often as it is
-    asked: the adjacency, the system's constants, the recursion and the
-    on-walk list are made here, and a walk only resets its node count and
-    its policy's cut-offs.  code is read, not copied, so a pin written into
-    it between walks holds from the next walk on.  Every walk, finished or
-    failed, leaves the on-walk list all -1.  The budget applies to each walk.
+    asked: the adjacency, the system's constants, the frontier table, the
+    leaf codes, the recursion and the on-walk list are made here, and a walk
+    only resets its node count and its policy's cut-offs.  Every walk,
+    finished or failed, leaves the on-walk list all -1.  The budget applies
+    to each walk.
     """
     beta, gamma = s.beta, s.gamma
     adj = g.adj
@@ -234,6 +240,16 @@ def walker(
     inv_gamma = 1.0 / gamma
     log = math.log
     cap = _INF if budget is None else budget
+    leaf = frontier_factors(g, s, lam, s_set)
+    code = [_FREE] * n
+
+    def pin(v: int, spin: str) -> None:
+        code[v] = _BLUE if spin == BLUE else _GREEN
+
+    for v, spin in fixed.items():
+        pin(v, spin)
+    for v in s_set:
+        code[v] = _DIFFERING
 
     # on_walk[v]: the neighbour the walk left v by, or -1 off the walk
     on_walk = [-1] * n
@@ -313,6 +329,10 @@ def walker(
 
     def walk(v: int, policy: Depth | MBased) -> tuple[float, float, int]:
         nonlocal root, expanded, last_depth, m_limit, m_base
+        if not isinstance(policy, (Depth, MBased)):
+            raise InvalidParameterError(f"unknown truncation policy {policy!r}")
+        if code[v] != _FREE:
+            return _BOUNDARY_ROOT[code[v]]
         if isinstance(policy, Depth):
             if policy.t == 0:
                 return 0.0, _INF, 0
@@ -340,7 +360,7 @@ def walker(
             raise
         return lo, hi, expanded
 
-    return walk
+    return Walker(walk, pin, lambda v: code[v] == _FREE)
 
 
 # Any system serves for dump_levels: the tree's shape does not depend on it.
@@ -372,9 +392,5 @@ def dump_levels(g: Graph, v: int, depth: int, boundary: Boundary | None = None,
         nodes.append(node)
 
     visit(0, v, fixed.get(v))
-    if v not in fixed:
-        lam = [1.0] * g.n
-        walk = walker(g, _SHAPE_ONLY, lam, frontier_factors(g, _SHAPE_ONLY, lam),
-                      leaf_codes(g.n, fixed, frozenset()), budget, visit)
-        walk(v, policy)
+    walker(g, _SHAPE_ONLY, [1.0] * g.n, fixed, frozenset(), budget, visit).walk(v, policy)
     return nodes

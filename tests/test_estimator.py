@@ -206,6 +206,11 @@ def test_policy_validation():
         bounds(g, HARDCORE, 0, policy=None)  # no policy; Depth(g.n + 1) walks the whole tree
     with pytest.raises(InvalidParameterError):
         bounds(g, HARDCORE, 5, policy=Depth(1))
+    # a pinned root and a root in the differing set need no walk, yet check
+    # the policy as a free root does
+    for boundary in (None, Boundary(fixed={1: BLUE}), Boundary(fixed={1: BLUE}, S=frozenset({1}))):
+        with pytest.raises(InvalidParameterError, match="unknown truncation policy 'bogus'"):
+            bounds(path(4), HARDCORE, 1, boundary, policy="bogus")
 
 
 _ENTRY_POINTS = {

@@ -7,6 +7,7 @@ interpreter, because this one has long since imported everything.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -47,6 +48,19 @@ def test_every_exported_name_is_its_home_modules_object():
             assert getattr(spindecay, name) is getattr(home, name), name
     assert sorted(spindecay.__all__) == sorted(spindecay._HOME)
     assert len(spindecay.__all__) == len(set(spindecay.__all__))
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # an underscore name is its module's own; a sibling that needs it needs
+    # a public interface instead
+    found = []
+    for path in sorted(Path(spindecay.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("spindecay")):
+                found += [f"{path.name}: {alias.name} from {node.module or '.'}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert found == []
 
 
 def test_star_import_binds_every_exported_name():

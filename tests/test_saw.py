@@ -32,7 +32,6 @@ from spindecay.saw import (
     closing_spin,
     dump_levels,
     frontier_factors,
-    leaf_codes,
     walker,
 )
 
@@ -225,8 +224,7 @@ _ZERO_INF_FRONTIER = {
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_kernel_reproduces_pinned_bits(case):
     (g, s, root, lam, fixed, s_set, policy), expected = _PINNED[case]
-    got = walker(g, s, lam, frontier_factors(g, s, lam, s_set),
-                 leaf_codes(g.n, fixed, s_set), None)(root, policy)
+    got = walker(g, s, lam, fixed, s_set, None).walk(root, policy)
     assert got == expected
     lo, hi = _ZERO_INF_FRONTIER.get(case, expected[:2])
     assert lo <= got[0] <= got[1] <= hi
@@ -236,9 +234,7 @@ _BUDGET_GRAPH = random_regular(30, 3, seed=2)
 
 
 def _budget_walker(budget):
-    lam = [1.0] * 30
-    return walker(_BUDGET_GRAPH, _SOFT2, lam, frontier_factors(_BUDGET_GRAPH, _SOFT2, lam),
-                  leaf_codes(30, {}, frozenset()), budget)
+    return walker(_BUDGET_GRAPH, _SOFT2, [1.0] * 30, {}, frozenset(), budget).walk
 
 
 def test_budget_trips_at_an_exact_node_count():
@@ -261,12 +257,10 @@ def test_a_failed_walk_leaves_the_walker_clean():
     limit = sys.getrecursionlimit()
     g = path(limit + 10)
     lam = [1.0] * g.n
-    walk = walker(g, _SOFT2, lam, frontier_factors(g, _SOFT2, lam),
-                  leaf_codes(g.n, {}, frozenset()), limit)
+    walk = walker(g, _SOFT2, lam, {}, frozenset(), limit).walk
     with pytest.raises(BudgetExceededError):
         walk(0, Depth(g.n + 1))
-    assert walk(0, Depth(5)) == walker(g, _SOFT2, lam, frontier_factors(g, _SOFT2, lam),
-                                       leaf_codes(g.n, {}, frozenset()), None)(0, Depth(5))
+    assert walk(0, Depth(5)) == walker(g, _SOFT2, lam, {}, frozenset(), None).walk(0, Depth(5))
 
 
 def test_one_walker_walks_every_case_of_its_graph_in_any_order():
@@ -279,28 +273,25 @@ def test_one_walker_walks_every_case_of_its_graph_in_any_order():
     for cases in groups.values():
         (g, s, _, lam, fixed, s_set, _), _ = _PINNED[cases[0]]
         for order in (cases, cases[::-1]):
-            walk = walker(g, s, lam, frontier_factors(g, s, lam, s_set),
-                          leaf_codes(g.n, fixed, s_set), None)
+            walk = walker(g, s, lam, fixed, s_set, None).walk
             for case in order + order:
                 (_, _, root, _, _, _, policy), expected = _PINNED[case]
                 assert walk(root, policy) == expected
 
 
 def test_a_pin_written_between_walks_holds_from_the_next_walk():
-    # approx_partition writes each chosen spin into the code list its
-    # walker reads: the next walk sees the tree of the updated pins
+    # approx_partition pins each chosen spin in its one walker: the next
+    # walk sees the tree of the updated pins
     g, lam = _G64, _LAM64
-    leaf = frontier_factors(g, _SOFT2, lam)
-    code = leaf_codes(g.n, {}, frozenset())
-    walk = walker(g, _SOFT2, lam, leaf, code, None)
+    walk, pin, _ = walker(g, _SOFT2, lam, {}, frozenset(), None)
     pins: dict[int, str] = {}
     for v, spin in ((0, BLUE), (1, GREEN), (5, GREEN), (12, BLUE)):
         root = next(u for u in g.adj[v] if u not in pins)
         unpinned = walk(root, Depth(7))
         pins[v] = spin
-        code[v] = leaf_codes(g.n, pins, frozenset())[v]
+        pin(v, spin)
         got = walk(root, Depth(7))
-        fresh = walker(g, _SOFT2, lam, leaf, leaf_codes(g.n, pins, frozenset()), None)
+        fresh = walker(g, _SOFT2, lam, pins, frozenset(), None).walk
         assert got == fresh(root, Depth(7)) != unpinned
 
 
