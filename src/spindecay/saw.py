@@ -21,10 +21,14 @@ answers a pinned root (a point) and a root in S ([0, +inf]) without a walk,
 and takes later pins through `pin`.  It walks the tree with one recursive
 call per expanded node, whose state lives in that call's locals, and
 propagates ratio intervals upward through the recursion of `core`,
-truncated by one of the two policies below; a depth cutoff past the number
-of vertices walks the whole tree.  A free node at the truncation frontier
-is not expanded: it contributes the interval its degree allows, which is a
-point at a pendant vertex, so such a leaf is exact.  Each entry
+truncated by one frontier rule: the root's scaled depth is 0, a node with
+d children puts them step[d] below itself, and a free node whose
+grandparent's scaled depth reaches the limit is a frontier leaf.  Depth(t)
+is unit steps with limit t - 2, so its scaled depth is the depth, and
+MBased(m, ell) is steps ceil_log(m, d + 1) with limit ell.  A depth cutoff
+past the number of vertices walks the whole tree.  A frontier leaf is not
+expanded: it contributes the interval its degree allows, a point at a
+pendant vertex, so such a leaf is exact.  Each entry
 call builds one walker and walks it once or many times: the estimator for
 every interval it reports, and `dump_levels` with a visitor that records one
 node per call, so the tree that is dumped is the tree that is evaluated.
@@ -53,10 +57,10 @@ _INF = math.inf
 
 @dataclass(frozen=True)
 class Depth:
-    """Expand free nodes strictly above depth t; free nodes at depth t are
-    frontier leaves, bounded by their degree (`frontier_factors`).  Depth(0)
-    expands nothing, not even the root, whose interval is the trivial
-    [0, +inf]."""
+    """Unit steps with limit t - 2: free nodes strictly above depth t are
+    expanded, and free nodes at depth t are frontier leaves, bounded by
+    their degree (`frontier_factors`).  Depth(0) expands nothing, not even
+    the root, whose interval is the trivial [0, +inf]."""
 
     t: int
 
@@ -68,12 +72,10 @@ class Depth:
 
 @dataclass(frozen=True)
 class MBased:
-    """Degree-scaled truncation with base m and budget ell.
-
-    A node's scaled depth grows by ceil_log(m, d+1) when its parent has d
-    children; free nodes whose grandparent's scaled depth reaches ell are
-    frontier leaves.
-    """
+    """Degree-scaled truncation with base m and budget ell: the step of a
+    node with d children is ceil_log(m, d + 1), and the limit is ell, so
+    free nodes whose grandparent's scaled depth reaches ell are frontier
+    leaves."""
 
     m: float
     ell: int
@@ -145,7 +147,7 @@ _BOUNDARY_ROOT = {_DIFFERING: (0.0, _INF, 0), _BLUE: (_INF, _INF, 0), _GREEN: (0
 # fit under the recursion limit runs on a worker thread instead (see _deep).
 _CALLER_FRAMES = 250
 # Frames the kernel adds beyond one per tree level: a visitor, guarded_exp,
-# ceil_log, a thread's bootstrap.
+# a thread's bootstrap.
 _EXTRA_FRAMES = 50
 # C stack for such a thread.  Python 3.10 recurses on the C stack for every
 # Python call, a few hundred bytes each in a release build; 3.11 and later
@@ -218,22 +220,26 @@ def walker(
     differing set or a fixed leaf, a frontier leaf, or a free node that is
     expanded.  A differing-set member and a frontier leaf contribute their
     `frontier_factors`, whose table gives each member the trivial interval
-    [0, +inf], factors [beta, 1/gamma].  The frontier is the policy's, a
-    Depth or an MBased cutoff; Depth(t) with t > n has none, and its walk is
-    a point unless it meets a differing-set member.  Point leaves (fixed,
-    cycle-closing, and frontier leaves at pendant vertices) keep
-    r_lo == r_hi; the walk is exact exactly when its interval is a point.
-    visit(depth, vertex, spin), when given, is called on every node below the
-    root in depth-first order; spin is None on free nodes.  The caller has
-    checked that the root and every pin are vertices of g (`require_vertex`).
+    [0, +inf], factors [beta, 1/gamma].  The frontier is the policy's steps
+    and limit; Depth(t) with t > n has none, and its walk is a point unless
+    it meets a differing-set member.  Point leaves (fixed, cycle-closing,
+    and frontier leaves at pendant vertices) keep r_lo == r_hi; the walk is
+    exact exactly when its interval is a point.  visit(scaled_depth, vertex,
+    spin), when given, is called on every node below the root in
+    depth-first order; spin is None on free nodes.  The caller has checked
+    that the root and every pin are vertices of g (`require_vertex`).
 
     The walker is built once per entry call and walks as often as it is
     asked: the adjacency, the system's constants, the frontier table, the
     leaf codes, the recursion and the on-walk list are made here, and a walk
-    only resets its node count and its policy's cut-offs.  Every walk,
-    finished or failed, leaves the on-walk list all -1.  The budget applies
-    to each walk.
+    only resets its node count and sets its policy's steps and limit.  Every
+    walk, finished or failed, leaves the on-walk list all -1.  The budget,
+    None or an int >= 1 (else InvalidParameterError), applies to each walk.
     """
+    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
+                               or budget < 1):
+        raise InvalidParameterError(
+            f"node budget must be None or a positive integer, got {budget!r}")
     beta, gamma = s.beta, s.gamma
     adj = g.adj
     n = g.n
@@ -253,14 +259,14 @@ def walker(
 
     # on_walk[v]: the neighbour the walk left v by, or -1 off the walk
     on_walk = [-1] * n
-    # Set by each walk.  A frame at depth >= last_depth, or whose parent's
-    # scaled depth reaches m_limit, is at the frontier: its free children
-    # become frontier leaves.  Walks are self-avoiding, so no frame reaches
-    # depth n, and scaled depths stay 0 under Depth.
-    root = expanded = 0
-    last_depth, m_limit, m_base = n, 1, None
+    # Child counts of the tree: a vertex's degree at the root, one less below.
+    # Each walk sets step over them, and limit; a frame whose parent's scaled
+    # depth reaches limit is at the frontier: its free children are leaves.
+    counts = {d for k in set(map(len, adj)) for d in (k, k - 1) if d >= 0}
+    step = unit = dict.fromkeys(counts, 1)
+    root = expanded = limit = 0
 
-    def expand(u: int, parent: int, depth: int, own_m: int, parent_m: int):
+    def expand(u: int, parent: int, own_m: int, parent_m: int):
         """(lo, hi) of the node for vertex u, reached from parent (-1 at the
         root).  The upper end comes from the children's lower ends and vice
         versa (the recursion is decreasing in each child), so acc_lo collects
@@ -271,8 +277,8 @@ def walker(
         kids = adj[u]
         d = len(kids) if parent < 0 else len(kids) - 1
         log_mode = d > LOG_PRODUCT_CUTOFF
-        frontier = depth >= last_depth or parent_m >= m_limit
-        child_m = own_m + ceil_log(m_base, d + 1) if m_base is not None else 0
+        frontier = parent_m >= limit
+        child_m = own_m + step[d]
         acc_lo = acc_hi = 0.0 if log_mode else 1.0
         zero_lo = zero_hi = False
         for w in kids:
@@ -288,9 +294,9 @@ def walker(
                         f"expansion exceeded {budget} nodes at vertex {root}"
                     )
                 if visit is not None:
-                    visit(depth + 1, w, None)
+                    visit(child_m, w, None)
                 on_walk[u] = w
-                lo, hi = expand(w, u, depth + 1, child_m, own_m)
+                lo, hi = expand(w, u, child_m, own_m)
                 f_lo = beta if hi == _INF else (beta * hi + 1.0) / (hi + gamma)
                 f_hi = beta if lo == _INF else (beta * lo + 1.0) / (lo + gamma)
             else:
@@ -304,7 +310,7 @@ def walker(
                     f_lo = f_hi = inv_gamma  # ratio 0
                     spin = GREEN
                 if visit is not None:
-                    visit(depth + 1, w, spin)
+                    visit(child_m, w, spin)
             if f_lo == 0.0:
                 zero_lo = True
             elif log_mode:
@@ -328,7 +334,7 @@ def walker(
         return lo, hi
 
     def walk(v: int, policy: Depth | MBased) -> tuple[float, float, int]:
-        nonlocal root, expanded, last_depth, m_limit, m_base
+        nonlocal root, expanded, step, limit
         if not isinstance(policy, (Depth, MBased)):
             raise InvalidParameterError(f"unknown truncation policy {policy!r}")
         if code[v] != _FREE:
@@ -336,24 +342,21 @@ def walker(
         if isinstance(policy, Depth):
             if policy.t == 0:
                 return 0.0, _INF, 0
-            last_depth, m_limit, m_base = policy.t - 1, 1, None
+            step, limit = unit, policy.t - 2
         else:
-            last_depth, m_limit, m_base = n, policy.ell, policy.m
+            step, limit = {d: ceil_log(policy.m, d + 1) for d in counts}, policy.ell
         root, expanded = v, 1
         # The recursion is one frame per tree level: at most n levels, since
-        # walks are self-avoiding, and t under Depth(t).  Under MBased(m, ell)
-        # a level adds at least 1 to the scaled depth (ceil_log(m, d + 1) >= 1
-        # for d >= 1 children) and a frame takes free children only while its
-        # parent's scaled depth is below ell, so no node lies deeper than
-        # ell + 1.
-        levels = min(n, last_depth + 1)
-        if m_base is not None:
-            levels = min(levels, m_limit + 2)
+        # walks are self-avoiding.  A level adds at least 1 to the scaled
+        # depth (every step of a node with children is >= 1), and a frame
+        # takes free children only while its parent's scaled depth is below
+        # limit, so no node lies deeper than limit + 1.
+        levels = min(n, limit + 2)
         try:
             if levels + _CALLER_FRAMES + _EXTRA_FRAMES <= sys.getrecursionlimit():
-                lo, hi = expand(v, -1, 0, 0, -1)
+                lo, hi = expand(v, -1, 0, -1)
             else:
-                lo, hi = _deep(lambda: expand(v, -1, 0, 0, -1), levels)
+                lo, hi = _deep(lambda: expand(v, -1, 0, -1), levels)
         except BaseException:
             # a failed walk leaves its path marked; the next walk needs none
             on_walk[:] = [-1] * n

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -214,11 +215,11 @@ def test_policy_validation():
 
 
 _ENTRY_POINTS = {
-    "bounds": lambda g, v, b: bounds(g, SOFT, v, b, Depth(3)),
-    "estimate_marginal": lambda g, v, b: estimate_marginal(g, SOFT, v, b),
-    "decay_curve": lambda g, v, b: decay_curve(g, SOFT, v, b, t_max=3),
-    "approx_partition": lambda g, v, b: approx_partition(
-        g, SOFT, 0.1, b, order=[v, *(u for u in range(g.n) if u != v)]),
+    "bounds": lambda g, v, b, **kw: bounds(g, SOFT, v, b, Depth(3), **kw),
+    "estimate_marginal": lambda g, v, b, **kw: estimate_marginal(g, SOFT, v, b, **kw),
+    "decay_curve": lambda g, v, b, **kw: decay_curve(g, SOFT, v, b, t_max=3, **kw),
+    "approx_partition": lambda g, v, b, **kw: approx_partition(
+        g, SOFT, 0.1, b, order=[v, *(u for u in range(g.n) if u != v)], **kw),
 }
 
 
@@ -233,6 +234,16 @@ def test_entry_points_reject_what_is_no_vertex(entry, root, fixed):
     # a root of -1 is no vertex, although adj[-1] exists
     with pytest.raises(InvalidParameterError):
         _ENTRY_POINTS[entry](path(4), root, Boundary(fixed=fixed))
+
+
+@pytest.mark.parametrize("entry", [*sorted(_ENTRY_POINTS), "dump_levels"])
+def test_entry_points_reject_a_budget_that_is_no_positive_int(entry):
+    # the walker checks the budget once; nan would cap nothing, "10" would
+    # fail its first comparison, and a bool or a float would pass as a cap
+    run = _ENTRY_POINTS.get(entry, lambda g, v, b, budget: dump_levels(g, v, 3, b, budget))
+    for budget in (math.nan, "10", True, 2.5, 0, -3):
+        with pytest.raises(InvalidParameterError, match=f"got {re.escape(repr(budget))}$"):
+            run(path(4), 0, None, budget=budget)
 
 
 def test_accuracy_loop_meets_a_tight_target():

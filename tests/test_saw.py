@@ -335,6 +335,22 @@ def limits_kept():
     assert (sys.getrecursionlimit(), threading.stack_size()) == before
 
 
+def _walked(b):
+    return b.r_lo, b.r_hi, b.expanded, b.exact
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mbased_with_unit_steps_is_a_depth_cutoff(seed):
+    # a cubic graph's child counts are 3 at the root and 2 below, and
+    # ceil_log(4, d + 1) = 1 for both, so MBased(4, ell) walks Depth(ell + 2)
+    g = random_regular(20, 3, seed=seed)
+    for ell in range(1, 8):
+        for v in (0, 5):
+            got, want = (_walked(bounds(g, SOFT, v, policy=policy))
+                         for policy in (MBased(4.0, ell), Depth(ell + 2)))
+            assert got == want
+
+
 @pytest.mark.parametrize("closed", [False, True])
 def test_walks_deeper_than_the_recursion_limit(closed, limits_kept):
     g = cycle(5000) if closed else path(5000)
@@ -355,6 +371,12 @@ def test_deep_truncated_walks_and_dumps(limits_kept):
         b = bounds(g, _SOFT2, 0, policy=policy)
         assert (b.r_lo, b.r_hi, b.expanded, b.exact) == (exact, exact, 5000, True)
         assert limits_kept()
+    # every step on a path is 1, so MBased(2, 3000) is Depth(3002): 3002
+    # levels, below n but past the recursion limit
+    got, want = (_walked(bounds(g, _SOFT2, 0, policy=policy))
+                 for policy in (MBased(2.0, 3000), Depth(3002)))
+    assert got == want and want[2:] == (3002, False)
+    assert limits_kept()
     # an error raised deep in the walk reaches the caller
     with pytest.raises(BudgetExceededError):
         bounds(g, _SOFT2, 0, policy=Depth(5000), budget=4000)
