@@ -138,17 +138,19 @@ class Boundary:
     """Fixed spins plus an optional differing set S (a subset of the fixed keys).
 
     Vertices in S are treated as unknown by interval evaluations even though
-    they carry a spin here; spatial-mixing experiments flip them.
+    they carry a spin here; spatial-mixing experiments flip them.  S is
+    stored as a frozenset whatever iterable it is given as.
     """
 
     fixed: dict[int, str] = field(default_factory=dict)
     S: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        object.__setattr__(self, "S", frozenset(self.S))
         for v, spin in self.fixed.items():
             if spin not in (BLUE, GREEN):
                 raise GraphFormatError(f"fixed[{v}]: spin must be blue or green, got {spin!r}")
-        extra = set(self.S) - set(self.fixed)
+        extra = self.S - set(self.fixed)
         if extra:
             raise GraphFormatError(f"S: vertices {sorted(extra)} carry no fixed spin")
 

@@ -91,7 +91,11 @@ def _log_sums(
 ) -> tuple[list[float], int, int]:
     """Log partition sums extending the boundary, one per spin assignment of
     the free vertices in keep (indexed as in _join), with the number of free
-    vertices and the number of table entries built."""
+    vertices and the number of table entries built.  The cap must be an int
+    >= 0 (not a bool), else InvalidParameterError; 0 admits only a graph
+    with no free vertex."""
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 0:
+        raise InvalidParameterError(f"enumeration cap must be a nonnegative integer, got {cap!r}")
     fixed = dict(boundary.fixed) if boundary is not None else {}
     if boundary is not None and boundary.S:
         raise InvalidParameterError("exact oracles need an empty differing set")

@@ -33,8 +33,9 @@ call builds one walker and walks it once or many times: the estimator for
 every interval it reports, and `dump_levels` with a visitor that records one
 node per call, so the tree that is dumped is the tree that is evaluated.
 The recursion is as deep as the longest walk the policy allows; a walk that
-would not fit under the interpreter's recursion limit runs on a worker
-thread sized for it, so no graph ends in a RecursionError.
+would not fit under the interpreter's recursion limit raises the limit for
+its duration and runs on the caller's thread, so no graph ends in a
+RecursionError.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, edge_factor, guarded_exp
-from .errors import BudgetExceededError, InvalidParameterError, SpinDecayError
+from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Boundary, Graph, require_vertex
 
 FREE = "free"
@@ -86,14 +87,6 @@ class MBased:
         if isinstance(self.ell, bool) or not isinstance(self.ell, int) or self.ell < 1:
             raise InvalidParameterError(
                 f"truncation budget must be a positive integer, got {self.ell!r}")
-
-
-def closing_spin(departed_to: int, closing_from: int) -> str:
-    """Spin of a cycle-closing leaf at a vertex the walk left via departed_to
-    and is re-entered from closing_from."""
-    # Blue exactly when the closing edge outranks the departing edge at the
-    # revisited vertex.  Adjacency lists are ascending, so rank order is id order.
-    return BLUE if closing_from > departed_to else GREEN
 
 
 def frontier_factors(g: Graph, s: SpinSystem, lam: list[float],
@@ -144,50 +137,27 @@ _BOUNDARY_ROOT = {_DIFFERING: (0.0, _INF, 0), _BLUE: (_INF, _INF, 0), _GREEN: (0
 
 
 # A walk whose recursion, beside this many frames of its caller's, would not
-# fit under the recursion limit runs on a worker thread instead (see _deep).
+# fit under the recursion limit raises the limit for its duration (see _deep).
 _CALLER_FRAMES = 250
-# Frames the kernel adds beyond one per tree level: a visitor, guarded_exp,
-# a thread's bootstrap.
+# Frames the kernel adds beyond one per tree level: a visitor, guarded_exp.
 _EXTRA_FRAMES = 50
-# C stack for such a thread.  Python 3.10 recurses on the C stack for every
-# Python call, a few hundred bytes each in a release build; 3.11 and later
-# run a Python call from Python code in the caller's C frame.  Stack pages
-# are only reserved until a walk touches them.
-_STACK_BASE = 16 << 20
-_STACK_PER_LEVEL = 8 << 10 if sys.version_info < (3, 11) else 0
+# The recursion limit is per interpreter, so deep walks take turns.
 _deep_lock = threading.Lock()
 
 
 def _deep(call, levels: int):
-    """call() on a worker thread whose stack and recursion limit fit a
-    recursion `levels` deep; the recursion limit and the thread stack size
-    are restored afterwards.  Whatever call raises is raised here."""
-    out = []
-
-    def run():
-        try:
-            out.append(call())
-        except BaseException as e:  # handed to the calling thread below
-            out.append(e)
-
+    """call() under a recursion limit raised by `levels` frames and some,
+    on the caller's thread: Python 3.11 and later run a Python call from
+    Python code without a C frame, so only the limit stands in the way.
+    The raise is counted from the current limit, so a caller that is
+    already deep keeps its room; the limit is restored afterwards."""
     with _deep_lock:
-        old_limit, old_size = sys.getrecursionlimit(), threading.stack_size()
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(old + levels + _EXTRA_FRAMES)
         try:
-            sys.setrecursionlimit(max(old_limit, levels + _EXTRA_FRAMES))
-            threading.stack_size(_STACK_BASE + levels * _STACK_PER_LEVEL)
-            worker = threading.Thread(target=run, name="spindecay-deep-walk")
-            try:
-                worker.start()
-            except RuntimeError as e:  # the system refused the stack
-                raise SpinDecayError(f"a walk {levels} levels deep found no thread "
-                                     f"stack to run on: {e}") from None
-            worker.join()
+            return call()
         finally:
-            threading.stack_size(old_size)
-            sys.setrecursionlimit(old_limit)
-    if isinstance(out[0], BaseException):
-        raise out[0]
-    return out[0]
+            sys.setrecursionlimit(old)
 
 
 class Walker(NamedTuple):
@@ -285,7 +255,8 @@ def walker(
             if w == parent:
                 continue
             left = on_walk[w]
-            # a step back onto the walk closes a cycle: closing_spin(left, u)
+            # a step back onto the walk closes a cycle, blue exactly when the
+            # closing edge outranks the one the walk left w by (ids ascend)
             c = code[w] if left < 0 else _BLUE if u > left else _GREEN
             if c == _FREE and not frontier:
                 expanded += 1

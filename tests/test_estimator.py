@@ -442,6 +442,15 @@ def test_marginals_reject_zero_weight_boundaries():
     assert bounds(g, SOFT, 2, b, Depth(2)).exact  # beta > 0 weighs blue-blue
 
 
+def test_a_differing_set_given_as_a_list_is_a_frozenset():
+    # a list S once ended in a TypeError in the zero-weight check
+    fixed = {1: BLUE, 2: BLUE}
+    got, want = (bounds(path(3), HARDCORE, 0, Boundary(fixed=fixed, S=S), Depth(2))
+                 for S in ([2], frozenset({2})))
+    assert got == want
+    assert Boundary(fixed=fixed, S=[2]).S == frozenset({2})
+
+
 def test_approx_partition_probabilities_stay_away_from_zero():
     pe = approx_partition(random_tree(25, seed=9), SOFT, eps=0.05)
     assert all(p >= 1.0 / 3.0 - 1e-9 for _, p in pe.per_vertex_p)

@@ -3,6 +3,7 @@ agreement with a brute force."""
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +101,26 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         exact_partition(complete(5), HARDCORE, cap=4)
     exact_partition(complete(5), HARDCORE, cap=5)
+
+
+@pytest.mark.parametrize("cap", [float("nan"), "5", None, 2.5, -1, True])
+def test_a_cap_that_is_no_nonnegative_int_is_refused(cap):
+    # nan once switched the guard off; the others raised a TypeError or
+    # reached the cap check and named a cap of 2^True or 2^2.5
+    with pytest.raises(InvalidParameterError, match=re.escape(f"got {cap!r}")):
+        exact_partition(complete(4), HARDCORE, cap=cap)
+    with pytest.raises(InvalidParameterError, match=re.escape(f"got {cap!r}")):
+        exact_marginal(complete(4), HARDCORE, 0, cap=cap)
+
+
+def test_a_cap_of_zero_admits_only_a_graph_with_no_free_vertex():
+    pinned = Boundary(fixed={v: GREEN for v in range(4)})
+    assert exact_partition(complete(4), HARDCORE, pinned, cap=0).n_free == 0
+    assert exact_marginal(complete(4), HARDCORE, 0, pinned, cap=0).p == 0.0
+    with pytest.raises(EnumerationCapError, match=re.escape("(cap is 2^0)")):
+        exact_partition(complete(4), HARDCORE, cap=0)
+    with pytest.raises(EnumerationCapError, match=re.escape("(cap is 2^0)")):
+        exact_marginal(complete(4), HARDCORE, 0, cap=0)
 
 
 def test_log_weight_by_hand():

@@ -29,7 +29,6 @@ from spindecay.saw import (
     FIXED,
     FREE,
     MBased,
-    closing_spin,
     dump_levels,
     frontier_factors,
     walker,
@@ -80,9 +79,6 @@ def test_triangle_closures_pin_opposite_spins():
     # 0 -> 2 -> 1 -> 0: closing from 1, departure went to 2
     deep = _child(_child(root, 2), 1)["children"]
     assert len(deep) == 1 and deep[0]["kind"] == FIXED and deep[0]["spin"] == GREEN
-
-    assert closing_spin(1, 2) == BLUE
-    assert closing_spin(2, 1) == GREEN
 
 
 def test_boundary_vertices_become_fixed_leaves():
@@ -253,7 +249,7 @@ def test_a_failed_walk_leaves_the_walker_clean():
     with pytest.raises(BudgetExceededError, match="exceeded 535 nodes"):
         walk(0, Depth(9))
     assert walk(0, Depth(3)) == _budget_walker(535)(0, Depth(3))
-    # and a walk that fails on the worker thread of a deep recursion
+    # and a walk that fails deep in a recursion past the recursion limit
     limit = sys.getrecursionlimit()
     g = path(limit + 10)
     lam = [1.0] * g.n
@@ -328,11 +324,14 @@ def _transfer_ratio(s, n, closed):
 
 @pytest.fixture
 def limits_kept():
-    """Each deep walk must leave the recursion limit and the thread stack
-    size as it found them."""
-    before = sys.getrecursionlimit(), threading.stack_size()
-    yield lambda: (sys.getrecursionlimit(), threading.stack_size()) == before
-    assert (sys.getrecursionlimit(), threading.stack_size()) == before
+    """Each deep walk must leave the recursion limit, the thread stack size
+    and the number of threads as it found them."""
+    def limits():
+        return sys.getrecursionlimit(), threading.stack_size(), threading.active_count()
+
+    before = limits()
+    yield lambda: limits() == before
+    assert limits() == before
 
 
 def _walked(b):
@@ -362,6 +361,31 @@ def test_walks_deeper_than_the_recursion_limit(closed, limits_kept):
     if not closed:
         assert exhaustive_ratio(g, HARDCORE, 0) == pytest.approx((math.sqrt(5) - 1) / 2,
                                                                  rel=1e-15)
+
+
+def test_deep_walks_run_on_the_callers_thread(limits_kept):
+    g = path(5000)
+    seen = set()
+    walk = walker(g, _SOFT2, [1.0] * g.n, {}, frozenset(), None,
+                  lambda *_: seen.add(threading.get_ident())).walk
+    lo, hi, nodes = walk(0, Depth(g.n + 1))
+    assert lo == hi and nodes == 5000
+    assert seen == {threading.get_ident()}
+    assert limits_kept()
+
+
+def test_a_deep_caller_keeps_room_for_a_deep_walk(limits_kept):
+    # the walk's 5000 levels come on top of the caller's 600 frames: a limit
+    # set to the walk's own depth, not raised from the current one, fails
+    g = path(5000)
+
+    def descend(k):
+        return bounds(g, HARDCORE, 0, policy=Depth(g.n + 1)) if k == 0 else descend(k - 1)
+
+    b = descend(600)
+    assert b.exact and b.r_lo == b.r_hi == exhaustive_ratio(g, HARDCORE, 0)
+    assert b.r_lo == pytest.approx((math.sqrt(5) - 1) / 2, rel=1e-15)
+    assert limits_kept()
 
 
 def test_deep_truncated_walks_and_dumps(limits_kept):
