@@ -196,9 +196,6 @@ def _cmd_classify(args):
     return {"beta": s.beta, "gamma": s.gamma, "lambda": s.lam}, outputs
 
 
-_MAX_LISTED = 32
-
-
 def _cmd_uniqueness(args):
     from .uniqueness import choose_M, contraction_bound, is_unique_up_to
 
@@ -206,14 +203,12 @@ def _cmd_uniqueness(args):
     cls = classify(s0)
     s = cls.system
     res = is_unique_up_to(s, args.delta)
-    checked = list(res.checked)
     outputs = {
         "unique": res.unique,
         "delta": res.delta,
         "swapped": cls.swapped,
         "normalized": s,
-        "checked_count": len(checked),
-        "checked": checked[:_MAX_LISTED],
+        "checked_count": res.checked,
         "tail_start": res.tail_start,
         "tail_bound": res.tail_bound,
         "violating": res.violating,

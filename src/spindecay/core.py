@@ -31,7 +31,7 @@ ANTIFERROMAGNETIC = "anti-ferromagnetic"
 FERROMAGNETIC = "ferromagnetic"
 DEGENERATE = "degenerate"
 
-# Past this many children the recursion product is accumulated in log space.
+# Past this many children (or fewer, `linear_children`) products run in log space.
 LOG_PRODUCT_CUTOFF = 32
 
 # Defaults of the estimator's walk-tree node budget and of the exact oracle's
@@ -142,22 +142,44 @@ def guarded_exp(t: float) -> float:
         return math.inf
 
 
+_LOG_TINY, _LOG_HUGE = -708.39, 709.78  # logs of the least and greatest normal floats
+
+
+def linear_children(s: SpinSystem, r_max: float) -> int:
+    """The most children, at most LOG_PRODUCT_CUTOFF, whose factors the
+    recursion multiplies directly.  Every nonzero factor lies between 1/gamma
+    and beta, or for beta = 0 the factor of r_max, the largest finite ratio
+    a child can carry; k stops where the k-th powers of both ends are normal
+    floats, so no partial product leaves the range where the whole does not.
+    """
+    f_end = s.beta or 1.0 / (r_max + s.gamma)
+    if f_end == 0.0 or s.gamma == 0.0:
+        return 0
+    ends = (math.log(f_end), -math.log(s.gamma))
+    k = LOG_PRODUCT_CUTOFF
+    while k > 0 and not (_LOG_TINY <= k * min(ends) and k * max(ends) <= _LOG_HUGE):
+        k -= 1
+    return k
+
+
 def recursion_f(s: SpinSystem, lam_v: float, children: Iterable[float]) -> float:
     """Ratio at a vertex with activity lam_v from its children's ratios.
 
-    Empty child list gives lam_v.  Products over more than a few dozen
-    children accumulate in log space so a long run of small factors cannot
-    underflow to zero prematurely.  An exact zero factor (beta = 0 with a
-    forced-blue child) makes the ratio exactly 0 in either mode; it never
-    enters the running product, which may have overflowed to +inf.
+    Empty child list gives lam_v.  Past `linear_children` children the
+    product accumulates in log space, so no partial product of a run of
+    large or small factors leaves the float range early.  An exact zero
+    factor (beta = 0 with a forced-blue child) makes the ratio exactly 0 in
+    either mode; it never enters the running product.
     """
     if lam_v <= 0 or not math.isfinite(lam_v):
         raise InvalidParameterError(f"vertex activity must be positive and finite, got {lam_v!r}")
+    children = list(children)
     factors = [edge_factor(s, r) for r in children]
     if 0.0 in factors:
         return 0.0
     # the walk kernel accumulates in this order, so the two agree exactly
-    if len(factors) <= LOG_PRODUCT_CUTOFF:
+    # wherever their cutoffs do
+    if len(factors) <= linear_children(s, max(children, default=0.0)):
         return lam_v * math.prod(factors)
     acc = 0.0
     for f in factors:

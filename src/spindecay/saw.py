@@ -46,7 +46,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import BLUE, GREEN, LOG_PRODUCT_CUTOFF, SpinSystem, ceil_log, edge_factor, guarded_exp
+from .core import BLUE, GREEN, SpinSystem, ceil_log, edge_factor, guarded_exp, linear_children
 from .errors import BudgetExceededError, InvalidParameterError
 from .graphs import Boundary, Graph, require_vertex
 
@@ -136,10 +136,8 @@ _FREE, _DIFFERING, _BLUE, _GREEN = 0, 1, 2, 3
 _BOUNDARY_ROOT = {_DIFFERING: (0.0, _INF, 0), _BLUE: (_INF, _INF, 0), _GREEN: (0.0, 0.0, 0)}
 
 
-# A walk whose recursion, beside this many frames of its caller's, would not
-# fit under the recursion limit raises the limit for its duration (see _deep).
-_CALLER_FRAMES = 250
-# Frames the kernel adds beyond one per tree level: a visitor, guarded_exp.
+# Frames a walk adds beyond one per tree level and the frames above the
+# walker's builder: the entry call's own, a visitor, guarded_exp.
 _EXTRA_FRAMES = 50
 # The recursion limit is per interpreter, so deep walks take turns.
 _deep_lock = threading.Lock()
@@ -201,10 +199,12 @@ def walker(
 
     The walker is built once per entry call and walks as often as it is
     asked: the adjacency, the system's constants, the frontier table, the
-    leaf codes, the recursion and the on-walk list are made here, and a walk
-    only resets its node count and sets its policy's steps and limit.  Every
-    walk, finished or failed, leaves the on-walk list all -1.  The budget,
-    None or an int >= 1 (else InvalidParameterError), applies to each walk.
+    leaf codes, the recursion, the on-walk list and the count of the frames
+    above it are made here.  A walk resets its node count, sets its
+    policy's steps and limit, and raises the recursion limit (`_deep`) when
+    its levels do not fit beside those frames.  Every walk, finished or
+    failed, leaves the on-walk list all -1.  The budget, None or an int
+    >= 1 (else InvalidParameterError), applies to each walk.
     """
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, int)
                                or budget < 1):
@@ -217,6 +217,14 @@ def walker(
     log = math.log
     cap = _INF if budget is None else budget
     leaf = frontier_factors(g, s, lam, s_set)
+    # nodes with more children multiply in log space; with beta = 0 that
+    # count follows the largest ratio lam_w * gamma**-k of a child w (k kids)
+    r_max = 0.0 if beta > 0.0 else guarded_exp(max(
+        log(l) - max(len(a) - 1, 0) * log(gamma) for a, l in zip(adj, lam)))
+    linear = linear_children(s, r_max)
+    frame, frames = sys._getframe(), 0
+    while frame is not None:
+        frame, frames = frame.f_back, frames + 1
     code = [_FREE] * n
 
     def pin(v: int, spin: str) -> None:
@@ -246,7 +254,7 @@ def walker(
         nonlocal expanded
         kids = adj[u]
         d = len(kids) if parent < 0 else len(kids) - 1
-        log_mode = d > LOG_PRODUCT_CUTOFF
+        log_mode = d > linear
         frontier = parent_m >= limit
         child_m = own_m + step[d]
         acc_lo = acc_hi = 0.0 if log_mode else 1.0
@@ -324,7 +332,7 @@ def walker(
         # limit, so no node lies deeper than limit + 1.
         levels = min(n, limit + 2)
         try:
-            if levels + _CALLER_FRAMES + _EXTRA_FRAMES <= sys.getrecursionlimit():
+            if levels + frames + _EXTRA_FRAMES <= sys.getrecursionlimit():
                 lo, hi = expand(v, -1, 0, -1)
             else:
                 lo, hi = _deep(lambda: expand(v, -1, 0, -1), levels)

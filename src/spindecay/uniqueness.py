@@ -113,16 +113,17 @@ def fixed_point(s: SpinSystem, d: int) -> FixedPointResult:
 class UniquenessResult:
     """Outcome of is_unique_up_to, truthy iff unique.
 
-    checked holds the explicitly solved arities, 1, 2, ... in order.  When the
-    scan stopped short of delta (finite or not), tail_start is the arity from
-    which d*lam/gamma**d < 1 certifies the rest (the envelope is decreasing
-    there), and tail_bound is its value at tail_start.  violating records the
-    first failing arity, when any.
+    checked counts the arities 1, 2, ... solved explicitly: tail_start - 1
+    or delta - 1 when unique, the violating arity if not, 0 for gamma <= 1
+    at delta = inf.  When the scan stopped short of delta (finite or not),
+    tail_start is the arity from which d*lam/gamma**d < 1 certifies the rest
+    (the envelope is decreasing there), and tail_bound is its value at
+    tail_start.  violating records the first failing arity, when any.
     """
 
     unique: bool
     delta: float
-    checked: tuple[FixedPointResult, ...]
+    checked: int
     tail_start: int | None = None
     tail_bound: float | None = None
     violating: FixedPointResult | None = None
@@ -178,19 +179,14 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
     require_antiferromagnetic(s)
     delta = _validate_delta(delta)
     if delta == math.inf and s.gamma <= 1.0:
-        return UniquenessResult(
-            unique=False,
-            delta=delta,
-            checked=(),
-            reason="gamma <= 1 admits no universal uniqueness",
-        )
+        return UniquenessResult(unique=False, delta=delta, checked=0,
+                                reason="gamma <= 1 admits no universal uniqueness")
 
     # The envelope d*lam/gamma**d bounds |f_d'(x_hat_d)| and decreases from
     # arity lo = floor(1/(gamma-1)) + 1 on (consecutive values have ratio
     # (d+1)/(d*gamma)), so the first d >= lo where it is below 1 certifies
     # every arity from d on; for delta = inf, gamma > 1 here and the envelope
     # tends to 0, so the scan ends.
-    checked: list[FixedPointResult] = []
     lo = math.floor(1.0 / (s.gamma - 1.0)) + 1 if s.gamma > 1.0 else math.inf
     d = 1
     while d < delta:
@@ -199,20 +195,19 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
             # underflows, and inf*0 is NaN, which no comparison ends on
             env = d * (s.lam * math.exp(-d * math.log(s.gamma)))
             if env < 1.0:
-                return UniquenessResult(unique=True, delta=delta, checked=tuple(checked),
+                return UniquenessResult(unique=True, delta=delta, checked=d - 1,
                                         tail_start=d, tail_bound=env)
         fp = fixed_point(s, d)
-        checked.append(fp)
         if fp.derivative_abs >= 1.0:
             return UniquenessResult(
                 unique=False,
                 delta=delta,
-                checked=tuple(checked),
+                checked=d,
                 violating=fp,
                 reason=f"derivative {fp.derivative_abs:.6g} >= 1 at arity {d}",
             )
         d += 1
-    return UniquenessResult(unique=True, delta=delta, checked=tuple(checked))
+    return UniquenessResult(unique=True, delta=delta, checked=d - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +215,18 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
 
 
 @dataclass(frozen=True)
-class ContractionEntry:
-    d: int
-    x_max: float
-    alpha_d: float
-    sqrt_derivative: float
-
-
-@dataclass(frozen=True)
 class ContractionBound:
     """alpha < 1 dominating the amortised one-step contraction at any arity < delta.
 
-    entries lists the explicitly maximised arities, 1, 2, ... in order.  When
-    they stop short of delta (finite or not, possible only for gamma > 1), the
-    arities from tail_start on are covered by the envelope
-    d*sqrt(lam/gamma**(d+1)), whose value at tail_start is tail_bound and
-    never exceeds alpha.
+    The arities 1 ... tail_start - 1 are maximised explicitly, or
+    1 ... delta - 1 when there is no tail.  A tail (finite or infinite
+    delta, possible only for gamma > 1) covers the arities from tail_start
+    on by the envelope d*sqrt(lam/gamma**(d+1)), whose value at tail_start
+    is tail_bound and never exceeds alpha.
     """
 
     alpha: float
     delta: float
-    entries: tuple[ContractionEntry, ...]
     tail_start: int | None = None
     tail_bound: float | None = None
 
@@ -278,7 +264,7 @@ def _alpha_max_point(s: SpinSystem, d: int) -> float:
     return _bisect_decreasing(h, lo, hi)
 
 
-def _contraction_entry(s: SpinSystem, fp: FixedPointResult) -> ContractionEntry:
+def _contraction_alpha(s: SpinSystem, fp: FixedPointResult) -> float:
     """The maximum of alpha_sym(s, d, .), reported as at most
     sqrt(|f_d'(x_hat_d)|), the bound it obeys in exact arithmetic.
 
@@ -287,16 +273,14 @@ def _contraction_entry(s: SpinSystem, fp: FixedPointResult) -> ContractionEntry:
     arity that is_unique_up_to passes (derivative < 1) gets alpha_d < 1.
     """
     d = fp.d
-    x_max = _alpha_max_point(s, d)
-    a_d = alpha_sym(s, d, x_max)
+    a_d = alpha_sym(s, d, _alpha_max_point(s, d))
     sqrt_deriv = math.sqrt(fp.derivative_abs)
     if a_d > sqrt_deriv + 1e-9:
         raise SpinDecayError(
             f"contraction maximum {a_d!r} exceeds sqrt of fixed-point "
             f"derivative {sqrt_deriv!r} at arity {d}; numerical inconsistency"
         )
-    return ContractionEntry(d=d, x_max=x_max, alpha_d=min(a_d, sqrt_deriv),
-                            sqrt_derivative=sqrt_deriv)
+    return min(a_d, sqrt_deriv)
 
 
 def _log_envelope(s: SpinSystem, d: int) -> float:
@@ -314,8 +298,9 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
     maximised in order up to delta - 1, or until the unconditional envelope
     d*sqrt(lam/gamma**(d+1)) is decreasing and its next value is at most the
     running maximum, which certifies every remaining arity; for delta = inf
-    that must happen within 100 000 arities.  The fixed points the
-    uniqueness check solved are reused, not looked up again.
+    that must happen within 100 000 arities.  The uniqueness check runs
+    first, so a system that is not unique raises before any maximisation;
+    each arity's fixed point then comes from the fixed_point memo.
     """
     require_antiferromagnetic(s)
     delta = _validate_delta(delta)
@@ -328,18 +313,13 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
             violating_d=d_bad,
         )
 
-    def entry(d: int) -> ContractionEntry:
-        fp = uni.checked[d - 1] if d <= len(uni.checked) else fixed_point(s, d)
-        return _contraction_entry(s, fp)
-
     # The envelope decreases from arity monotone_from on (consecutive values
     # have ratio (d+1)/(d*sqrt(gamma))), so once its next value is at most
     # the running maximum it bounds every remaining arity.  It is compared
     # without logarithms, so a maximum that underflows to 0 ends the scan too.
     root = math.sqrt(s.gamma)
     monotone_from = math.floor(1.0 / (root - 1.0)) + 1 if root > 1.0 else math.inf
-    entries = [entry(1)]
-    alpha = entries[0].alpha_d
+    alpha = _contraction_alpha(s, fixed_point(s, 1))
     tail_start = tail_bound = None
     d = 1
     while d + 1 < delta:
@@ -351,20 +331,14 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
         d += 1
         if delta == math.inf and d > 100_000:
             raise SpinDecayError("contraction tail extension failed to terminate")
-        entries.append(entry(d))
-        alpha = max(alpha, entries[-1].alpha_d)
+        alpha = max(alpha, _contraction_alpha(s, fixed_point(s, d)))
 
     if not alpha < 1.0:
         raise UniquenessError(
             f"contraction constant {alpha} fails to certify decay (alpha >= 1)"
         )
-    return ContractionBound(
-        alpha=alpha,
-        delta=delta,
-        entries=tuple(entries),
-        tail_start=tail_start,
-        tail_bound=tail_bound,
-    )
+    return ContractionBound(alpha=alpha, delta=delta, tail_start=tail_start,
+                            tail_bound=tail_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -583,6 +583,14 @@ def test_uniqueness_with_gamma_just_above_one(capsys):
     assert doc["outputs"]["tail_start"] is None
 
 
+def test_uniqueness_reports_a_count_of_checked_arities(capsys):
+    doc = run_json(capsys, "uniqueness", "--beta", "0", "--gamma", "1",
+                   "--lambda", "1e-4", "--delta", "3000")
+    assert doc["outputs"]["unique"] is True
+    assert doc["outputs"]["checked_count"] == 2999
+    assert "checked" not in doc["outputs"]
+
+
 def test_other_library_failures_exit_4(capsys, monkeypatch):
     # the real triggers (e.g. a tail search that does not finish) take seconds
     def fail(args):

@@ -138,6 +138,15 @@ def test_recursion_zero_and_infinite_children():
     assert recursion_f(SpinSystem(0.0, 1e-12, 1.0), 1.0, wide) == 0.0
 
 
+def test_recursion_keeps_a_ratio_whose_partial_products_underflow():
+    # 32 factors of about 1.1e-11 multiply to 1e-352 before lam_v = 1e300
+    # brings the ratio back, to 2.1e-51; 33 children took the log path before
+    s = SpinSystem(1e-11, 1.0, 1.0)
+    want = math.exp(math.log(1e300) + 32 * math.log(11.0 / (1e12 + 1.0)))
+    got = recursion_f(s, 1e300, [1e12] * 32)
+    assert 0.0 < got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_alpha_reference_value_and_symmetry():
     s = SpinSystem(0.1, 2.0, 5.0)
     sym = alpha_sym(s, 3, 1.0)

@@ -663,6 +663,20 @@ def test_kernel_and_recursion_f_agree_on_a_star(leaves):
     assert b.exact and b.r_lo == b.r_hi == expected
 
 
+@pytest.mark.parametrize("lam, s", [
+    # 32 factors of about 4.3e9 overflow a direct product to inf
+    ({0: 1e-300}, SpinSystem(0.0, 1e-10, 1.3e-10)),
+    # 32 factors of about 1.1e-11 underflow a direct product to 0
+    ({0: 1e300, **{v: 1e12 for v in range(1, 33)}}, SpinSystem(1e-11, 1.0, 1.0)),
+])
+def test_a_product_past_the_float_range_keeps_an_in_range_ratio(lam, s):
+    g = from_edges(33, [(0, v) for v in range(1, 33)], lam)
+    b = bounds(g, s, 0, policy=Depth(3))
+    want = exact_marginal(g, s, 0).ratio
+    assert b.exact and 0.0 < b.r_lo == b.r_hi < math.inf
+    assert b.r_lo == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # beta > gamma: the entry points swap the spin labels themselves
 

@@ -388,6 +388,19 @@ def test_a_deep_caller_keeps_room_for_a_deep_walk(limits_kept):
     assert limits_kept()
 
 
+def test_a_deep_caller_gets_room_for_a_walk_below_the_limit(limits_kept):
+    # 650 levels fit under the default limit of 1000 on their own, but not
+    # beside a caller 400 frames deep: the walker counts those frames
+    g = path(650)
+
+    def descend(k):
+        return bounds(g, HARDCORE, 0, policy=Depth(651)) if k == 0 else descend(k - 1)
+
+    b = descend(400)
+    assert b.exact and b.r_lo == b.r_hi == exhaustive_ratio(g, HARDCORE, 0)
+    assert limits_kept()
+
+
 def test_deep_truncated_walks_and_dumps(limits_kept):
     g = path(5000)
     exact = exhaustive_ratio(g, _SOFT2, 0)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import sys
 
 import pytest
@@ -16,6 +17,7 @@ from spindecay.errors import (
     UniquenessError,
 )
 from spindecay.uniqueness import (
+    _contraction_alpha,
     _hardcore_term,
     choose_M,
     contraction_bound,
@@ -92,17 +94,17 @@ def test_envelope_shortcut_covers_large_finite_bounds():
     res = is_unique_up_to(SpinSystem(0.2, 4.0, 1.0), 500)
     assert res.unique
     assert res.tail_start is not None
-    assert len(res.checked) < 499  # the per-arity scan was cut short
+    assert res.checked < 499  # the per-arity scan was cut short
 
 
 def test_gamma_just_above_one_is_decided_by_the_explicit_arities():
     # the envelope decreases only from arity 10**6 on, past delta = 4
     s = SpinSystem(0.1, 1.000001, 1.0)
     res = is_unique_up_to(s, 4)
-    assert res.unique and res.tail_start is None and len(res.checked) == 3
+    assert res.unique and res.tail_start is None and res.checked == 3
     # universal uniqueness fails at a small arity, found before any tail search
     res = is_unique_up_to(s, math.inf)
-    assert not res.unique and res.violating.d == len(res.checked) <= 5
+    assert not res.unique and res.violating.d == res.checked <= 5
 
 
 def test_envelope_tail_start_is_the_first_arity_below_one():
@@ -115,10 +117,10 @@ def test_envelope_tail_start_is_the_first_arity_below_one():
         for delta in (math.inf, d + 1, d + 50):
             res = is_unique_up_to(s, delta)
             assert res.unique and res.tail_start == d, (s, delta)
-            assert len(res.checked) == d - 1
+            assert res.checked == d - 1
         # a finite delta at or below the tail start is checked arity by arity
         res = is_unique_up_to(s, d)
-        assert res.unique and res.tail_start is None and len(res.checked) == d - 1
+        assert res.unique and res.tail_start is None and res.checked == d - 1
 
 
 def test_universal_uniqueness_matches_the_inf_threshold():
@@ -133,10 +135,12 @@ def test_universal_uniqueness_matches_the_inf_threshold():
 def test_contraction_entries_respect_the_derivative_ceiling():
     s = SpinSystem(0.0, 1.0, 1.0)
     cb = contraction_bound(s, 5)
-    assert 0.0 < cb.alpha < 1.0
-    for e in cb.entries:
-        assert e.alpha_d <= e.sqrt_derivative + 1e-9
-        assert e.alpha_d <= cb.alpha + 1e-15
+    assert 0.0 < cb.alpha < 1.0 and cb.tail_start is None
+    for d in range(1, 5):  # the explicitly maximised arities
+        fp = fixed_point(s, d)
+        alpha_d = _contraction_alpha(s, fp)
+        assert alpha_d <= math.sqrt(fp.derivative_abs) + 1e-9
+        assert alpha_d <= cb.alpha + 1e-15
 
 
 def test_contraction_refuses_non_unique_systems():
@@ -149,9 +153,10 @@ def test_certificate_memos_are_bounded():
     memos = (fixed_point, is_unique_up_to, contraction_bound)
     for memo in memos:
         memo.cache_clear()
-    # the bound reuses the fixed points the uniqueness check solved
+    # the bound reads the fixed points the uniqueness check solved, arities
+    # 1 to 3, from the memo
     contraction_bound(HARDCORE, 4)
-    assert fixed_point.cache_info().hits == 0
+    assert fixed_point.cache_info().hits == 3 == fixed_point.cache_info().misses
     # eleven arities per system overflow the fixed-point memo; gamma = 1
     # has no contraction tail, so every arity below delta is maximised
     for i in range(200):
@@ -160,6 +165,15 @@ def test_certificate_memos_are_bounded():
         info = memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
     assert fixed_point.cache_info().currsize == fixed_point.cache_info().maxsize
+
+
+def test_certificate_records_keep_a_count_not_every_arity():
+    # gamma = 1 has no tail, so both scans solve all 2999 arities below delta
+    s = SpinSystem(0.0, 1.0, 1e-4)
+    uni, cb = is_unique_up_to(s, 3000), contraction_bound(s, 3000)
+    assert uni.unique and uni.checked == 2999 and cb.tail_start is None
+    for record in (uni, cb):
+        assert len(pickle.dumps(record)) < 1000
 
 
 def test_contraction_universal_reference_value():
@@ -172,32 +186,33 @@ def test_a_large_finite_delta_stops_at_the_contraction_tail():
     s = SpinSystem(0.2, 4.0, 1.0)
     inf, big = contraction_bound(s, math.inf), contraction_bound(s, 200000)
     assert big.alpha == inf.alpha
-    assert big.tail_start == inf.tail_start is not None and len(big.entries) < 10
+    assert big.tail_start == inf.tail_start is not None and big.tail_start - 1 < 10
     # a delta at or below the tail still maximises every arity below it
     for delta in range(2, inf.tail_start + 1):
         cb = contraction_bound(s, delta)
-        assert cb.tail_start is None and [e.d for e in cb.entries] == list(range(1, delta))
-        assert cb.alpha == max(e.alpha_d for e in cb.entries)
+        assert cb.tail_start is None
+        assert cb.alpha == max(_contraction_alpha(s, fixed_point(s, d)) for d in range(1, delta))
 
 
 @pytest.mark.parametrize("s", [SpinSystem(0.1, 3.5, 1.0), SpinSystem(0.0, 2.0, 5.0),
                                SpinSystem(0.3, 1.5, 0.5), SpinSystem(0.0, 1.2, 0.3)])
 def test_contraction_tail_equals_maximising_every_arity(s):
     cb = contraction_bound(s, 80)
-    assert cb.tail_start is not None and len(cb.entries) == cb.tail_start - 1 < 79
-    plain = [uniqueness._contraction_entry(s, fixed_point(s, d)) for d in range(1, 80)]
-    assert cb.alpha == max(e.alpha_d for e in plain)
+    assert cb.tail_start is not None and cb.tail_start - 1 < 79
+    plain = [_contraction_alpha(s, fixed_point(s, d)) for d in range(1, 80)]
+    assert cb.alpha == max(plain) == max(plain[:cb.tail_start - 1])
 
 
 def test_a_derivative_tie_within_rounding_still_contracts():
     # hardcore gamma = 0.5 at lam = 0.5 = lam_c(0.5, 2): the arity-2 derivative
     # solves to just below 1, and the computed contraction maximum rounds to
-    # 1.0; the entry reports the derivative's square root, below 1
+    # 1.0; the arity's alpha is the derivative's square root, below 1
     s = SpinSystem(0.0, 0.5, 0.5)
     uni = is_unique_up_to(s, 3)
-    assert uni.unique and uni.checked[1].derivative_abs < 1.0
+    fp = fixed_point(s, 2)
+    assert uni.unique and uni.checked == 2 and fp.derivative_abs < 1.0
     cb = contraction_bound(s, 3)
-    assert cb.alpha == cb.entries[1].alpha_d == math.sqrt(uni.checked[1].derivative_abs) < 1.0
+    assert cb.alpha == _contraction_alpha(s, fp) == math.sqrt(fp.derivative_abs) < 1.0
 
 
 def test_hardcore_threshold_closed_forms():
