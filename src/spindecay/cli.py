@@ -6,7 +6,10 @@ Every command prints one JSON document to stdout:
 
 Documents are written by json.dumps with two spaces of indentation, and
 floats by Python's repr, the shortest text that parses back to the same
-double, so round-tripping through the output loses nothing.  No document
+double, so round-tripping through the output loses nothing.  The library's
+records are NamedTuples, which json.dumps would write as arrays, so `_plain`
+first turns each into the object of its fields (`_asdict`), a SpinSystem
+into {"beta", "gamma", "lambda"} and a set into its sorted list.  No document
 nests more than a few levels: `saw-dump` lists the walk tree as flat node
 records, whose depths rebuild the tree (see `saw.dump_levels`).  Errors
 go to stderr as plain text, and the exit code tells the caller what went
@@ -23,7 +26,6 @@ exact oracle needs no orientation.  Documents only record the swap, as
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -61,11 +63,20 @@ class _UsageError(Exception):
 
 
 def _plain(x):
-    """json.dumps' hook for what results hold beyond JSON's own types."""
+    """x in JSON's own types: a record becomes the object of its fields, a
+    system {"beta", "gamma", "lambda"} and a set its sorted list.  This
+    runs before json.dumps, which writes every tuple, a record included, as
+    an array without asking a hook."""
+    if isinstance(x, (str, int, float)) or x is None:
+        return x
     if isinstance(x, SpinSystem):
         return {"beta": x.beta, "gamma": x.gamma, "lambda": x.lam}
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+    if isinstance(x, tuple) and hasattr(x, "_asdict"):
+        x = x._asdict()
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
     if isinstance(x, (set, frozenset)):
         return sorted(x)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
@@ -78,7 +89,7 @@ def _emit(command: str, inputs: dict, outputs, started: float) -> None:
         "outputs": outputs,
         "wall_time_s": time.perf_counter() - started,
     }
-    print(json.dumps(doc, indent=2, default=_plain))
+    print(json.dumps(_plain(doc), indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +273,7 @@ def _cmd_marginal(args):
         est = estimate_marginal(
             g, s, args.vertex, b, eps=args.eps, mode=args.mode, budget=args.budget
         )
-    out = dataclasses.asdict(est)
+    out = est._asdict()
     out["width"] = est.width
     out["swapped"] = classify(s).swapped
     inputs = {

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -75,8 +74,7 @@ _INF = math.inf
 # result records
 
 
-@dataclass(frozen=True)
-class MarginalBounds:
+class MarginalBounds(NamedTuple):
     r_lo: float
     r_hi: float
     p_lo: float
@@ -198,8 +196,7 @@ def bounds(
 # accuracy-driven estimation
 
 
-@dataclass(frozen=True)
-class _Strategy:
+class _Strategy(NamedTuple):
     mode: str  # "depth" | "mbased"
     alpha: float
     m_base: float | None
@@ -315,8 +312,7 @@ def estimate_marginal(
         level = min(level + 2, cap)
 
 
-@dataclass(frozen=True)
-class PartitionEstimate:
+class PartitionEstimate(NamedTuple):
     log_z: float
     log_z_lo: float
     log_z_hi: float
@@ -456,8 +452,7 @@ def approx_partition(
     )
 
 
-@dataclass(frozen=True)
-class DecayPoint:
+class DecayPoint(NamedTuple):
     t: int
     width: float
     p_lo: float

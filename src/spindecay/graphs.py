@@ -21,19 +21,29 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import BLUE, GREEN, SpinSystem
 from .errors import GraphFormatError, InvalidParameterError, ZeroWeightError
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Graph(NamedTuple):
     n: int
     adj: tuple[tuple[int, ...], ...]
-    lambda_v: dict[int, float] = field(default_factory=dict)
-    labels: tuple[str, ...] | None = None
+    lambda_v: dict[int, float]
+    labels: tuple[str, ...] | None
+
+
+class Graph(_Graph):
+    """n vertices, their sorted adjacency tuples, per-vertex activities that
+    override the system's (a fresh dict when not given) and optional names."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, adj: tuple[tuple[int, ...], ...],
+                lambda_v: dict[int, float] | None = None,
+                labels: tuple[str, ...] | None = None):
+        return super().__new__(cls, n, adj, {} if lambda_v is None else lambda_v, labels)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -133,26 +143,36 @@ def require_vertex(g: Graph, v, what: str = "vertex") -> None:
     _check_vertex(v, g.n, what, InvalidParameterError)
 
 
-@dataclass(frozen=True)
-class Boundary:
+class _Boundary(NamedTuple):
+    fixed: dict[int, str]
+    S: frozenset[int]
+
+
+class Boundary(_Boundary):
     """Fixed spins plus an optional differing set S (a subset of the fixed keys).
 
     Vertices in S are treated as unknown by interval evaluations even though
     they carry a spin here; spatial-mixing experiments flip them.  S is
-    stored as a frozenset whatever iterable it is given as.
+    stored as a frozenset whatever iterable it is given as, and `fixed` is a
+    fresh dict when not given.
     """
 
-    fixed: dict[int, str] = field(default_factory=dict)
-    S: frozenset[int] = frozenset()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "S", frozenset(self.S))
-        for v, spin in self.fixed.items():
+    def __new__(cls, fixed: dict[int, str] | None = None, S=frozenset()):
+        fixed = {} if fixed is None else fixed
+        S = frozenset(S)
+        for v, spin in fixed.items():
             if spin not in (BLUE, GREEN):
                 raise GraphFormatError(f"fixed[{v}]: spin must be blue or green, got {spin!r}")
-        extra = self.S - set(self.fixed)
+        extra = S - set(fixed)
         if extra:
             raise GraphFormatError(f"S: vertices {sorted(extra)} carry no fixed spin")
+        return super().__new__(cls, fixed, S)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace runs the checks too
 
     def validate_against(self, g: Graph) -> None:
         for v in self.fixed:
@@ -174,8 +194,7 @@ def require_positive_weight(g: Graph, s: SpinSystem, boundary: Boundary | None) 
             raise ZeroWeightError(f"pinned {spin} neighbours {u} and {w} have weight 0")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     graph: Graph
     boundary: Boundary | None
     system: SpinSystem | None

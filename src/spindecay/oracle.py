@@ -20,8 +20,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .core import BLUE, ENUMERATION_CAP, GREEN, SpinSystem, guarded_exp
 from .errors import (
@@ -175,8 +175,7 @@ def _log_sums(
     return [const + x for x in table], len(unary), terms + len(table)
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     log_z: float
     n_free: int
     terms: int  # entries of every table the elimination built
@@ -202,8 +201,7 @@ def exact_partition(
     return ExactResult(log_z=log_z, n_free=n_free, terms=terms)
 
 
-@dataclass(frozen=True)
-class ExactMarginal:
+class ExactMarginal(NamedTuple):
     p: float
     ratio: float
     log_z_blue: float

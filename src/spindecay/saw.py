@@ -43,7 +43,6 @@ import math
 import sys
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import BLUE, GREEN, SpinSystem, ceil_log, edge_factor, guarded_exp, linear_children
@@ -56,37 +55,53 @@ FIXED = "fixed"
 _INF = math.inf
 
 
-@dataclass(frozen=True)
-class Depth:
+class _Depth(NamedTuple):
+    t: int
+
+
+class Depth(_Depth):
     """Unit steps with limit t - 2: free nodes strictly above depth t are
     expanded, and free nodes at depth t are frontier leaves, bounded by
     their degree (`frontier_factors`).  Depth(0) expands nothing, not even
     the root, whose interval is the trivial [0, +inf]."""
 
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 0:
+    def __new__(cls, t: int):
+        if isinstance(t, bool) or not isinstance(t, int) or t < 0:
             raise InvalidParameterError(
-                f"depth cutoff must be a nonnegative integer, got {self.t!r}")
+                f"depth cutoff must be a nonnegative integer, got {t!r}")
+        return super().__new__(cls, t)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace runs the checks too
 
 
-@dataclass(frozen=True)
-class MBased:
+class _MBased(NamedTuple):
+    m: float
+    ell: int
+
+
+class MBased(_MBased):
     """Degree-scaled truncation with base m and budget ell: the step of a
     node with d children is ceil_log(m, d + 1), and the limit is ell, so
     free nodes whose grandparent's scaled depth reaches ell are frontier
     leaves."""
 
-    m: float
-    ell: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.m > 1.0:
-            raise InvalidParameterError(f"truncation base must exceed 1, got {self.m}")
-        if isinstance(self.ell, bool) or not isinstance(self.ell, int) or self.ell < 1:
+    def __new__(cls, m: float, ell: int):
+        if not m > 1.0:
+            raise InvalidParameterError(f"truncation base must exceed 1, got {m}")
+        if isinstance(ell, bool) or not isinstance(ell, int) or ell < 1:
             raise InvalidParameterError(
-                f"truncation budget must be a positive integer, got {self.ell!r}")
+                f"truncation budget must be a positive integer, got {ell!r}")
+        return super().__new__(cls, m, ell)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # so that _replace runs the checks too
 
 
 def frontier_factors(g: Graph, s: SpinSystem, lam: list[float],

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     SpinSystem,
@@ -49,24 +49,28 @@ _BISECT_MAXIT = 200
 
 
 def _bisect_decreasing(g, lo: float, hi: float, rtol: float = _BISECT_RTOL) -> float:
-    """Root of a strictly decreasing g with g(lo) >= 0 >= g(hi)."""
+    """Root of a strictly decreasing g with g(lo) >= 0 >= g(hi).
+
+    The midpoint halves each end before adding them, so ends near the
+    largest float do not overflow; halving is exact, so it equals
+    0.5 * (lo + hi) wherever that does not overflow.
+    """
     for _ in range(_BISECT_MAXIT):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if hi - lo <= rtol * (1.0 + abs(mid)):
             return mid
         if g(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 # ---------------------------------------------------------------------------
 # fixed points
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     d: int
     x_hat: float
     derivative_abs: float
@@ -82,7 +86,9 @@ def fixed_point(s: SpinSystem, d: int) -> FixedPointResult:
     """The unique positive fixed point of the d-ary symmetric recursion.
 
     Bisection on g(x) = f_d(x) - x, which is strictly decreasing with
-    g(0) = f_d(0) > 0; the upper bracket end grows until g goes negative.
+    g(0) = f_d(0) > 0; the upper bracket end grows fourfold until g goes
+    negative, so it is at most four times the fixed point, and stops at the
+    largest float, where f_d is about lam * beta**d < lam and so g < 0.
     """
     require_antiferromagnetic(s)
     if d < 1 or d != int(d):
@@ -93,9 +99,7 @@ def fixed_point(s: SpinSystem, d: int) -> FixedPointResult:
 
     hi = 1.0
     while g(hi) > 0.0:
-        hi *= 4.0
-        if hi > 1e200:
-            raise SpinDecayError("fixed-point bracket failed to close")
+        hi = min(4.0 * hi, sys.float_info.max)
     x_hat = _bisect_decreasing(g, 0.0, hi)
     return FixedPointResult(
         d=d,
@@ -109,8 +113,7 @@ def fixed_point(s: SpinSystem, d: int) -> FixedPointResult:
 # uniqueness certificates
 
 
-@dataclass(frozen=True)
-class UniquenessResult:
+class UniquenessResult(NamedTuple):
     """Outcome of is_unique_up_to, truthy iff unique.
 
     checked counts the arities 1, 2, ... solved explicitly: tail_start - 1
@@ -214,8 +217,7 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
 # contraction
 
 
-@dataclass(frozen=True)
-class ContractionBound:
+class ContractionBound(NamedTuple):
     """alpha < 1 dominating the amortised one-step contraction at any arity < delta.
 
     The arities 1 ... tail_start - 1 are maximised explicitly, or
@@ -345,16 +347,26 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
 # thresholds
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Uniform result record for the threshold family of operations."""
-
+class _ThresholdReport(NamedTuple):
     kind: str  # hardcore_lambda | soft_lambda_pair | gamma_c | universal_lambda
     values: tuple[float, ...]
     delta: float
-    witness_d: int | None = None
-    all_lambda_unique: bool = False
-    extras: dict = field(default_factory=dict)
+    witness_d: int | None
+    all_lambda_unique: bool
+    extras: dict
+
+
+class ThresholdReport(_ThresholdReport):
+    """Uniform result record for the threshold family of operations; extras
+    is a fresh dict when not given."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, values: tuple[float, ...], delta: float,
+                witness_d: int | None = None, all_lambda_unique: bool = False,
+                extras: dict | None = None):
+        return super().__new__(cls, kind, values, delta, witness_d, all_lambda_unique,
+                               {} if extras is None else extras)
 
 
 def _hardcore_term(gamma: float, d: int) -> float:
@@ -419,8 +431,7 @@ def hardcore_threshold(gamma: float, delta) -> ThresholdReport:
     )
 
 
-@dataclass(frozen=True)
-class DerivativeUnitRoots:
+class DerivativeUnitRoots(NamedTuple):
     """The two positive x with d*(1-beta*gamma)*x = (beta*x+1)*(x+gamma),
     plus the activities that place the fixed point at each root.
 
@@ -654,8 +665,7 @@ def choose_M(s: SpinSystem, alpha: float) -> float:
 # non-monotonicity in the arity
 
 
-@dataclass(frozen=True)
-class NonMonotoneWitness:
+class NonMonotoneWitness(NamedTuple):
     system: SpinSystem
     non_unique_d: int
     unique_d: int

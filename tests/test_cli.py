@@ -16,7 +16,7 @@ from spindecay import estimator, oracle
 from spindecay.cli import build_parser, main
 from spindecay.core import SpinSystem
 from spindecay.errors import GraphFormatError, SpinDecayError
-from spindecay.estimator import estimate_marginal
+from spindecay.estimator import DecayPoint, MarginalBounds, PartitionEstimate, estimate_marginal
 from spindecay.graphs import (
     Boundary,
     complete,
@@ -29,7 +29,7 @@ from spindecay.graphs import (
     star,
 )
 from spindecay.oracle import exact_partition
-from spindecay.uniqueness import gamma_threshold
+from spindecay.uniqueness import FixedPointResult, ThresholdReport, gamma_threshold
 
 from helpers import FLIP, SWAP_GRAPH, brute_log_z, hand_swapped, inverted, saw_tree
 
@@ -67,6 +67,8 @@ def test_classify_output(capsys):
     assert doc["outputs"]["kind"] == "anti-ferromagnetic"
     assert doc["outputs"]["antiferromagnetic"] is True
     assert doc["outputs"]["swapped"] is False
+    # the system prints as an object, not as the array of a tuple
+    assert doc["outputs"]["normalized"] == {"beta": 0.2, "gamma": 4.0, "lambda": 1.0}
 
 
 def test_classify_swaps_reversed_couplings(capsys):
@@ -85,6 +87,7 @@ def test_uniqueness_command(capsys):
                    "--lambda", "4.1", "--delta", "3")
     assert doc["outputs"]["unique"] is False
     assert doc["outputs"]["violating"]["d"] == 2
+    assert list(doc["outputs"]["violating"]) == list(FixedPointResult._fields)
 
 
 def test_uniqueness_inf_reports_truncation_base(capsys):
@@ -98,6 +101,7 @@ def test_thresholds_command(capsys):
     doc = run_json(capsys, "thresholds", "--kind", "hardcore", "--gamma", "1",
                    "--delta", "3")
     assert doc["outputs"]["values"] == [4.0]
+    assert list(doc["outputs"]) == list(ThresholdReport._fields)
     rc, _, err = run(capsys, "thresholds", "--kind", "hardcore", "--delta", "3")
     assert rc == 1 and "gamma" in err
     doc = run_json(capsys, "thresholds", "--kind", "gamma", "--beta", "0.1",
@@ -177,6 +181,7 @@ def test_marginal_command(capsys, c4_file):
     out = doc["outputs"]
     assert out["p_lo"] == pytest.approx(2 / 7, abs=1e-3)
     assert out["p_hi"] - out["p_lo"] <= 1e-3
+    assert list(out) == [*MarginalBounds._fields, "width", "swapped"]
 
 
 def test_floats_print_shortest_and_round_trip(capsys, c4_file):
@@ -228,6 +233,8 @@ def test_partition_command_matches_enumeration(capsys, c4_file):
     assert out["log_z_lo"] <= math.log(7.0) <= out["log_z_hi"]
     assert out["rel_error_bound"] == math.expm1(0.5 * (out["log_z_hi"] - out["log_z_lo"]))
     assert out["expanded"] > 0
+    assert set(out) - {"swapped"} <= set(PartitionEstimate._fields)
+    assert all(isinstance(pair, list) for pair in out["per_vertex_p"])
 
 
 @pytest.mark.parametrize("order, elim", [
@@ -269,6 +276,7 @@ def test_exact_command(capsys, c4_file):
 def test_decay_command(capsys, c4_file):
     doc = run_json(capsys, "decay", "--graph", c4_file, "--vertex", "0",
                    "--t-max", "5")
+    assert all(list(p) == list(DecayPoint._fields) for p in doc["outputs"]["points"])
     widths = [p["width"] for p in doc["outputs"]["points"]]
     assert widths[0] == 1.0
     assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
@@ -546,6 +554,10 @@ def test_exit_code_precondition_errors(capsys, tmp_path, k2_file):
     rc, _, _ = run(capsys, "thresholds", "--kind", "hardcore", "--gamma", "1",
                    "--delta", "inf")
     assert rc == 2
+    # the fixed points of the small arities lie past 1e200; arity 298 fails
+    rc, out, err = run(capsys, "marginal", "--graph", k2_file, "--vertex", "0", "--mode",
+                       "mbased", "--beta", "0.1", "--gamma", "3.5", "--lambda", "1e300")
+    assert (rc, out) == (2, "") and "at arity 298" in err
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -83,12 +83,16 @@ def test_unknown_names_raise_attribute_error(name):
     assert not hasattr(spindecay, name)
 
 
+# the last output names the slow stdlib modules the command itself loaded,
+# beyond any that the interpreter's start-up (site, .pth files) brought in
 _RUN = f"""
 import contextlib, io, json, sys
+started = set(sys.modules)
 from spindecay.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, {_LOADED}]))
+slow = {{"dataclasses", "inspect"}} & (set(sys.modules) - started)
+print(json.dumps([code, {_LOADED}, sorted(slow)]))
 """
 
 _BASE = ["spindecay", "spindecay.cli", "spindecay.core", "spindecay.errors"]
@@ -111,6 +115,9 @@ _SYSTEM = ["--beta", "0", "--gamma", "1", "--lambda", "1"]
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
     graph = tmp_path / "c4.json"
     graph.write_text(dumps(cycle(4), system=SpinSystem(0.0, 1.0, 1.0)))
-    code, loaded = _python(_RUN, *(a.format(graph=graph) for a in argv))
+    code, loaded, slow = _python(_RUN, *(a.format(graph=graph) for a in argv))
     assert code == 0
     assert loaded == sorted(_BASE + extra)
+    # records are NamedTuples and SpinSystem a slotted class: no command pays
+    # for dataclasses, whose import pulls in inspect
+    assert slow == []

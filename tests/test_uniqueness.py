@@ -90,6 +90,27 @@ def test_envelope_tail_survives_an_overflowing_activity():
     assert res.unique and res.tail_start == 2 and res.tail_bound == 0.0
 
 
+@pytest.mark.parametrize("lam, arity", [(1e199, 197), (1e250, 248), (1e300, 298)])
+def test_huge_activities_are_decided(lam, arity):
+    # at small arities the fixed point, about lam*beta**d, lies past 1e200
+    res = is_unique_up_to(SpinSystem(0.1, 3.5, lam), math.inf)
+    assert not res.unique and res.violating.d == res.checked == arity
+
+
+@pytest.mark.parametrize("s, d", [
+    (SpinSystem(0.1, 3.5, 1e250), 1),
+    (SpinSystem(1e-100, 1.0, 1e300), 1),  # 1e200, a hundred decades below f_d(0)
+    (SpinSystem(1e-30, 1e-5, 1e300), 3),
+    (SpinSystem(0.999, 1.0, sys.float_info.max), 1),  # next to the largest float
+])
+def test_fixed_points_past_1e200_solve_the_recursion(s, d):
+    # the bracket end grows fourfold up to the largest float, and the
+    # bisection's midpoint does not overflow there
+    r = fixed_point(s, d)
+    assert r.x_hat > 1e199 and r.residual <= 1e-13 * r.x_hat
+    assert symmetric_f(s, d, r.x_hat) == pytest.approx(r.x_hat, rel=1e-13)
+
+
 def test_envelope_shortcut_covers_large_finite_bounds():
     res = is_unique_up_to(SpinSystem(0.2, 4.0, 1.0), 500)
     assert res.unique
