@@ -8,15 +8,15 @@ Documents are written by json.dumps with two spaces of indentation, and
 floats by Python's repr, the shortest text that parses back to the same
 double, so round-tripping through the output loses nothing.  The library's
 records are NamedTuples, which json.dumps would write as arrays, so `_plain`
-first turns each into the object of its fields (`_asdict`), a SpinSystem
-into {"beta", "gamma", "lambda"} and a set into its sorted list.  No document
-nests more than a few levels: `saw-dump` lists the walk tree as flat node
-records, whose depths rebuild the tree (see `saw.dump_levels`).  Errors
-go to stderr as plain text, and the exit code tells the caller what went
-wrong: 0 success, 1 usage or input problems, 2 violated preconditions
-(non-uniqueness, bad parameters, empty supports), 3 exhausted budgets,
-4 any other library failure (a search or a computation that did not
-finish where the method says it must).
+first turns each into the object of its fields (`_asdict`) and a SpinSystem
+into {"beta", "gamma", "lambda"}.  No document nests more than a few
+levels: `saw-dump` lists the walk tree as flat node records, whose depths
+rebuild the tree (see `saw.dump_levels`).  Errors go to stderr as plain
+text, and the exit code tells the caller what went wrong: 0 success, 1
+usage or input problems, 2 violated preconditions (non-uniqueness, bad
+parameters, empty supports), 3 exhausted budgets, 4 any other library
+failure (a search or a computation that did not finish where the method
+says it must).
 
 Systems with beta > gamma are passed to the library as given: the estimator
 swaps the two spin labels itself and reports in the caller's labels, and the
@@ -63,10 +63,10 @@ class _UsageError(Exception):
 
 
 def _plain(x):
-    """x in JSON's own types: a record becomes the object of its fields, a
-    system {"beta", "gamma", "lambda"} and a set its sorted list.  This
-    runs before json.dumps, which writes every tuple, a record included, as
-    an array without asking a hook."""
+    """x in JSON's own types: a record becomes the object of its fields and
+    a system {"beta", "gamma", "lambda"}.  This runs before json.dumps,
+    which writes every tuple, a record included, as an array without asking
+    a hook."""
     if isinstance(x, (str, int, float)) or x is None:
         return x
     if isinstance(x, SpinSystem):
@@ -77,8 +77,6 @@ def _plain(x):
         return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        return sorted(x)
     raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 

@@ -229,9 +229,15 @@ def fixed_point_derivative(s: SpinSystem, d: int, x: float) -> float:
     """|f_d'(x)| at a fixed point x = f_d(x): d*(1-beta*gamma)*x / ((beta*x+1)*(x+gamma)).
 
     Only meaningful where x actually is a fixed point; the closed form avoids
-    the cancellation of differentiating the power directly.
+    the cancellation of differentiating the power directly.  Past about
+    1.3e154/sqrt(beta) the denominator overflows, and there x is divided by
+    its two factors in turn.
     """
-    return d * (1.0 - s.beta * s.gamma) * x / ((s.beta * x + 1.0) * (x + s.gamma))
+    b, g = s.beta, s.gamma
+    den = (b * x + 1.0) * (x + g)
+    if den == math.inf:
+        return d * (1.0 - b * g) * (x / (b * x + 1.0) / (x + g))
+    return d * (1.0 - b * g) * x / den
 
 
 def alpha(s: SpinSystem, xs: Sequence[float]) -> float:

@@ -15,9 +15,10 @@ arities.  The absolute bound x_hat_d <= lam / gamma**d (gamma > 1) gives
 |f_d'(x_hat_d)| <= d*lam/gamma**d; the scan stops at delta, at the first
 violation, or where that envelope is decreasing and below 1, which certifies
 all larger arities at once.  contraction_bound scans the same way against
-its own envelope.  One doubling-then-bisection search, _first_arity, finds
-every arity of the thresholds and of the non-monotone witness: the first
-admissible arity, the first minimiser of a log-convex critical activity and
+the square root of that envelope over gamma.  One doubling-then-bisection
+search, _first_arity, finds every arity of the thresholds and of the
+non-monotone witness: the first admissible arity, the first minimiser of a
+log-convex critical activity (hardcore included, the beta = 0 unit root) and
 the first unique arity past it.  gamma_threshold is one bisection over gamma
 between a non-unique and a unique end.
 """
@@ -48,7 +49,7 @@ _BISECT_RTOL = 1e-13
 _BISECT_MAXIT = 200
 
 
-def _bisect_decreasing(g, lo: float, hi: float, rtol: float = _BISECT_RTOL) -> float:
+def _bisect_decreasing(g, lo: float, hi: float) -> float:
     """Root of a strictly decreasing g with g(lo) >= 0 >= g(hi).
 
     The midpoint halves each end before adding them, so ends near the
@@ -57,7 +58,7 @@ def _bisect_decreasing(g, lo: float, hi: float, rtol: float = _BISECT_RTOL) -> f
     """
     for _ in range(_BISECT_MAXIT):
         mid = 0.5 * lo + 0.5 * hi
-        if hi - lo <= rtol * (1.0 + abs(mid)):
+        if hi - lo <= _BISECT_RTOL * (1.0 + abs(mid)):
             return mid
         if g(mid) > 0.0:
             lo = mid
@@ -147,6 +148,18 @@ def _validate_delta(delta) -> float:
     return delta
 
 
+def _envelope(s: SpinSystem, d: int) -> float:
+    # d*lam/gamma**d, lam times the power first: d*lam may overflow where
+    # the power underflows, and inf*0 is NaN, which no comparison ends on
+    return d * (s.lam * math.exp(-d * math.log(s.gamma)))
+
+
+def _envelope_start(s: SpinSystem) -> float:
+    # consecutive envelope values have ratio (d+1)/(d*gamma), so it
+    # decreases from this arity on
+    return math.floor(1.0 / (s.gamma - 1.0)) + 1 if s.gamma > 1.0 else math.inf
+
+
 def _first_arity(holds, lo: int, top: float = math.inf) -> int | None:
     """Least d in [lo, top) with holds(d), or None; lo >= 1.
 
@@ -185,18 +198,14 @@ def is_unique_up_to(s: SpinSystem, delta) -> UniquenessResult:
         return UniquenessResult(unique=False, delta=delta, checked=0,
                                 reason="gamma <= 1 admits no universal uniqueness")
 
-    # The envelope d*lam/gamma**d bounds |f_d'(x_hat_d)| and decreases from
-    # arity lo = floor(1/(gamma-1)) + 1 on (consecutive values have ratio
-    # (d+1)/(d*gamma)), so the first d >= lo where it is below 1 certifies
-    # every arity from d on; for delta = inf, gamma > 1 here and the envelope
-    # tends to 0, so the scan ends.
-    lo = math.floor(1.0 / (s.gamma - 1.0)) + 1 if s.gamma > 1.0 else math.inf
+    # The envelope bounds |f_d'(x_hat_d)|, so the first arity d past its
+    # start where it is below 1 certifies every arity from d on; for
+    # delta = inf, gamma > 1 here and the envelope tends to 0.
+    lo = _envelope_start(s)
     d = 1
     while d < delta:
         if d >= lo:
-            # lam times the power first: d*lam may overflow where the power
-            # underflows, and inf*0 is NaN, which no comparison ends on
-            env = d * (s.lam * math.exp(-d * math.log(s.gamma)))
+            env = _envelope(s, d)
             if env < 1.0:
                 return UniquenessResult(unique=True, delta=delta, checked=d - 1,
                                         tail_start=d, tail_bound=env)
@@ -223,8 +232,8 @@ class ContractionBound(NamedTuple):
     The arities 1 ... tail_start - 1 are maximised explicitly, or
     1 ... delta - 1 when there is no tail.  A tail (finite or infinite
     delta, possible only for gamma > 1) covers the arities from tail_start
-    on by the envelope d*sqrt(lam/gamma**(d+1)), whose value at tail_start
-    is tail_bound and never exceeds alpha.
+    on by the decreasing bound sqrt(d*lam/gamma**(d+1)), whose value at
+    tail_start is tail_bound and never exceeds alpha.
     """
 
     alpha: float
@@ -286,7 +295,8 @@ def _contraction_alpha(s: SpinSystem, fp: FixedPointResult) -> float:
 
 
 def _log_envelope(s: SpinSystem, d: int) -> float:
-    """log of d*sqrt(lam/gamma**(d+1)), the arity-d unconditional bound."""
+    """log of d*sqrt(lam/gamma**(d+1)), the arity-d bound that choose_M
+    certifies against, sqrt(d) times the one contraction_bound's tail uses."""
     return math.log(d) + 0.5 * (math.log(s.lam) - (d + 1) * math.log(s.gamma))
 
 
@@ -297,10 +307,10 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
     Each arity's alpha_sym is maximised exactly (the maximum never exceeds
     sqrt(|f_d'(x_hat_d)|), which uniqueness keeps below 1), and asymmetric
     child vectors are dominated by the symmetric maximum.  The arities are
-    maximised in order up to delta - 1, or until the unconditional envelope
-    d*sqrt(lam/gamma**(d+1)) is decreasing and its next value is at most the
-    running maximum, which certifies every remaining arity; for delta = inf
-    that must happen within 100 000 arities.  The uniqueness check runs
+    maximised in order up to delta - 1, or until sqrt(d*lam/gamma**(d+1)),
+    which x_hat_d <= lam/gamma**d makes a bound on sqrt(|f_d'(x_hat_d)|), is
+    decreasing and its next value is at most the running maximum; for
+    gamma > 1 it tends to 0, so the scan ends.  The uniqueness check runs
     first, so a system that is not unique raises before any maximisation;
     each arity's fixed point then comes from the fixed_point memo.
     """
@@ -315,24 +325,19 @@ def contraction_bound(s: SpinSystem, delta) -> ContractionBound:
             violating_d=d_bad,
         )
 
-    # The envelope decreases from arity monotone_from on (consecutive values
-    # have ratio (d+1)/(d*sqrt(gamma))), so once its next value is at most
-    # the running maximum it bounds every remaining arity.  It is compared
-    # without logarithms, so a maximum that underflows to 0 ends the scan too.
-    root = math.sqrt(s.gamma)
-    monotone_from = math.floor(1.0 / (root - 1.0)) + 1 if root > 1.0 else math.inf
+    # compared without logarithms, so a maximum that underflows to 0 ends
+    # the scan too
+    lo = _envelope_start(s)
     alpha = _contraction_alpha(s, fixed_point(s, 1))
     tail_start = tail_bound = None
     d = 1
     while d + 1 < delta:
-        if d >= monotone_from:
-            nxt = math.exp(_log_envelope(s, d + 1))
+        if d >= lo:
+            nxt = math.sqrt(_envelope(s, d + 1) / s.gamma)
             if nxt <= alpha:
                 tail_start, tail_bound = d + 1, nxt
                 break
         d += 1
-        if delta == math.inf and d > 100_000:
-            raise SpinDecayError("contraction tail extension failed to terminate")
         alpha = max(alpha, _contraction_alpha(s, fixed_point(s, d)))
 
     if not alpha < 1.0:
@@ -369,36 +374,20 @@ class ThresholdReport(_ThresholdReport):
                                {} if extras is None else extras)
 
 
-def _hardcore_term(gamma: float, d: int) -> float:
-    # gamma**(d+1) * d**d / (d-1)**(d+1); exact float pow for small d, log
-    # form once the powers leave double range, or where their product does
-    # before the division brings it back.  Both saturate at inf.
-    if d <= 60:
-        try:
-            term = gamma ** (d + 1) * float(d**d) / float((d - 1) ** (d + 1))
-        except OverflowError:
-            term = math.inf
-        if term < math.inf:
-            return term
-    return guarded_exp(
-        (d + 1) * math.log(gamma) + d * math.log(d) - (d + 1) * math.log(d - 1)
-    )
-
-
 def _least_critical(lam, start: int, delta) -> int:
     """The first minimiser of lam(d) over start <= d < delta: the first d
     whose successor is no smaller, or delta - 1 when there is none.
 
     The search is exact because log lam(d) is convex in d, so "the successor
-    is no smaller" stays true once it turns true.  For the hardcore term
-    (beta = 0), T = log lam has T'(d) = log gamma + log(d/(d-1)) - 2/(d-1),
-    which rises in d.  For lam_low(d) = x*((x+g)/(b*x+1))**d at the smaller
-    unit-derivative root x = x_low(d) (b = beta, g = gamma), d/dx log lam is
-    2/x at the root and x'(d) = -(1-b*g)*x**2/(g-b*x**2), so
+    is no smaller" stays true once it turns true.  For lam_low(d) =
+    x*((x+g)/(b*x+1))**d at the smaller unit-derivative root x = x_low(d)
+    (b = beta >= 0, g = gamma), d/dx log lam is 2/x at the root and
+    x'(d) = -(1-b*g)*x**2/(g-b*x**2), so
         d/dd log lam_low = log((x+g)/(b*x+1)) - 2(1-b*g)*x/(g-b*x**2).
     Its derivative in x, (1-b*g)*[1/((x+g)(b*x+1)) - 2(g+b*x**2)/(g-b*x**2)**2],
-    is negative on (0, sqrt(g/b)), as 2(g+b*x**2)(x+g)(b*x+1) >= 2*g**2 >
-    (g-b*x**2)**2; x_low lies there and falls as d grows, so the slope rises.
+    is negative on (0, sqrt(g/b)), all of (0, inf) at b = 0, as
+    2(g+b*x**2)(x+g)(b*x+1) >= 2*g**2 > (g-b*x**2)**2; x_low lies there and
+    falls as d grows, so the slope rises.
     Swapping the spins maps the roots to their reciprocals, so
     lam_high(b, g, d) = 1/lam_low(g, b, d) is log-concave and -lam_high
     qualifies too.
@@ -408,8 +397,8 @@ def _least_critical(lam, start: int, delta) -> int:
 
 
 def hardcore_threshold(gamma: float, delta) -> ThresholdReport:
-    """Critical activity for beta = 0: min over 1 < d < delta of
-    gamma**(d+1) * d**d / (d-1)**(d+1).
+    """Critical activity for beta = 0: min over 1 < d < delta of lam_low(d),
+    which is gamma**(d+1) * d**d / (d-1)**(d+1) there.
 
     Activities strictly below the returned value are unique up to delta.
     For gamma <= 1 the minimiser is d = delta - 1, so delta = inf has no
@@ -425,10 +414,12 @@ def hardcore_threshold(gamma: float, delta) -> ThresholdReport:
             "no universal hardcore threshold exists for gamma <= 1 "
             "(the candidate terms decrease to zero)"
         )
-    d = _least_critical(lambda d: _hardcore_term(gamma, d), 2, delta)
-    return ThresholdReport(
-        kind="hardcore_lambda", values=(_hardcore_term(gamma, d),), delta=delta, witness_d=d
-    )
+
+    def lam_low(d: int) -> float:
+        return derivative_unit_roots(0.0, gamma, d).lam_low
+
+    d = _least_critical(lam_low, 2, delta)
+    return ThresholdReport(kind="hardcore_lambda", values=(lam_low(d),), delta=delta, witness_d=d)
 
 
 class DerivativeUnitRoots(NamedTuple):
@@ -438,7 +429,7 @@ class DerivativeUnitRoots(NamedTuple):
     Exists iff (d-1) >= sqrt(beta*gamma)*(d+1); at equality the roots
     coincide.  x_low*x_high = gamma/beta;
     activities between lam_low and lam_high are exactly the non-unique ones
-    at arity d.
+    at arity d.  For beta = 0, x_low = gamma/(d-1) and x_high = lam_high = inf.
     """
 
     d: int
@@ -471,7 +462,9 @@ def _require_soft(name: str, beta: float, gamma: float) -> None:
 
 
 def derivative_unit_roots(beta: float, gamma: float, d: int) -> DerivativeUnitRoots:
-    _require_soft("derivative_unit_roots", beta, gamma)
+    if not (beta >= 0.0 and gamma > 0.0 and beta * gamma < 1.0):
+        raise InvalidParameterError(
+            "derivative_unit_roots requires beta >= 0, gamma > 0 and beta*gamma < 1")
     if d < 2:
         raise InvalidParameterError(f"arity must be at least 2, got {d}")
     start = _admissible_start(beta, gamma)
@@ -489,9 +482,9 @@ def derivative_unit_roots(beta: float, gamma: float, d: int) -> DerivativeUnitRo
         # The roots solve beta*x**2 - a*x + gamma = 0.  The larger one is safe
         # to form directly; the smaller comes from x_low*x_high = gamma/beta,
         # dodging the cancellation of (a - sqrt(disc))/(2*beta), and without
-        # x_high where that overflows.
+        # x_high where that overflows or, at beta = 0, does not exist.
         q = a + math.sqrt(disc)
-        x_high = q / beta / 2.0
+        x_high = q / beta / 2.0 if beta > 0.0 else math.inf
         x_low = gamma / (beta * x_high) if x_high < math.inf else 2.0 * gamma / q
     return DerivativeUnitRoots(
         d=d,

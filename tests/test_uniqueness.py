@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import pickle
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +19,6 @@ from spindecay.errors import (
 )
 from spindecay.uniqueness import (
     _contraction_alpha,
-    _hardcore_term,
     choose_M,
     contraction_bound,
     derivative_unit_roots,
@@ -102,6 +102,7 @@ def test_huge_activities_are_decided(lam, arity):
     (SpinSystem(1e-100, 1.0, 1e300), 1),  # 1e200, a hundred decades below f_d(0)
     (SpinSystem(1e-30, 1e-5, 1e300), 3),
     (SpinSystem(0.999, 1.0, sys.float_info.max), 1),  # next to the largest float
+    (SpinSystem(1e-30, 1e-5, 1e300), 1),
 ])
 def test_fixed_points_past_1e200_solve_the_recursion(s, d):
     # the bracket end grows fourfold up to the largest float, and the
@@ -109,6 +110,11 @@ def test_fixed_points_past_1e200_solve_the_recursion(s, d):
     r = fixed_point(s, d)
     assert r.x_hat > 1e199 and r.residual <= 1e-13 * r.x_hat
     assert symmetric_f(s, d, r.x_hat) == pytest.approx(r.x_hat, rel=1e-13)
+    # (beta*x + 1) * (x + gamma) overflows past about 1.3e154/sqrt(beta); the
+    # derivative must not read 0.0 there
+    b, g, x = Fraction(s.beta), Fraction(s.gamma), Fraction(r.x_hat)
+    exact = d * (1 - b * g) * x / ((b * x + 1) * (x + g))
+    assert r.derivative_abs == pytest.approx(float(exact), rel=1e-12, abs=0.0)
 
 
 def test_envelope_shortcut_covers_large_finite_bounds():
@@ -215,13 +221,23 @@ def test_a_large_finite_delta_stops_at_the_contraction_tail():
         assert cb.alpha == max(_contraction_alpha(s, fixed_point(s, d)) for d in range(1, delta))
 
 
-@pytest.mark.parametrize("s", [SpinSystem(0.1, 3.5, 1.0), SpinSystem(0.0, 2.0, 5.0),
-                               SpinSystem(0.3, 1.5, 0.5), SpinSystem(0.0, 1.2, 0.3)])
-def test_contraction_tail_equals_maximising_every_arity(s):
-    cb = contraction_bound(s, 80)
-    assert cb.tail_start is not None and cb.tail_start - 1 < 79
-    plain = [_contraction_alpha(s, fixed_point(s, d)) for d in range(1, 80)]
+@pytest.mark.parametrize("s, delta", [
+    (SpinSystem(0.1, 3.5, 1.0), 80), (SpinSystem(0.0, 2.0, 5.0), 80),
+    (SpinSystem(0.3, 1.5, 0.5), 80), (SpinSystem(0.0, 1.2, 0.3), 80),
+    (SpinSystem(0.0, 1.001, 1e-3), 4000),  # the tail starts at arity 3149
+], ids=["s0", "s1", "s2", "s3", "s4"])
+def test_contraction_tail_equals_maximising_every_arity(s, delta):
+    cb = contraction_bound(s, delta)
+    assert cb.tail_start is not None and cb.tail_start < delta
+    plain = [_contraction_alpha(s, fixed_point(s, d)) for d in range(1, delta)]
     assert cb.alpha == max(plain) == max(plain[:cb.tail_start - 1])
+
+
+def test_a_contraction_tail_past_arity_60000_certifies():
+    # the bound sqrt(d*lam/gamma**(d+1)) decreases only from arity 20 000 on
+    cb = contraction_bound(SpinSystem(0.0, 1.00005, 1e-5), math.inf)
+    assert cb.alpha == pytest.approx(0.16451646348342297, rel=1e-12)
+    assert cb.tail_start == 62927 and cb.tail_bound <= cb.alpha
 
 
 def test_a_derivative_tie_within_rounding_still_contracts():
@@ -248,6 +264,16 @@ def test_hardcore_threshold_closed_forms():
         hardcore_threshold(0.9, math.inf)
 
 
+@pytest.mark.parametrize("gamma, delta", [(1.0, 1000), (0.9, 300), (0.5, 500)])
+def test_hardcore_thresholds_past_arity_60_match_the_closed_form(gamma, delta):
+    # for gamma <= 1 the minimiser is the largest arity, d = delta - 1
+    rep = hardcore_threshold(gamma, delta)
+    d, g = delta - 1, Fraction(gamma)
+    exact = g ** (d + 1) * Fraction(d) ** d / Fraction(d - 1) ** (d + 1)
+    assert rep.witness_d == d
+    assert rep.values[0] == pytest.approx(float(exact), rel=1.5e-13, abs=0.0)
+
+
 def test_derivative_unit_roots_identities():
     beta, gamma, d = 0.2, 2.0, 5  # admissible from d = 5 on
     r = derivative_unit_roots(beta, gamma, d)
@@ -258,6 +284,11 @@ def test_derivative_unit_roots_identities():
         assert symmetric_f(s, d, x) == pytest.approx(x, rel=1e-9)
     with pytest.raises(InvalidParameterError):
         derivative_unit_roots(0.5, 1.9, 2)  # discriminant negative
+    # hardcore: the one root of d*x = x + gamma
+    r = derivative_unit_roots(0.0, gamma, d)
+    assert r.x_low == gamma / (d - 1) and r.x_high == r.lam_high == math.inf
+    s = SpinSystem(0.0, gamma, r.lam_low)
+    assert symmetric_f(s, d, r.x_low) == pytest.approx(r.x_low, rel=1e-12)
 
 
 def test_unit_root_activities_stay_finite_past_exp_700():
@@ -309,7 +340,8 @@ def test_touching_arities_give_point_windows():
 def test_threshold_minimisers_past_the_old_scan_caps():
     # minimisers near arity 1e5 and 1e6, past the caps of a one-arity scan
     for rep, lam in (
-        (hardcore_threshold(1.00001, math.inf), lambda d: _hardcore_term(1.00001, d)),
+        (hardcore_threshold(1.00001, math.inf),
+         lambda d: derivative_unit_roots(0.0, 1.00001, d).lam_low),
         (universal_lambda_threshold(0.1, 1.000001),
          lambda d: derivative_unit_roots(0.1, 1.000001, d).lam_low),
     ):
@@ -323,22 +355,25 @@ def test_threshold_minimisers_past_the_old_scan_caps():
 
 def test_hardcore_terms_stay_finite_where_the_power_product_overflows():
     # gamma**60 * 59**59 passes the float range; the quotient does not
-    assert _hardcore_term(1e4, 59) == pytest.approx(
+    def term(gamma, d):
+        return derivative_unit_roots(0.0, gamma, d).lam_low
+
+    assert term(1e4, 59) == pytest.approx(
         math.exp(60 * math.log(1e4) + 59 * math.log(59) - 60 * math.log(58)), rel=1e-12)
     for gamma in (1e4, 1e6):
         logs = []
         for d in range(2, 120):
-            term = _hardcore_term(gamma, d)
+            lam = term(gamma, d)
             true_log = (d + 1) * math.log(gamma) + d * math.log(d) - (d + 1) * math.log(d - 1)
             if true_log < math.log(sys.float_info.max) - 1e-9:
-                assert term < math.inf
-                logs.append(math.log(term))
+                assert lam < math.inf
+                logs.append(math.log(lam))
             else:
-                assert term == math.inf
+                assert lam == math.inf
         assert len(logs) > 40
         for a, b, c in zip(logs, logs[1:], logs[2:]):
             assert a - 2.0 * b + c >= -1e-9
-    # the exact-power branch still gives the closed forms bit for bit
+    # the log form still gives these closed forms bit for bit
     assert hardcore_threshold(1.0, 4).values == (27 / 16,)
     assert hardcore_threshold(2.0, 1100).values == (27.0,)
 
@@ -355,9 +390,7 @@ def test_soft_thresholds_cost_is_logarithmic_in_delta(monkeypatch):
 
 def critical_rows(beta, gamma, delta):
     """(d, lam_low, lam_high) for every admissible arity below delta; for
-    beta = 0 the hardcore term stands in for both."""
-    if beta == 0:
-        return [(d, _hardcore_term(gamma, d), _hardcore_term(gamma, d)) for d in range(2, delta)]
+    beta = 0 every arity from 2 on, with lam_high = inf."""
     r = math.sqrt(beta * gamma)
     rows = []
     for d in range(2, delta):
