@@ -469,10 +469,12 @@ def decay_curve(
 ) -> list[DecayPoint]:
     """Probability-interval width at every depth cutoff 0..t_max.
 
-    Each point is its own kernel walk, equal to bounds() at Depth(t), with
-    the budget applying to each walk.  The curve costs t_max + 1 walks, about
-    twice its deepest point on trees of branching 2.  Widths are nonincreasing.
-    Raises ZeroWeightError when the boundary has zero weight.
+    Each point up to t = n is its own kernel walk, equal to bounds() at
+    Depth(t), with the budget applying to each walk.  From t = n on the tree
+    has no free node at depth t, so every later point repeats the walk at n
+    bit for bit and is copied from it.  The curve costs min(t_max, n) + 1
+    walks, about twice its deepest point on trees of branching 2.  Widths are
+    nonincreasing.  Raises ZeroWeightError when the boundary has zero weight.
     """
     def require_cutoff():
         if isinstance(t_max, bool) or not isinstance(t_max, int):
@@ -483,7 +485,8 @@ def decay_curve(
     prep = _prepare(g, s, boundary, budget, require_cutoff)
     require_vertex(g, v)
     out = []
-    for t in range(t_max + 1):
+    for t in range(min(t_max, g.n) + 1):
         b = _interval(prep, v, Depth(t))
         out.append(DecayPoint(t=t, width=b.width, p_lo=b.p_lo, p_hi=b.p_hi))
+    out.extend(out[-1]._replace(t=t) for t in range(g.n + 1, t_max + 1))
     return out

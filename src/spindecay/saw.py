@@ -19,19 +19,23 @@ The walker that `walker` builds is the only traversal of the tree, and the
 only code that knows how the pins and the differing set S are held: it
 answers a pinned root (a point) and a root in S ([0, +inf]) without a walk,
 and takes later pins through `pin`.  It walks the tree with one recursive
-call per expanded node, whose state lives in that call's locals, and
-propagates ratio intervals upward through the recursion of `core`,
-truncated by one frontier rule: the root's scaled depth is 0, a node with
-d children puts them step[d] below itself, and a free node whose
-grandparent's scaled depth reaches the limit is a frontier leaf.  Depth(t)
+call per expanded node, whose state lives in that call's locals, but for
+the last level: a node there has only leaves for children, and unless they
+are too many to multiply directly (`core.linear_children`) it is computed
+in its parent's frame in one flat loop.  It propagates ratio intervals
+upward through the recursion of `core`, truncated by one frontier rule:
+the root's scaled depth is 0, a node with d children puts them step[d]
+below itself, and a free node whose grandparent's scaled depth reaches the
+limit is a frontier leaf.  Depth(t)
 is unit steps with limit t - 2, so its scaled depth is the depth, and
 MBased(m, ell) is steps ceil_log(m, d + 1) with limit ell.  A depth cutoff
 past the number of vertices walks the whole tree.  A frontier leaf is not
 expanded: it contributes the interval its degree allows, a point at a
 pendant vertex, so such a leaf is exact.  Each entry
 call builds one walker and walks it once or many times: the estimator for
-every interval it reports, and `dump_levels` with a visitor that records one
-node per call, so the tree that is dumped is the tree that is evaluated.
+every interval it reports, and `dump_levels` with a visitor, under which
+every node takes the recursive call and is recorded by it, so the tree
+that is dumped is the tree that is evaluated.
 The recursion is as deep as the longest walk the policy allows; a walk that
 would not fit under the interpreter's recursion limit raises the limit for
 its duration and runs on the caller's thread, so no graph ends in a
@@ -201,9 +205,11 @@ def walker(
 
     A child is, in this order: a cycle-closing leaf, a member of the
     differing set or a fixed leaf, a frontier leaf, or a free node that is
-    expanded.  A differing-set member and a frontier leaf contribute their
+    expanded.  A leaf that closes no cycle is read from one factor list: a
+    differing-set member and a frontier leaf contribute their
     `frontier_factors`, whose table gives each member the trivial interval
-    [0, +inf], factors [beta, 1/gamma].  The frontier is the policy's steps
+    [0, +inf], factors [beta, 1/gamma], and `pin` writes a pin's point pair
+    there.  The frontier is the policy's steps
     and limit; Depth(t) with t > n has none, and its walk is a point unless
     it meets a differing-set member.  Point leaves (fixed, cycle-closing,
     and frontier leaves at pendant vertices) keep r_lo == r_hi; the walk is
@@ -212,8 +218,16 @@ def walker(
     depth-first order; spin is None on free nodes.  The caller has checked
     that the root and every pin are vertices of g (`require_vertex`).
 
+    A node with at most `linear_children` children, in a walk without a
+    visitor, multiplies its factors straight through, zeros included, and
+    computes each free child on the last level (its own free children are
+    frontier leaves) in one flat loop, without a recursive call.  A node
+    with more children, and every node of a walk with a visitor, takes the
+    recursive path that sets exact-zero factors apart and multiplies in log
+    space past `linear_children`.  Both give the same bits.
+
     The walker is built once per entry call and walks as often as it is
-    asked: the adjacency, the system's constants, the frontier table, the
+    asked: the adjacency, the system's constants, the factor list, the
     leaf codes, the recursion, the on-walk list and the count of the frames
     above it are made here.  A walk resets its node count, sets its
     policy's steps and limit, and raises the recursion limit (`_deep`) when
@@ -231,7 +245,8 @@ def walker(
     inv_gamma = 1.0 / gamma
     log = math.log
     cap = _INF if budget is None else budget
-    leaf = frontier_factors(g, s, lam, s_set)
+    # fac[w]: the (f_lo, f_hi) of a leaf at w that closes no cycle
+    fac = frontier_factors(g, s, lam, s_set)
     # nodes with more children multiply in log space; with beta = 0 that
     # count follows the largest ratio lam_w * gamma**-k of a child w (k kids)
     r_max = 0.0 if beta > 0.0 else guarded_exp(max(
@@ -243,10 +258,14 @@ def walker(
     code = [_FREE] * n
 
     def pin(v: int, spin: str) -> None:
-        code[v] = _BLUE if spin == BLUE else _GREEN
+        if spin == BLUE:
+            code[v], fac[v] = _BLUE, (beta, beta)  # ratio +inf on both ends
+        else:
+            code[v], fac[v] = _GREEN, (inv_gamma, inv_gamma)  # ratio 0
 
     for v, spin in fixed.items():
-        pin(v, spin)
+        if v not in s_set:  # a member keeps its frontier_factors pair
+            pin(v, spin)
     for v in s_set:
         code[v] = _DIFFERING
 
@@ -261,11 +280,13 @@ def walker(
 
     def expand(u: int, parent: int, own_m: int, parent_m: int):
         """(lo, hi) of the node for vertex u, reached from parent (-1 at the
-        root).  The upper end comes from the children's lower ends and vice
-        versa (the recursion is decreasing in each child), so acc_lo collects
-        the factors f_lo and acc_hi the factors f_hi.  Exact-zero factors
-        only set zero_lo / zero_hi and never enter the running product, so
-        an overflowed product is never multiplied by zero."""
+        root), for a node with more than `linear` children or in a walk
+        with a visitor.  The upper end comes from the children's lower ends
+        and vice versa (the recursion is decreasing in each child), so
+        acc_lo collects the factors f_lo and acc_hi the factors f_hi.
+        Exact-zero factors only set zero_lo / zero_hi and never enter the
+        running product, so an overflowed product is never multiplied by
+        zero."""
         nonlocal expanded
         kids = adj[u]
         d = len(kids) if parent < 0 else len(kids) - 1
@@ -290,12 +311,12 @@ def walker(
                 if visit is not None:
                     visit(child_m, w, None)
                 on_walk[u] = w
-                lo, hi = expand(w, u, child_m, own_m)
+                lo, hi = kernel[w](w, u, child_m, own_m)
                 f_lo = beta if hi == _INF else (beta * hi + 1.0) / (hi + gamma)
                 f_hi = beta if lo == _INF else (beta * lo + 1.0) / (lo + gamma)
             else:
                 if c <= _DIFFERING:
-                    f_lo, f_hi = leaf[w]
+                    f_lo, f_hi = fac[w]
                     spin = None
                 elif c == _BLUE:
                     f_lo = f_hi = beta  # ratio +inf on both ends
@@ -327,6 +348,68 @@ def walker(
             hi = 0.0 if zero_hi else lam_u * acc_hi
         return lo, hi
 
+    def expand_linear(u: int, parent: int, own_m: int, parent_m: int):
+        """expand for a node with at most `linear` children in a walk
+        without a visitor.  Its products run straight through, zeros
+        included: no partial product of `linear` nonzero factors leaves the
+        normal range (`linear_children`), so a 0 never meets an inf, and a
+        product with a zero factor is exactly 0.  A free child on the last
+        level, one whose own free children are frontier leaves because
+        own_m has reached limit, is evaluated here in one flat loop over
+        its children, without a call of its own."""
+        nonlocal expanded
+        kids = adj[u]
+        child_m = own_m + step[len(kids) if parent < 0 else len(kids) - 1]
+        frontier = parent_m >= limit
+        last = own_m >= limit
+        acc_lo = acc_hi = 1.0
+        for w in kids:
+            if w == parent:
+                continue
+            left = on_walk[w]
+            if left >= 0:
+                f_lo = f_hi = beta if u > left else inv_gamma
+            elif frontier or code[w]:
+                f_lo, f_hi = fac[w]
+            else:
+                expanded += 1
+                if expanded > cap:
+                    raise BudgetExceededError(
+                        f"expansion exceeded {budget} nodes at vertex {root}"
+                    )
+                node = kernel[w]
+                if last and node is expand_linear:
+                    # every child of w is a leaf, and u, w's parent, is not
+                    # one of them, so u needs no mark on the walk
+                    lo = hi = 1.0
+                    for x in adj[w]:
+                        if x == u:
+                            continue
+                        left = on_walk[x]
+                        if left < 0:
+                            x_lo, x_hi = fac[x]
+                        else:
+                            x_lo = x_hi = beta if w > left else inv_gamma
+                        lo *= x_lo
+                        hi *= x_hi
+                    lam_w = lam[w]
+                    lo *= lam_w
+                    hi *= lam_w
+                else:
+                    on_walk[u] = w
+                    lo, hi = node(w, u, child_m, own_m)
+                f_lo = beta if hi == _INF else (beta * hi + 1.0) / (hi + gamma)
+                f_hi = beta if lo == _INF else (beta * lo + 1.0) / (lo + gamma)
+            acc_lo *= f_lo
+            acc_hi *= f_hi
+        on_walk[u] = -1
+        lam_u = lam[u]
+        return lam_u * acc_lo, lam_u * acc_hi
+
+    # kernel[w]: the function that evaluates a node below the root at w
+    kernel = [expand if visit is not None or len(a) - 1 > linear else expand_linear
+              for a in adj]
+
     def walk(v: int, policy: Depth | MBased) -> tuple[float, float, int]:
         nonlocal root, expanded, step, limit
         if not isinstance(policy, (Depth, MBased)):
@@ -340,6 +423,7 @@ def walker(
         else:
             step, limit = {d: ceil_log(policy.m, d + 1) for d in counts}, policy.ell
         root, expanded = v, 1
+        top = expand if visit is not None or len(adj[v]) > linear else expand_linear
         # The recursion is one frame per tree level: at most n levels, since
         # walks are self-avoiding.  A level adds at least 1 to the scaled
         # depth (every step of a node with children is >= 1), and a frame
@@ -348,9 +432,9 @@ def walker(
         levels = min(n, limit + 2)
         try:
             if levels + frames + _EXTRA_FRAMES <= sys.getrecursionlimit():
-                lo, hi = expand(v, -1, 0, -1)
+                lo, hi = top(v, -1, 0, -1)
             else:
-                lo, hi = _deep(lambda: expand(v, -1, 0, -1), levels)
+                lo, hi = _deep(lambda: top(v, -1, 0, -1), levels)
         except BaseException:
             # a failed walk leaves its path marked; the next walk needs none
             on_walk[:] = [-1] * n

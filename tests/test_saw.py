@@ -7,12 +7,22 @@ Its flat records are rebuilt into the nested tree by helpers.saw_tree.
 from __future__ import annotations
 
 import math
+import random
 import sys
 import threading
 
 import pytest
 
-from spindecay.core import BLUE, GREEN, SpinSystem
+from spindecay.core import (
+    BLUE,
+    GREEN,
+    LOG_PRODUCT_CUTOFF,
+    SpinSystem,
+    edge_factor,
+    guarded_exp,
+    linear_children,
+    recursion_f,
+)
 from spindecay.errors import BudgetExceededError, InvalidParameterError
 from spindecay.estimator import Depth, bounds, decay_curve
 from spindecay.graphs import (
@@ -162,6 +172,34 @@ def test_decay_curve_points_are_depth_walks():
             assert (pt.p_lo, pt.p_hi, pt.width) == (single.p_lo, single.p_hi, single.width)
 
 
+def test_decay_curve_copies_its_point_at_n_past_n(monkeypatch):
+    # from t = n on the tree has no free node at depth t: one walk at n
+    # stands for every later cutoff
+    walks = []
+
+    def counted(*args):
+        built = walker(*args)
+
+        def walk(v, policy):
+            walks.append(policy)
+            return built.walk(v, policy)
+
+        return built._replace(walk=walk)
+
+    monkeypatch.setattr("spindecay.estimator.walker", counted)
+    g = random_regular(10, 3, seed=1)
+    for s, boundary in ((SOFT, None), (HARDCORE, Boundary(fixed={4: BLUE}))):
+        walks.clear()
+        curve = decay_curve(g, s, 0, boundary, t_max=10**5)
+        assert len(walks) <= g.n + 1 and len(curve) == 10**5 + 1
+        assert [pt.t for pt in curve] == list(range(10**5 + 1))
+        for t in (g.n - 1, g.n, g.n + 1, 10**5):
+            single = bounds(g, s, 0, boundary, Depth(t))
+            assert curve[t][1:] == (single.width, single.p_lo, single.p_hi)
+        if boundary is None:  # the last free level still narrows the interval
+            assert curve[g.n - 1][1:] != curve[g.n][1:]
+
+
 _G64 = random_regular(64, 3, seed=1)
 _LAM64 = [0.5 + (v % 7) / 10 for v in range(64)]
 _SOFT2 = SpinSystem(0.2, 1.5, 0.9)
@@ -241,6 +279,20 @@ def test_budget_trips_at_an_exact_node_count():
     assert _budget_walker(536)(0, Depth(9)) == expected
     with pytest.raises(BudgetExceededError, match="exceeded 535 nodes"):
         _budget_walker(535)(0, Depth(9))
+    # the 9th node is the walk's first at depth 8: a last-level node, whose
+    # children are all frontier leaves, computed in its parent's frame while
+    # the eight nodes above it are marked on the walk
+    expanded = [r["depth"] for r in dump_levels(_BUDGET_GRAPH, 0, 9)
+                if r["kind"] == FREE and r["depth"] < 9]
+    assert expanded[:9] == list(range(9)) and len(expanded) == 536
+    walk = _budget_walker(8)
+    with pytest.raises(BudgetExceededError, match="exceeded 8 nodes at vertex 0"):
+        walk(0, Depth(9))
+    # the walker is clean: a vertex left marked on the walk would close a
+    # cycle in the Depth(2) walk of each of its neighbours, 4 nodes each
+    fresh = _budget_walker(None)
+    for v in range(_BUDGET_GRAPH.n):
+        assert walk(v, Depth(2)) == fresh(v, Depth(2))
 
 
 def test_a_failed_walk_leaves_the_walker_clean():
@@ -289,6 +341,110 @@ def test_a_pin_written_between_walks_holds_from_the_next_walk():
         got = walk(root, Depth(7))
         fresh = walker(g, _SOFT2, lam, pins, frozenset(), None).walk
         assert got == fresh(root, Depth(7)) != unpinned
+
+
+def _hub_graph(rng):
+    """A sparse random core on vertices 0-5, vertex 6 pendant on it, and a
+    hub, vertex 7, joined to two core vertices and to the 33 pendant
+    vertices 8-40: a hub node has 34 or 35 children, past
+    LOG_PRODUCT_CUTOFF, and multiplies in log space."""
+    edges = {(u, w) for u in range(6) for w in range(u + 1, 6) if rng.random() < 0.5}
+    edges |= {(w, 7) for w in rng.sample(range(6), 2)} | {(rng.randrange(6), 6)}
+    edges |= {(7, w) for w in range(8, 41)}
+    return from_edges(41, sorted(edges))
+
+
+def _records(g, v, policy, fixed):
+    """(scaled depth, vertex, spin) of every node of the tree of v, the root
+    first, as the recursive path records it for a visitor: dump_levels for
+    Depth, and the same visitor for MBased."""
+    if isinstance(policy, Depth):
+        return [(r["depth"], r["origin"], r.get("spin"))
+                for r in dump_levels(g, v, policy.t, Boundary(fixed=fixed))]
+    nodes = [(0, v, None)]
+    walker(g, SOFT, [1.0] * g.n, fixed, frozenset(), None,
+           lambda *node: nodes.append(node)).walk(v, policy)
+    return nodes
+
+
+def _evaluate(g, s, lam, fixed, s_set, records, limit):
+    """(r_lo, r_hi, expanded) of a recorded tree, evaluated apart from the
+    walker: core.recursion_f at each expanded node over its children's
+    ratio ends, and at a frontier leaf the ends its degree allows, whose
+    edge factors must be its `frontier_factors` pair.  A node's parent is
+    the last node before it of lower scaled depth, and a free node is a
+    frontier leaf when its grandparent's scaled depth reaches limit."""
+    table = frontier_factors(g, s, lam, s_set)
+    tree = [(m, w, spin, []) for m, w, spin in records]
+    open_nodes = []
+    for node in tree:
+        while open_nodes and open_nodes[-1][0] >= node[0]:
+            open_nodes.pop()
+        if open_nodes:
+            open_nodes[-1][3].append(node)
+        open_nodes.append(node)
+    expanded = 0
+
+    def ends(node, parent_m, grand_m):
+        nonlocal expanded
+        m, w, spin, kids = node
+        if spin is not None:  # a pin, a differing-set member or a closed cycle
+            if w in s_set:
+                return 0.0, math.inf
+            return (math.inf, math.inf) if spin == BLUE else (0.0, 0.0)
+        if grand_m >= limit:
+            assert kids == []
+            k = len(g.adj[w]) - 1
+            log_beta = math.log(s.beta) if s.beta > 0.0 else -math.inf
+            lo = guarded_exp(math.log(lam[w]) + k * log_beta) if k else lam[w]
+            hi = guarded_exp(math.log(lam[w]) - k * math.log(s.gamma)) if k else lam[w]
+            assert (edge_factor(s, hi), edge_factor(s, lo)) == table[w]
+            return lo, hi
+        expanded += 1
+        assert len(kids) == len(g.adj[w]) - (parent_m >= 0)
+        child = [ends(c, m, parent_m) for c in kids]
+        return (recursion_f(s, lam[w], [hi for _, hi in child]),
+                recursion_f(s, lam[w], [lo for lo, _ in child]))
+
+    lo, hi = ends(tree[0], -1, -2)
+    return lo, hi, expanded
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_walk_equals_an_independent_evaluation_of_its_tree(seed):
+    # the walker computes a last-level node in its parent's frame, reads
+    # every leaf from one factor list that pin writes, and multiplies zeros
+    # straight through in linear mode; dump_levels and the visitor take the
+    # recursive path with zero flags, node by node
+    rng = random.Random(seed)
+    g = _hub_graph(rng)
+    # the hub's pendants carry small activities and the hub a large one, so
+    # its ratio is large and an ulp of it moves its parent's edge factor
+    lam = [rng.uniform(0.3, 2.5) for _ in range(7)] + [40.0]
+    lam += [rng.uniform(0.001, 0.01) for _ in range(8, g.n)]
+    a, b, c = rng.sample(range(6), 3)
+    first = {a: BLUE, b: GREEN, 10: GREEN, 11: BLUE}
+    s_set = frozenset({b, 11})
+    later = {c: GREEN, 12: BLUE, 13: GREEN}  # pinned between walks
+    roots = [7, 6] + [v for v in range(6) if v not in (a, b, c)]
+    policies = ([Depth(t) for t in range(1, g.n + 2)]
+                + [MBased(m, ell) for m in (1.5, 3.0) for ell in range(1, 8)])
+    for s in (SpinSystem(0.0, 1.0, 1.0), SOFT):
+        # recursion_f and the walker choose linear or log space alike
+        assert linear_children(s, 1e6) == LOG_PRODUCT_CUTOFF
+        walk, pin, _ = walker(g, s, lam, first, s_set, None)
+        pins = dict(first)
+        for phase in (first, later):
+            for v, spin in phase.items():
+                if v not in pins:
+                    pin(v, spin)
+                    pins[v] = spin
+            for v in roots:
+                for policy in policies:
+                    limit = policy.t - 2 if isinstance(policy, Depth) else policy.ell
+                    records = _records(g, v, policy, pins)
+                    assert walk(v, policy) == _evaluate(g, s, lam, pins, s_set, records,
+                                                        limit), (s, v, policy)
 
 
 def test_frontier_factors_stay_in_the_edge_factor_range():
