@@ -13,7 +13,8 @@ into {"beta", "gamma", "lambda"}.  No document nests more than a few
 levels: `saw-dump` lists the walk tree as flat node records, whose depths
 rebuild the tree (see `saw.dump_levels`).  Errors go to stderr as plain
 text, and the exit code tells the caller what went wrong: 0 success, 1
-usage or input problems, 2 violated preconditions (non-uniqueness, bad
+usage or input problems or a stdout that cannot be written (a reader that
+has left the pipe), 2 violated preconditions (non-uniqueness, bad
 parameters, empty supports), 3 exhausted budgets, 4 any other library
 failure (a search or a computation that did not finish where the method
 says it must).
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -88,6 +90,8 @@ def _emit(command: str, inputs: dict, outputs, started: float) -> None:
         "wall_time_s": time.perf_counter() - started,
     }
     print(json.dumps(_plain(doc), indent=2))
+    # a reader that has gone fails the write here, not at interpreter exit
+    sys.stdout.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -469,10 +473,16 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         inputs, outputs = args.handler(args)
+        _emit(args.command, inputs, outputs, started)
     except (_UsageError, OSError, SpinDecayError) as e:
+        if isinstance(e, BrokenPipeError):
+            # what is left in stdout's buffer goes nowhere, so the flush at
+            # interpreter exit cannot fail a second time
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {e}", file=sys.stderr)
         return next(code for kinds, code in _EXIT_CODES if isinstance(e, kinds))
-    _emit(args.command, inputs, outputs, started)
     return 0
 
 

@@ -19,22 +19,22 @@ The walker that `walker` builds is the only traversal of the tree, and the
 only code that knows how the pins and the differing set S are held: it
 answers a pinned root (a point) and a root in S ([0, +inf]) without a walk,
 and takes later pins through `pin`.  It walks the tree with one recursive
-call per expanded node, whose state lives in that call's locals, but for
-the last level: a node there has only leaves for children, and unless they
-are too many to multiply directly (`core.linear_children`) it is computed
-in its parent's frame in one flat loop.  It propagates ratio intervals
-upward through the recursion of `core`, truncated by one frontier rule:
-the root's scaled depth is 0, a node with d children puts them step[d]
-below itself, and a free node whose grandparent's scaled depth reaches the
-limit is a frontier leaf.  Depth(t)
-is unit steps with limit t - 2, so its scaled depth is the depth, and
-MBased(m, ell) is steps ceil_log(m, d + 1) with limit ell.  A depth cutoff
-past the number of vertices walks the whole tree.  A frontier leaf is not
-expanded: it contributes the interval its degree allows, a point at a
-pendant vertex, so such a leaf is exact.  Each entry
-call builds one walker and walks it once or many times: the estimator for
-every interval it reports, and `dump_levels` with a visitor, under which
-every node takes the recursive call and is recorded by it, so the tree
+function, called once per expanded node with its state in that call's
+locals, but for the last level: a node there has only leaves for children,
+and unless they are too many to multiply directly (`core.linear_children`)
+it is computed in its parent's frame in one flat loop.  It propagates ratio
+intervals upward through the recursion of `core`, truncated by one frontier
+rule: the root's scaled depth is 0, a node with d children puts them
+step[d] below itself, and a free node whose grandparent's scaled depth
+reaches the limit is a frontier leaf.  Depth(t) is unit steps with limit
+t - 2, so its scaled depth is the depth, and MBased(m, ell) is steps
+ceil_log(m, d + 1) with limit ell.  A depth cutoff past the number of
+vertices walks the whole tree.  A frontier leaf is not expanded: it
+contributes the interval its degree allows, a point at a pendant vertex, so
+such a leaf is exact.  Each entry call builds one walker and walks it once
+or many times: the estimator for every interval it reports, and
+`dump_levels` with a visitor, which the same function calls on every child
+it meets and under which every node takes the recursive call, so the tree
 that is dumped is the tree that is evaluated.
 The recursion is as deep as the longest walk the policy allows; a walk that
 would not fit under the interpreter's recursion limit raises the limit for
@@ -153,6 +153,8 @@ def frontier_factors(g: Graph, s: SpinSystem, lam: list[float],
 _FREE, _DIFFERING, _BLUE, _GREEN = 0, 1, 2, 3
 # (r_lo, r_hi, nodes) of a root that is not free, by its leaf code
 _BOUNDARY_ROOT = {_DIFFERING: (0.0, _INF, 0), _BLUE: (_INF, _INF, 0), _GREEN: (0.0, 0.0, 0)}
+# the spin a visitor records for a leaf that closes no cycle, by its leaf code
+_LEAF_SPIN = (None, None, BLUE, GREEN)
 
 
 # Frames a walk adds beyond one per tree level and the frames above the
@@ -218,13 +220,14 @@ def walker(
     depth-first order; spin is None on free nodes.  The caller has checked
     that the root and every pin are vertices of g (`require_vertex`).
 
-    A node with at most `linear_children` children, in a walk without a
-    visitor, multiplies its factors straight through, zeros included, and
-    computes each free child on the last level (its own free children are
-    frontier leaves) in one flat loop, without a recursive call.  A node
-    with more children, and every node of a walk with a visitor, takes the
-    recursive path that sets exact-zero factors apart and multiplies in log
-    space past `linear_children`.  Both give the same bits.
+    One recursive function evaluates every node.  A node with at most
+    `linear_children` children multiplies its factors straight through,
+    zeros included; a node with more sums their logs and sets exact-zero
+    factors apart.  In a walk without a visitor, a free child on the last
+    level (its own free children are frontier leaves) with at most
+    `linear_children` children is computed in its parent's loop, without a
+    call of its own; with a visitor every expanded node takes the call.
+    Either way the bits are the same.
 
     The walker is built once per entry call and walks as often as it is
     asked: the adjacency, the system's constants, the factor list, the
@@ -278,95 +281,43 @@ def walker(
     step = unit = dict.fromkeys(counts, 1)
     root = expanded = limit = 0
 
+    # flat[w]: whether a free node at w on the last level, all of whose
+    # children are leaves, is computed in its parent's frame
+    flat = [visit is None and len(a) - 1 <= linear for a in adj]
+
     def expand(u: int, parent: int, own_m: int, parent_m: int):
         """(lo, hi) of the node for vertex u, reached from parent (-1 at the
-        root), for a node with more than `linear` children or in a walk
-        with a visitor.  The upper end comes from the children's lower ends
-        and vice versa (the recursion is decreasing in each child), so
-        acc_lo collects the factors f_lo and acc_hi the factors f_hi.
-        Exact-zero factors only set zero_lo / zero_hi and never enter the
-        running product, so an overflowed product is never multiplied by
-        zero."""
+        root).  The upper end comes from the children's lower ends and vice
+        versa (the recursion is decreasing in each child), so acc_lo
+        collects the factors f_lo and acc_hi the factors f_hi.  A node with
+        at most `linear` children multiplies straight through, zeros
+        included: no partial product of that many nonzero factors leaves
+        the normal range (`linear_children`), so a 0 never meets an inf.  A
+        node with more sums logs, and its exact-zero factors only set
+        zero_lo / zero_hi.  A free child on the last level, one whose own
+        free children are frontier leaves because own_m has reached limit,
+        is computed here in one flat loop when flat[w] allows it."""
         nonlocal expanded
         kids = adj[u]
         d = len(kids) if parent < 0 else len(kids) - 1
         log_mode = d > linear
-        frontier = parent_m >= limit
         child_m = own_m + step[d]
-        acc_lo = acc_hi = 0.0 if log_mode else 1.0
-        zero_lo = zero_hi = False
+        frontier = parent_m >= limit
+        last = own_m >= limit
+        if log_mode:
+            acc_lo = acc_hi = 0.0
+            zero_lo = zero_hi = False
+        else:
+            acc_lo = acc_hi = 1.0
         for w in kids:
             if w == parent:
                 continue
             left = on_walk[w]
             # a step back onto the walk closes a cycle, blue exactly when the
             # closing edge outranks the one the walk left w by (ids ascend)
-            c = code[w] if left < 0 else _BLUE if u > left else _GREEN
-            if c == _FREE and not frontier:
-                expanded += 1
-                if expanded > cap:
-                    raise BudgetExceededError(
-                        f"expansion exceeded {budget} nodes at vertex {root}"
-                    )
-                if visit is not None:
-                    visit(child_m, w, None)
-                on_walk[u] = w
-                lo, hi = kernel[w](w, u, child_m, own_m)
-                f_lo = beta if hi == _INF else (beta * hi + 1.0) / (hi + gamma)
-                f_hi = beta if lo == _INF else (beta * lo + 1.0) / (lo + gamma)
-            else:
-                if c <= _DIFFERING:
-                    f_lo, f_hi = fac[w]
-                    spin = None
-                elif c == _BLUE:
-                    f_lo = f_hi = beta  # ratio +inf on both ends
-                    spin = BLUE
-                else:
-                    f_lo = f_hi = inv_gamma  # ratio 0
-                    spin = GREEN
-                if visit is not None:
-                    visit(child_m, w, spin)
-            if f_lo == 0.0:
-                zero_lo = True
-            elif log_mode:
-                acc_lo += log(f_lo)
-            else:
-                acc_lo *= f_lo
-            if f_hi == 0.0:
-                zero_hi = True
-            elif log_mode:
-                acc_hi += log(f_hi)
-            else:
-                acc_hi *= f_hi
-        on_walk[u] = -1
-        lam_u = lam[u]
-        if log_mode:
-            lo = 0.0 if zero_lo else guarded_exp(log(lam_u) + acc_lo)
-            hi = 0.0 if zero_hi else guarded_exp(log(lam_u) + acc_hi)
-        else:
-            lo = 0.0 if zero_lo else lam_u * acc_lo
-            hi = 0.0 if zero_hi else lam_u * acc_hi
-        return lo, hi
-
-    def expand_linear(u: int, parent: int, own_m: int, parent_m: int):
-        """expand for a node with at most `linear` children in a walk
-        without a visitor.  Its products run straight through, zeros
-        included: no partial product of `linear` nonzero factors leaves the
-        normal range (`linear_children`), so a 0 never meets an inf, and a
-        product with a zero factor is exactly 0.  A free child on the last
-        level, one whose own free children are frontier leaves because
-        own_m has reached limit, is evaluated here in one flat loop over
-        its children, without a call of its own."""
-        nonlocal expanded
-        kids = adj[u]
-        child_m = own_m + step[len(kids) if parent < 0 else len(kids) - 1]
-        frontier = parent_m >= limit
-        last = own_m >= limit
-        acc_lo = acc_hi = 1.0
-        for w in kids:
-            if w == parent:
-                continue
-            left = on_walk[w]
+            if visit is not None:
+                visit(child_m, w, _LEAF_SPIN[code[w]] if left < 0
+                      else BLUE if u > left else GREEN)
             if left >= 0:
                 f_lo = f_hi = beta if u > left else inv_gamma
             elif frontier or code[w]:
@@ -377,8 +328,7 @@ def walker(
                     raise BudgetExceededError(
                         f"expansion exceeded {budget} nodes at vertex {root}"
                     )
-                node = kernel[w]
-                if last and node is expand_linear:
+                if last and flat[w]:
                     # every child of w is a leaf, and u, w's parent, is not
                     # one of them, so u needs no mark on the walk
                     lo = hi = 1.0
@@ -397,18 +347,27 @@ def walker(
                     hi *= lam_w
                 else:
                     on_walk[u] = w
-                    lo, hi = node(w, u, child_m, own_m)
+                    lo, hi = expand(w, u, child_m, own_m)
                 f_lo = beta if hi == _INF else (beta * hi + 1.0) / (hi + gamma)
                 f_hi = beta if lo == _INF else (beta * lo + 1.0) / (lo + gamma)
-            acc_lo *= f_lo
-            acc_hi *= f_hi
+            if log_mode:
+                if f_lo == 0.0:
+                    zero_lo = True
+                else:
+                    acc_lo += log(f_lo)
+                if f_hi == 0.0:
+                    zero_hi = True
+                else:
+                    acc_hi += log(f_hi)
+            else:
+                acc_lo *= f_lo
+                acc_hi *= f_hi
         on_walk[u] = -1
         lam_u = lam[u]
+        if log_mode:
+            return (0.0 if zero_lo else guarded_exp(log(lam_u) + acc_lo),
+                    0.0 if zero_hi else guarded_exp(log(lam_u) + acc_hi))
         return lam_u * acc_lo, lam_u * acc_hi
-
-    # kernel[w]: the function that evaluates a node below the root at w
-    kernel = [expand if visit is not None or len(a) - 1 > linear else expand_linear
-              for a in adj]
 
     def walk(v: int, policy: Depth | MBased) -> tuple[float, float, int]:
         nonlocal root, expanded, step, limit
@@ -423,7 +382,6 @@ def walker(
         else:
             step, limit = {d: ceil_log(policy.m, d + 1) for d in counts}, policy.ell
         root, expanded = v, 1
-        top = expand if visit is not None or len(adj[v]) > linear else expand_linear
         # The recursion is one frame per tree level: at most n levels, since
         # walks are self-avoiding.  A level adds at least 1 to the scaled
         # depth (every step of a node with children is >= 1), and a frame
@@ -432,9 +390,9 @@ def walker(
         levels = min(n, limit + 2)
         try:
             if levels + frames + _EXTRA_FRAMES <= sys.getrecursionlimit():
-                lo, hi = top(v, -1, 0, -1)
+                lo, hi = expand(v, -1, 0, -1)
             else:
-                lo, hi = _deep(lambda: top(v, -1, 0, -1), levels)
+                lo, hi = _deep(lambda: expand(v, -1, 0, -1), levels)
         except BaseException:
             # a failed walk leaves its path marked; the next walk needs none
             on_walk[:] = [-1] * n

@@ -5,13 +5,17 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spindecay
 from spindecay import estimator, oracle
 from spindecay.cli import build_parser, main
 from spindecay.core import SpinSystem
@@ -623,6 +627,37 @@ def test_exit_code_budget_errors(capsys, c4_file, tmp_path):
     rc, _, _ = run(capsys, "exact", "--graph", str(f), "--beta", "0",
                    "--gamma", "1", "--lambda", "1", "--cap", "3")
     assert rc == 3
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command, lines", [
+    # a short document fails at the flush: the reader is gone before it
+    ("classify", 0),
+    # `decay ... | head -1`: a document far past the pipe's buffer fails
+    # part-way through its write
+    ("decay", 1),
+])
+def test_a_reader_that_leaves_early_gets_one_error_line(tmp_path, command, lines, unbuffered):
+    argv = [command, "--beta", "0", "--gamma", "1", "--lambda", "1"]
+    if command == "decay":
+        f = tmp_path / "rr10.json"
+        f.write_text(dumps(random_regular(10, 3, seed=1)))
+        argv += ["--graph", str(f), "--vertex", "0", "--t-max", "5000"]
+    src = str(Path(spindecay.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    if unbuffered:  # every write goes straight to the pipe
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "spindecay.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    got = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert got == [b"{\n"] * lines
+    # no traceback, and no "Exception ignored" from the flush at exit
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 # ---------------------------------------------------------------------------

@@ -356,8 +356,8 @@ def _hub_graph(rng):
 
 def _records(g, v, policy, fixed):
     """(scaled depth, vertex, spin) of every node of the tree of v, the root
-    first, as the recursive path records it for a visitor: dump_levels for
-    Depth, and the same visitor for MBased."""
+    first, as the kernel's visitor records them, each node as its parent
+    meets it: dump_levels for Depth, and the same visitor for MBased."""
     if isinstance(policy, Depth):
         return [(r["depth"], r["origin"], r.get("spin"))
                 for r in dump_levels(g, v, policy.t, Boundary(fixed=fixed))]
@@ -415,7 +415,7 @@ def test_a_walk_equals_an_independent_evaluation_of_its_tree(seed):
     # the walker computes a last-level node in its parent's frame, reads
     # every leaf from one factor list that pin writes, and multiplies zeros
     # straight through in linear mode; dump_levels and the visitor take the
-    # recursive path with zero flags, node by node
+    # recursive call at every node, and multiply as the plain walk does
     rng = random.Random(seed)
     g = _hub_graph(rng)
     # the hub's pendants carry small activities and the hub a large one, so
@@ -433,18 +433,23 @@ def test_a_walk_equals_an_independent_evaluation_of_its_tree(seed):
         # recursion_f and the walker choose linear or log space alike
         assert linear_children(s, 1e6) == LOG_PRODUCT_CUTOFF
         walk, pin, _ = walker(g, s, lam, first, s_set, None)
+        visited_walk, visited_pin, _ = walker(g, s, lam, first, s_set, None,
+                                              lambda *node: None)
         pins = dict(first)
         for phase in (first, later):
             for v, spin in phase.items():
                 if v not in pins:
                     pin(v, spin)
+                    visited_pin(v, spin)
                     pins[v] = spin
             for v in roots:
                 for policy in policies:
                     limit = policy.t - 2 if isinstance(policy, Depth) else policy.ell
                     records = _records(g, v, policy, pins)
-                    assert walk(v, policy) == _evaluate(g, s, lam, pins, s_set, records,
-                                                        limit), (s, v, policy)
+                    got = walk(v, policy)
+                    assert got == _evaluate(g, s, lam, pins, s_set, records,
+                                            limit), (s, v, policy)
+                    assert visited_walk(v, policy) == got, (s, v, policy)
 
 
 def test_frontier_factors_stay_in_the_edge_factor_range():
