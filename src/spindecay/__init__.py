@@ -26,6 +26,7 @@ _EXPORTS = {
         "recursion_f",
         "swap_spins",
         "symmetric_f",
+        "symmetric_map",
     ),
     "errors": (
         "BudgetExceededError",

@@ -19,7 +19,7 @@ contraction functions built on it, which amortise decay by a potential
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidParameterError
 
@@ -50,8 +50,9 @@ class SpinSystem:
 
     An immutable value: equal triples are equal and hash alike, and it
     pickles.  It is a slotted class rather than a record tuple because the
-    certificates read its fields in their innermost loops (`symmetric_f`),
-    where a slot is read about twice as fast as a tuple field.
+    certificates read its fields in their inner loops
+    (`uniqueness._log_envelope`), where a slot is read about twice as fast
+    as a tuple field.
     """
 
     __slots__ = ("beta", "gamma", "lam")
@@ -210,19 +211,37 @@ def recursion_f(s: SpinSystem, lam_v: float, children: Iterable[float]) -> float
     return guarded_exp(math.log(lam_v) + acc)
 
 
-def symmetric_f(s: SpinSystem, d: int, x: float) -> float:
-    """lam * ((beta*x + 1) / (x + gamma))**d, the d-ary symmetric recursion.
+def symmetric_map(s: SpinSystem, d: int) -> Callable[[float], float]:
+    """The d-ary symmetric recursion x -> lam * ((beta*x + 1) / (x + gamma))**d
+    as a function of x alone.
 
-    Takes a float x and saturates at inf where the power overflows.  Strictly
-    decreasing in x on anti-ferromagnetic systems, with f(0) = lam / gamma**d.
+    The arity is checked and the system's fields are read once, when the map
+    is built, so a bisection that evaluates it at every step pays neither
+    again.  The map takes a float x and saturates at inf where the power
+    overflows.  Strictly decreasing in x on anti-ferromagnetic systems, with
+    f(0) = lam / gamma**d.
     """
     if d < 1 or d != int(d):
         raise InvalidParameterError(f"arity d must be a positive integer, got {d!r}")
-    z = (s.beta * x + 1.0) / (x + s.gamma)
-    try:
-        return s.lam * z ** d
-    except OverflowError:
-        return math.inf
+    b, g, lam = s.beta, s.gamma, s.lam
+
+    def f(x: float) -> float:
+        z = (b * x + 1.0) / (x + g)
+        try:
+            return lam * z ** d
+        except OverflowError:
+            return math.inf
+
+    return f
+
+
+def symmetric_f(s: SpinSystem, d: int, x: float) -> float:
+    """lam * ((beta*x + 1) / (x + gamma))**d, the d-ary symmetric recursion
+    at one point: symmetric_map(s, d)(x), bit for bit.
+
+    A caller that evaluates one arity at many points builds the map once.
+    """
+    return symmetric_map(s, d)(x)
 
 
 def fixed_point_derivative(s: SpinSystem, d: int, x: float) -> float:
@@ -277,8 +296,6 @@ def alpha_sym(s: SpinSystem, d: int, x: float) -> float:
         alpha_sym = d * (1 - beta*gamma) * sqrt(x * f)
                     / sqrt((beta*x + 1) * (x + gamma) * (beta*f + 1) * (f + gamma))
     """
-    if d < 1 or d != int(d):
-        raise InvalidParameterError(f"arity d must be a positive integer, got {d!r}")
     f = symmetric_f(s, d, x)
     num = d * (1.0 - s.beta * s.gamma) * (x * f) ** 0.5
     den = ((s.beta * x + 1.0) * (x + s.gamma) * (s.beta * f + 1.0) * (f + s.gamma)) ** 0.5

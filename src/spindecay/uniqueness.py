@@ -36,7 +36,7 @@ from .core import (
     fixed_point_derivative,
     guarded_exp,
     require_antiferromagnetic,
-    symmetric_f,
+    symmetric_map,
 )
 from .errors import (
     InvalidParameterError,
@@ -78,10 +78,14 @@ class FixedPointResult(NamedTuple):
     residual: float
 
 
-# The three certificate memos are bounded so that a long-lived caller stays
-# at constant memory.  One universally unique system with its gamma and
-# activity thresholds solves about 750 distinct fixed points over some 40
-# uniqueness checks, all of which fit.
+# The four certificate memos (this one, is_unique_up_to, contraction_bound
+# and choose_M) are bounded so that a long-lived caller stays at constant
+# memory.  One universally unique system with its gamma and activity
+# thresholds solves about 750 distinct fixed points over some 40 uniqueness
+# checks, all of which fit.  choose_M is memoised because every standalone
+# estimate_marginal call in mode "mbased" asks again for the truncation base
+# of its system and alpha, so a caller's marginals on one system search the
+# grid once.
 @lru_cache(maxsize=2048)
 def fixed_point(s: SpinSystem, d: int) -> FixedPointResult:
     """The unique positive fixed point of the d-ary symmetric recursion.
@@ -90,13 +94,13 @@ def fixed_point(s: SpinSystem, d: int) -> FixedPointResult:
     g(0) = f_d(0) > 0; the upper bracket end grows fourfold until g goes
     negative, so it is at most four times the fixed point, and stops at the
     largest float, where f_d is about lam * beta**d < lam and so g < 0.
+    The map f_d is built once per solve, which also checks the arity.
     """
     require_antiferromagnetic(s)
-    if d < 1 or d != int(d):
-        raise InvalidParameterError(f"arity d must be a positive integer, got {d!r}")
+    f_d = symmetric_map(s, d)
 
     def g(x: float) -> float:
-        return symmetric_f(s, d, x) - x
+        return f_d(x) - x
 
     hi = 1.0
     while g(hi) > 0.0:
@@ -255,9 +259,10 @@ def _alpha_max_point(s: SpinSystem, d: int) -> float:
     """
     b, g = s.beta, s.gamma
     coef = d * (1.0 - b * g)
+    f_d = symmetric_map(s, d)
 
     def h(x: float) -> float:
-        f = symmetric_f(s, d, x)
+        f = f_d(x)
         lhs = (g - b * x * x) / (coef * x)
         rhs = (g - b * f * f) / ((b * f + 1.0) * (f + g))
         return lhs - rhs
@@ -630,6 +635,7 @@ _M_GRID = (*(k / 10 for k in range(11, 200)), *map(float, range(20, 200)),
            *(200.0 * 2**k for k in range(9)))
 
 
+@lru_cache(maxsize=64)
 def choose_M(s: SpinSystem, alpha: float) -> float:
     """Smallest grid value M > 1 making per-level contraction
     alpha**ceil_log(M, d+1) dominate every arity d >= M.
@@ -649,7 +655,7 @@ def choose_M(s: SpinSystem, alpha: float) -> float:
         if _verify_truncation_base(s, alpha, m):
             return m
     raise NoThresholdError(
-        f"no truncation base up to 65536 certified for alpha={alpha}; "
+        f"no truncation base up to {_M_GRID[-1]:g} certified for alpha={alpha}; "
         "the contraction is too weak for degree-scaled truncation"
     )
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spindecay.core import (
@@ -22,8 +22,10 @@ from spindecay.core import (
     require_antiferromagnetic,
     swap_spins,
     symmetric_f,
+    symmetric_map,
 )
 from spindecay.errors import InvalidParameterError
+from spindecay.uniqueness import choose_M, contraction_bound, gamma_threshold
 
 
 @st.composite
@@ -104,6 +106,44 @@ def test_edge_factor_limit_at_large_ratio(s):
 def test_symmetric_f_reference_value():
     s = SpinSystem(0.1, 2.0, 5.0)
     assert symmetric_f(s, 3, 1.0) == pytest.approx(0.24648148148148148, rel=1e-13)
+
+
+@given(st.floats(0.0, 10.0), st.floats(1e-3, 10.0), st.floats(1e-300, 1e300),
+       st.integers(1, 200), st.floats(0.0, 1e300))
+@example(0.1, 1e-3, 1e300, 50, 0.0)  # lam / gamma**50 overflows
+@settings(max_examples=300)
+def test_symmetric_map_is_symmetric_f_bit_for_bit(beta, gamma, lam, d, x):
+    s = SpinSystem(beta, gamma, lam)
+    value = symmetric_map(s, d)(x)
+    # the recursion's operations in their one order, written out
+    try:
+        direct = lam * ((beta * x + 1.0) / (x + gamma)) ** d
+    except OverflowError:
+        direct = math.inf
+    assert math.copysign(1.0, value) == 1.0
+    assert repr(value) == repr(symmetric_f(s, d, x)) == repr(direct)
+    if (beta, gamma, lam, d, x) == (0.1, 1e-3, 1e300, 50, 0.0):
+        assert value == math.inf
+
+
+def test_symmetric_map_checks_the_arity_when_built():
+    # symmetric_f and alpha_sym check the arity through the map
+    s = SpinSystem(0.1, 2.0, 5.0)
+    for d in (0, 2.5, -1):
+        for build in (lambda: symmetric_map(s, d), lambda: symmetric_f(s, d, 1.0),
+                      lambda: alpha_sym(s, d, 1.0)):
+            with pytest.raises(InvalidParameterError, match="arity d must be a positive integer"):
+                build()
+
+
+def test_certificates_built_on_the_map_keep_their_bits():
+    # contraction_bound, choose_M and gamma_threshold bisect through the map;
+    # these are the values of the map-free recursion they replaced
+    s = SpinSystem(0.1, 3.5, 1.0)
+    al = contraction_bound(s, math.inf).alpha
+    assert repr(al) == "0.08955376118164494"
+    assert repr(choose_M(s, al)) == "11.0"
+    assert repr(gamma_threshold(0.1, 1.0, math.inf).values[0]) == "1.0969162999761464"
 
 
 @given(antiferro(), st.integers(0, 8), st.lists(st.floats(0.0, 100.0), max_size=8))

@@ -17,6 +17,8 @@ from spindecay.errors import (
     NoThresholdError,
     UniquenessError,
 )
+from spindecay.estimator import estimate_marginal
+from spindecay.graphs import from_edges, random_regular
 from spindecay.uniqueness import (
     _contraction_alpha,
     choose_M,
@@ -177,7 +179,7 @@ def test_contraction_refuses_non_unique_systems():
 
 
 def test_certificate_memos_are_bounded():
-    memos = (fixed_point, is_unique_up_to, contraction_bound)
+    memos = (fixed_point, is_unique_up_to, contraction_bound, choose_M)
     for memo in memos:
         memo.cache_clear()
     # the bound reads the fixed points the uniqueness check solved, arities
@@ -188,10 +190,14 @@ def test_certificate_memos_are_bounded():
     # has no contraction tail, so every arity below delta is maximised
     for i in range(200):
         contraction_bound(SpinSystem(0.0, 1.0, 0.01 + i / 40000), 12)
+    # more (system, alpha) pairs than the truncation-base memo holds
+    for i in range(100):
+        choose_M(SpinSystem(0.1, 3.5, 1.0 + i / 100), 0.5)
     for memo in memos:
         info = memo.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
-    assert fixed_point.cache_info().currsize == fixed_point.cache_info().maxsize
+    for memo in (fixed_point, choose_M):
+        assert memo.cache_info().currsize == memo.cache_info().maxsize
 
 
 def test_certificate_records_keep_a_count_not_every_arity():
@@ -523,6 +529,26 @@ def test_choose_m_certificate():
 def test_choose_m_rejects_flat_gamma():
     with pytest.raises(InvalidParameterError):
         choose_M(SpinSystem(0.0, 1.0, 0.5), 0.5)
+
+
+def test_choose_m_names_the_last_base_it_tries():
+    assert uniqueness._M_GRID[-1] == 51200.0
+    with pytest.raises(NoThresholdError, match="no truncation base up to 51200 certified"):
+        choose_M(SpinSystem(0.0, 1.0001, 1.0), 0.99999)
+    # a contraction just strong enough certifies the grid's last base
+    assert choose_M(SpinSystem(0.1, 1.0005, 1.0), 0.9999) == 51200.0
+
+
+def test_standalone_marginals_on_one_system_search_the_base_once():
+    # a cubic graph plus vertex 40 joined to all of it
+    core = random_regular(40, 3, seed=2)
+    g = from_edges(41, [(u, w) for u in range(40) for w in core.adj[u] if u < w]
+                   + [(u, 40) for u in range(40)])
+    s = SpinSystem(0.1, 3.5, 1.0)
+    choose_M.cache_clear()
+    for v in (*range(7), 40):
+        assert estimate_marginal(g, s, v, eps=1e-3, mode="mbased").policy == "mbased"
+    assert choose_M.cache_info().misses == 1
 
 
 def test_non_monotone_witness_is_genuine():
