@@ -18,14 +18,11 @@ _EXPORTS = {
         "GREEN",
         "Classification",
         "SpinSystem",
-        "alpha",
         "alpha_sym",
         "classify",
         "edge_factor",
         "fixed_point_derivative",
-        "recursion_f",
         "swap_spins",
-        "symmetric_f",
         "symmetric_map",
     ),
     "errors": (

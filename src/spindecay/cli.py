@@ -11,11 +11,14 @@ records are NamedTuples, which json.dumps would write as arrays, so `_plain`
 first turns each into the object of its fields (`_asdict`) and a SpinSystem
 into {"beta", "gamma", "lambda"}.  No document nests more than a few
 levels: `saw-dump` lists the walk tree as flat node records, whose depths
-rebuild the tree (see `saw.dump_levels`).  Errors go to stderr as plain
-text, and the exit code tells the caller what went wrong: 0 success, 1
-usage or input problems or a stdout that cannot be written (a reader that
-has left the pipe), 2 violated preconditions (non-uniqueness, bad
-parameters, empty supports), 3 exhausted budgets, 4 any other library
+rebuild the tree (see `saw.dump_levels`).  `decay` on an n-vertex graph
+prints the points 0..min(t_max, n): from t = n on the tree has no free node
+at depth t, so the point at n holds at every later cutoff, and
+"repeats_from" says so (n when t_max > n, null otherwise).  Errors go to
+stderr as plain text, and the exit code tells the caller what went wrong:
+0 success, 1 usage or input problems or a stdout that cannot be written (a
+reader that has left the pipe), 2 violated preconditions (non-uniqueness,
+bad parameters, empty supports), 3 exhausted budgets, 4 any other library
 failure (a search or a computation that did not finish where the method
 says it must).
 
@@ -359,7 +362,9 @@ def _cmd_decay(args):
         "budget": args.budget, "beta": s.beta, "gamma": s.gamma,
         "lambda": s.lam,
     }
-    return inputs, {"points": curve, "swapped": classify(s).swapped}
+    repeats_from = g.n if args.t_max > g.n else None
+    return inputs, {"points": curve, "repeats_from": repeats_from,
+                    "swapped": classify(s).swapped}
 
 
 def _cmd_saw_dump(args):

@@ -12,14 +12,16 @@ On a tree the blue/green ratio at the root satisfies
 
 over the child ratios R_i.  Ratios live on [0, +inf]; +inf means the vertex
 is forced blue, and the per-child factor degenerates to exactly beta there.
-This module holds that recursion, its symmetric specialisation, and the
-contraction functions built on it, which amortise decay by a potential
-(`alpha`).
+This module holds the per-child factor, the d-ary symmetric specialisation
+f_d of the recursion, the derivative of f_d at its fixed point and the
+contraction rate `alpha_sym` at d equal children: what the paper's
+uniqueness and decay certificates are built from.  The walk kernel
+(`saw`) evaluates the recursion itself on general trees.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import InvalidParameterError
 
@@ -186,31 +188,6 @@ def linear_children(s: SpinSystem, r_max: float) -> int:
     return k
 
 
-def recursion_f(s: SpinSystem, lam_v: float, children: Iterable[float]) -> float:
-    """Ratio at a vertex with activity lam_v from its children's ratios.
-
-    Empty child list gives lam_v.  Past `linear_children` children the
-    product accumulates in log space, so no partial product of a run of
-    large or small factors leaves the float range early.  An exact zero
-    factor (beta = 0 with a forced-blue child) makes the ratio exactly 0 in
-    either mode; it never enters the running product.
-    """
-    if lam_v <= 0 or not math.isfinite(lam_v):
-        raise InvalidParameterError(f"vertex activity must be positive and finite, got {lam_v!r}")
-    children = list(children)
-    factors = [edge_factor(s, r) for r in children]
-    if 0.0 in factors:
-        return 0.0
-    # the walk kernel accumulates in this order, so the two agree exactly
-    # wherever their cutoffs do
-    if len(factors) <= linear_children(s, max(children, default=0.0)):
-        return lam_v * math.prod(factors)
-    acc = 0.0
-    for f in factors:
-        acc += math.log(f)
-    return guarded_exp(math.log(lam_v) + acc)
-
-
 def symmetric_map(s: SpinSystem, d: int) -> Callable[[float], float]:
     """The d-ary symmetric recursion x -> lam * ((beta*x + 1) / (x + gamma))**d
     as a function of x alone.
@@ -235,15 +212,6 @@ def symmetric_map(s: SpinSystem, d: int) -> Callable[[float], float]:
     return f
 
 
-def symmetric_f(s: SpinSystem, d: int, x: float) -> float:
-    """lam * ((beta*x + 1) / (x + gamma))**d, the d-ary symmetric recursion
-    at one point: symmetric_map(s, d)(x), bit for bit.
-
-    A caller that evaluates one arity at many points builds the map once.
-    """
-    return symmetric_map(s, d)(x)
-
-
 def fixed_point_derivative(s: SpinSystem, d: int, x: float) -> float:
     """|f_d'(x)| at a fixed point x = f_d(x): d*(1-beta*gamma)*x / ((beta*x+1)*(x+gamma)).
 
@@ -259,44 +227,16 @@ def fixed_point_derivative(s: SpinSystem, d: int, x: float) -> float:
     return d * (1.0 - b * g) * x / den
 
 
-def alpha(s: SpinSystem, xs: Sequence[float]) -> float:
-    """Amortised one-step contraction of the recursion at child ratios xs.
-
-    With F = lam * prod_i (beta*x_i + 1)/(x_i + gamma) (the recursion value),
-
-        alpha = (1 - beta*gamma) * sqrt(F) / (sqrt(beta*F + 1) * sqrt(F + gamma))
-                * sum_i sqrt(x_i / ((beta*x_i + 1) * (x_i + gamma)))
-
-    Each summand is evaluated as a single quotient under one square root; the
-    factored form keeps adjacent near-equal terms from cancelling.  An empty
-    xs gives 0 (a childless vertex propagates no error).
-    """
-    require_antiferromagnetic(s)
-    for x in xs:
-        if not math.isfinite(x) or x < 0:
-            raise InvalidParameterError(f"child ratios must be finite and nonnegative, got {x!r}")
-    if len(xs) == 0:
-        return 0.0
-    big_f = recursion_f(s, s.lam, xs)
-    pref = (1.0 - s.beta * s.gamma) * math.sqrt(big_f) / (
-        math.sqrt(s.beta * big_f + 1.0) * math.sqrt(big_f + s.gamma)
-    )
-    total = 0.0
-    for x in xs:
-        total += math.sqrt(x / ((s.beta * x + 1.0) * (x + s.gamma)))
-    return pref * total
-
-
 def alpha_sym(s: SpinSystem, d: int, x: float) -> float:
-    """alpha at d equal child ratios, in closed form.
-
-    Equals alpha(s, [x]*d) for a float x but costs O(1).  With
-    f = symmetric_f(s, d, x):
+    """The amortised one-step contraction of the recursion at d equal child
+    ratios x, in closed form.  With f = symmetric_map(s, d)(x):
 
         alpha_sym = d * (1 - beta*gamma) * sqrt(x * f)
                     / sqrt((beta*x + 1) * (x + gamma) * (beta*f + 1) * (f + gamma))
+
+    contraction_bound maximises it over x at each arity below its degree bound.
     """
-    f = symmetric_f(s, d, x)
+    f = symmetric_map(s, d)(x)
     num = d * (1.0 - s.beta * s.gamma) * (x * f) ** 0.5
     den = ((s.beta * x + 1.0) * (x + s.gamma) * (s.beta * f + 1.0) * (f + s.gamma)) ** 0.5
     return num / den

@@ -467,13 +467,14 @@ def decay_curve(
     t_max: int = 10,
     budget: int | None = DEFAULT_BUDGET,
 ) -> list[DecayPoint]:
-    """Probability-interval width at every depth cutoff 0..t_max.
+    """Probability-interval width at every depth cutoff 0..min(t_max, n).
 
-    Each point up to t = n is its own kernel walk, equal to bounds() at
-    Depth(t), with the budget applying to each walk.  From t = n on the tree
-    has no free node at depth t, so every later point repeats the walk at n
-    bit for bit and is copied from it.  The curve costs min(t_max, n) + 1
-    walks, about twice its deepest point on trees of branching 2.  Widths are
+    Each point is its own kernel walk, equal to bounds() at Depth(t), with
+    the budget applying to each walk.  The curve ends at t = n: from there
+    on the tree has no free node at depth t, so the point at n is bounds()
+    at every later cutoff too, bit for bit, and a curve asked for past n
+    leaves those repeats out.  The curve costs min(t_max, n) + 1 walks,
+    about twice its deepest point on trees of branching 2.  Widths are
     nonincreasing.  Raises ZeroWeightError when the boundary has zero weight.
     """
     def require_cutoff():
@@ -488,5 +489,4 @@ def decay_curve(
     for t in range(min(t_max, g.n) + 1):
         b = _interval(prep, v, Depth(t))
         out.append(DecayPoint(t=t, width=b.width, p_lo=b.p_lo, p_hi=b.p_hi))
-    out.extend(out[-1]._replace(t=t) for t in range(g.n + 1, t_max + 1))
     return out

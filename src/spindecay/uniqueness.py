@@ -472,11 +472,12 @@ def derivative_unit_roots(beta: float, gamma: float, d: int) -> DerivativeUnitRo
             "derivative_unit_roots requires beta >= 0, gamma > 0 and beta*gamma < 1")
     if d < 2:
         raise InvalidParameterError(f"arity must be at least 2, got {d}")
-    start = _admissible_start(beta, gamma)
-    if d < start:
+    # _admissible_start's predicate, monotone in d: it fails exactly below
+    # the start, which is searched for only to be named in the message
+    if not d - 1 >= math.sqrt(beta * gamma) * (d + 1):
         raise InvalidParameterError(
             f"arity {d} is below the admissible range: sqrt(beta*gamma) "
-            f"<= (d-1)/(d+1) first holds at d = {start}"
+            f"<= (d-1)/(d+1) first holds at d = {_admissible_start(beta, gamma)}"
         )
     bg = beta * gamma
     a = d * (1.0 - bg) - (1.0 + bg)

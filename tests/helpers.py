@@ -1,22 +1,91 @@
-"""Shared test fixtures: graph corpus, parameter samples, boundary sampling.
+"""Shared test fixtures: independent references, graph corpus, parameter
+samples, boundary sampling.
 
-Everything is seeded so failures reproduce; the corpus is deduplicated up to
-isomorphism so no case is silently tested twice.
+`recursion_f` and `alpha` are the tests' references for the tree recursion
+and its contraction rate at any child ratios: the library needs only their
+symmetric forms (`core.symmetric_map`, `core.alpha_sym`), and the walk
+kernel evaluates the recursion on its own.  Everything is seeded so
+failures reproduce; the corpus is deduplicated up to isomorphism so no case
+is silently tested twice.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
+from typing import Iterable, Sequence
 
 import networkx as nx
 from hypothesis import strategies as st
 
-from spindecay.core import BLUE, GREEN, SpinSystem, swap_spins
+from spindecay.core import (
+    BLUE,
+    GREEN,
+    SpinSystem,
+    edge_factor,
+    guarded_exp,
+    linear_children,
+    require_antiferromagnetic,
+    swap_spins,
+)
+from spindecay.errors import InvalidParameterError
 from spindecay.estimator import Depth, bounds
 from spindecay.graphs import Boundary, Graph, from_edges, random_regular
 from spindecay.saw import FREE
 from spindecay.uniqueness import is_unique_up_to
+
+
+def recursion_f(s: SpinSystem, lam_v: float, children: Iterable[float]) -> float:
+    """Ratio at a vertex with activity lam_v from its children's ratios.
+
+    Empty child list gives lam_v.  Past `linear_children` children the
+    product accumulates in log space, so no partial product of a run of
+    large or small factors leaves the float range early.  An exact zero
+    factor (beta = 0 with a forced-blue child) makes the ratio exactly 0 in
+    either mode; it never enters the running product.
+    """
+    if lam_v <= 0 or not math.isfinite(lam_v):
+        raise InvalidParameterError(f"vertex activity must be positive and finite, got {lam_v!r}")
+    children = list(children)
+    factors = [edge_factor(s, r) for r in children]
+    if 0.0 in factors:
+        return 0.0
+    # the walk kernel accumulates in this order, so the two agree exactly
+    # wherever their cutoffs do
+    if len(factors) <= linear_children(s, max(children, default=0.0)):
+        return lam_v * math.prod(factors)
+    acc = 0.0
+    for f in factors:
+        acc += math.log(f)
+    return guarded_exp(math.log(lam_v) + acc)
+
+
+def alpha(s: SpinSystem, xs: Sequence[float]) -> float:
+    """Amortised one-step contraction of the recursion at child ratios xs.
+
+    With F = lam * prod_i (beta*x_i + 1)/(x_i + gamma) (the recursion value),
+
+        alpha = (1 - beta*gamma) * sqrt(F) / (sqrt(beta*F + 1) * sqrt(F + gamma))
+                * sum_i sqrt(x_i / ((beta*x_i + 1) * (x_i + gamma)))
+
+    Each summand is evaluated as a single quotient under one square root; the
+    factored form keeps adjacent near-equal terms from cancelling.  An empty
+    xs gives 0 (a childless vertex propagates no error).
+    """
+    require_antiferromagnetic(s)
+    for x in xs:
+        if not math.isfinite(x) or x < 0:
+            raise InvalidParameterError(f"child ratios must be finite and nonnegative, got {x!r}")
+    if len(xs) == 0:
+        return 0.0
+    big_f = recursion_f(s, s.lam, xs)
+    pref = (1.0 - s.beta * s.gamma) * math.sqrt(big_f) / (
+        math.sqrt(s.beta * big_f + 1.0) * math.sqrt(big_f + s.gamma)
+    )
+    total = 0.0
+    for x in xs:
+        total += math.sqrt(x / ((s.beta * x + 1.0) * (x + s.gamma)))
+    return pref * total
 
 
 def to_graph(G: nx.Graph) -> Graph:

@@ -278,12 +278,35 @@ def test_exact_command(capsys, c4_file):
 
 
 def test_decay_command(capsys, c4_file):
+    # a cutoff past n = 4 prints the points 0..4, the last of which holds
+    # for every later cutoff
     doc = run_json(capsys, "decay", "--graph", c4_file, "--vertex", "0",
                    "--t-max", "5")
     assert all(list(p) == list(DecayPoint._fields) for p in doc["outputs"]["points"])
+    assert [p["t"] for p in doc["outputs"]["points"]] == [0, 1, 2, 3, 4]
+    assert doc["outputs"]["repeats_from"] == 4
     widths = [p["width"] for p in doc["outputs"]["points"]]
     assert widths[0] == 1.0
     assert all(b <= a + 1e-12 for a, b in zip(widths, widths[1:]))
+    for t_max in ("3", "4"):
+        doc = run_json(capsys, "decay", "--graph", c4_file, "--vertex", "0", "--t-max", t_max)
+        assert len(doc["outputs"]["points"]) == int(t_max) + 1
+        assert doc["outputs"]["repeats_from"] is None
+
+
+def test_a_decay_curve_past_n_prints_n_plus_one_points(capsys, tmp_path):
+    # every cutoff from 30 to 100 000 repeats the point at 30: the document
+    # says so in one key instead of printing them (13 MB)
+    f = tmp_path / "rr30.json"
+    f.write_text(dumps(random_regular(30, 3, seed=1)))
+    rc, out, err = run(capsys, "decay", "--graph", str(f), "--vertex", "0", "--beta", "0",
+                       "--gamma", "1", "--lambda", "1", "--t-max", "100000")
+    assert (rc, err) == (0, "") and len(out) < 10_000
+    doc = json.loads(out)
+    assert doc["inputs"]["t_max"] == 100000 and doc["outputs"]["repeats_from"] == 30
+    points = doc["outputs"]["points"]
+    assert [p["t"] for p in points] == list(range(31))
+    assert points[30]["width"] == 0.0  # at t = n the walk meets no frontier
 
 
 def test_saw_dump_command(capsys, c4_file):
@@ -633,16 +656,18 @@ def test_exit_code_budget_errors(capsys, c4_file, tmp_path):
 @pytest.mark.parametrize("command, lines", [
     # a short document fails at the flush: the reader is gone before it
     ("classify", 0),
-    # `decay ... | head -1`: a document far past the pipe's buffer fails
-    # part-way through its write
-    ("decay", 1),
+    # `saw-dump ... | head -1`: a document past the pipe's buffer fails
+    # part-way through its write; 1001 records on a path take 85 kB, more
+    # than a 64 kB pipe holds with the reader's one read of at most 8 kB
+    ("saw-dump", 1),
 ])
 def test_a_reader_that_leaves_early_gets_one_error_line(tmp_path, command, lines, unbuffered):
-    argv = [command, "--beta", "0", "--gamma", "1", "--lambda", "1"]
-    if command == "decay":
-        f = tmp_path / "rr10.json"
-        f.write_text(dumps(random_regular(10, 3, seed=1)))
-        argv += ["--graph", str(f), "--vertex", "0", "--t-max", "5000"]
+    if command == "saw-dump":
+        f = tmp_path / "path3000.json"
+        f.write_text(dumps(path(3000)))
+        argv = [command, "--graph", str(f), "--vertex", "0", "--depth", "1000"]
+    else:
+        argv = [command, "--beta", "0", "--gamma", "1", "--lambda", "1"]
     src = str(Path(spindecay.__file__).resolve().parent.parent)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)

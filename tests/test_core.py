@@ -1,4 +1,8 @@
-"""Parameter handling, the edge factor, the recursion, and contraction terms."""
+"""Parameter handling, the edge factor, the recursion, and contraction terms.
+
+The general recursion and contraction rate are the tests' own references
+(`helpers.recursion_f`, `helpers.alpha`); the library's symmetric forms are
+checked against them here."""
 from __future__ import annotations
 
 import math
@@ -12,20 +16,19 @@ from spindecay.core import (
     DEGENERATE,
     FERROMAGNETIC,
     SpinSystem,
-    alpha,
     alpha_sym,
     ceil_log,
     classify,
     edge_factor,
     fixed_point_derivative,
-    recursion_f,
     require_antiferromagnetic,
     swap_spins,
-    symmetric_f,
     symmetric_map,
 )
 from spindecay.errors import InvalidParameterError
 from spindecay.uniqueness import choose_M, contraction_bound, gamma_threshold
+
+from helpers import alpha, recursion_f
 
 
 @st.composite
@@ -105,7 +108,7 @@ def test_edge_factor_limit_at_large_ratio(s):
 
 def test_symmetric_f_reference_value():
     s = SpinSystem(0.1, 2.0, 5.0)
-    assert symmetric_f(s, 3, 1.0) == pytest.approx(0.24648148148148148, rel=1e-13)
+    assert symmetric_map(s, 3)(1.0) == pytest.approx(0.24648148148148148, rel=1e-13)
 
 
 @given(st.floats(0.0, 10.0), st.floats(1e-3, 10.0), st.floats(1e-300, 1e300),
@@ -121,17 +124,16 @@ def test_symmetric_map_is_symmetric_f_bit_for_bit(beta, gamma, lam, d, x):
     except OverflowError:
         direct = math.inf
     assert math.copysign(1.0, value) == 1.0
-    assert repr(value) == repr(symmetric_f(s, d, x)) == repr(direct)
+    assert repr(value) == repr(direct)
     if (beta, gamma, lam, d, x) == (0.1, 1e-3, 1e300, 50, 0.0):
         assert value == math.inf
 
 
 def test_symmetric_map_checks_the_arity_when_built():
-    # symmetric_f and alpha_sym check the arity through the map
+    # alpha_sym checks the arity through the map
     s = SpinSystem(0.1, 2.0, 5.0)
     for d in (0, 2.5, -1):
-        for build in (lambda: symmetric_map(s, d), lambda: symmetric_f(s, d, 1.0),
-                      lambda: alpha_sym(s, d, 1.0)):
+        for build in (lambda: symmetric_map(s, d), lambda: alpha_sym(s, d, 1.0)):
             with pytest.raises(InvalidParameterError, match="arity d must be a positive integer"):
                 build()
 
@@ -162,7 +164,7 @@ def test_recursion_log_path_agrees_with_direct():
     s = SpinSystem(0.2, 1.5, 2.0)
     xs = [0.7] * 40  # above the direct-product cutoff
     assert recursion_f(s, s.lam, xs) == pytest.approx(
-        symmetric_f(s, 40, 0.7), rel=1e-11
+        symmetric_map(s, 40)(0.7), rel=1e-11
     )
 
 
@@ -218,7 +220,8 @@ def test_fixed_point_derivative_formula():
     )
     # finite-difference cross-check on the symmetric recursion
     h = 1e-7
-    num = (symmetric_f(s, 2, x + h) - symmetric_f(s, 2, x - h)) / (2 * h)
+    f = symmetric_map(s, 2)
+    num = (f(x + h) - f(x - h)) / (2 * h)
     assert abs(num) == pytest.approx(fixed_point_derivative(s, 2, x), rel=1e-5)
 
 

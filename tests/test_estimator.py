@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import spindecay.estimator as estimator
-from spindecay.core import BLUE, GREEN, SpinSystem, recursion_f
+from spindecay.core import BLUE, GREEN, SpinSystem
 from spindecay.errors import (
     BudgetExceededError,
     InvalidParameterError,
@@ -41,7 +41,7 @@ from spindecay.oracle import exact_marginal, exact_partition
 from spindecay.saw import FREE, dump_levels
 from spindecay.uniqueness import hardcore_threshold, is_unique_up_to
 
-from helpers import FLIP, SWAP_GRAPH, exhaustive_ratio, hand_swapped, inverted
+from helpers import FLIP, SWAP_GRAPH, exhaustive_ratio, hand_swapped, inverted, recursion_f
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 SOFT = SpinSystem(0.3, 1.2, 0.8)

@@ -21,7 +21,6 @@ from spindecay.core import (
     edge_factor,
     guarded_exp,
     linear_children,
-    recursion_f,
 )
 from spindecay.errors import BudgetExceededError, InvalidParameterError
 from spindecay.estimator import Depth, bounds, decay_curve
@@ -44,7 +43,7 @@ from spindecay.saw import (
     walker,
 )
 
-from helpers import exhaustive_ratio, saw_tree
+from helpers import exhaustive_ratio, recursion_f, saw_tree
 
 HARDCORE = SpinSystem(0.0, 1.0, 1.0)
 SOFT = SpinSystem(0.3, 1.2, 0.8)
@@ -172,9 +171,9 @@ def test_decay_curve_points_are_depth_walks():
             assert (pt.p_lo, pt.p_hi, pt.width) == (single.p_lo, single.p_hi, single.width)
 
 
-def test_decay_curve_copies_its_point_at_n_past_n(monkeypatch):
-    # from t = n on the tree has no free node at depth t: one walk at n
-    # stands for every later cutoff
+def test_decay_curve_ends_at_n_whose_point_holds_past_n(monkeypatch):
+    # from t = n on the tree has no free node at depth t: the walk at n
+    # stands for every later cutoff, and the curve ends there
     walks = []
 
     def counted(*args):
@@ -191,11 +190,11 @@ def test_decay_curve_copies_its_point_at_n_past_n(monkeypatch):
     for s, boundary in ((SOFT, None), (HARDCORE, Boundary(fixed={4: BLUE}))):
         walks.clear()
         curve = decay_curve(g, s, 0, boundary, t_max=10**5)
-        assert len(walks) <= g.n + 1 and len(curve) == 10**5 + 1
-        assert [pt.t for pt in curve] == list(range(10**5 + 1))
+        assert len(walks) <= g.n + 1 and len(curve) == g.n + 1
+        assert [pt.t for pt in curve] == list(range(g.n + 1))
         for t in (g.n - 1, g.n, g.n + 1, 10**5):
             single = bounds(g, s, 0, boundary, Depth(t))
-            assert curve[t][1:] == (single.width, single.p_lo, single.p_hi)
+            assert curve[min(t, g.n)][1:] == (single.width, single.p_lo, single.p_hi)
         if boundary is None:  # the last free level still narrows the interval
             assert curve[g.n - 1][1:] != curve[g.n][1:]
 
@@ -369,7 +368,7 @@ def _records(g, v, policy, fixed):
 
 def _evaluate(g, s, lam, fixed, s_set, records, limit):
     """(r_lo, r_hi, expanded) of a recorded tree, evaluated apart from the
-    walker: core.recursion_f at each expanded node over its children's
+    walker: helpers.recursion_f at each expanded node over its children's
     ratio ends, and at a frontier leaf the ends its degree allows, whose
     edge factors must be its `frontier_factors` pair.  A node's parent is
     the last node before it of lower scaled depth, and a free node is a

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spindecay import uniqueness
-from spindecay.core import SpinSystem, ceil_log, symmetric_f
+from spindecay.core import SpinSystem, ceil_log, symmetric_map
 from spindecay.errors import (
     InvalidParameterError,
     NoThresholdError,
@@ -58,7 +58,7 @@ def test_fixed_point_reference_values():
 @settings(max_examples=150)
 def test_fixed_point_satisfies_the_recursion(s, d):
     r = fixed_point(s, d)
-    assert symmetric_f(s, d, r.x_hat) == pytest.approx(r.x_hat, rel=1e-8)
+    assert symmetric_map(s, d)(r.x_hat) == pytest.approx(r.x_hat, rel=1e-8)
     assert r.residual <= 1e-8 * max(1.0, r.x_hat)
 
 
@@ -111,7 +111,7 @@ def test_fixed_points_past_1e200_solve_the_recursion(s, d):
     # bisection's midpoint does not overflow there
     r = fixed_point(s, d)
     assert r.x_hat > 1e199 and r.residual <= 1e-13 * r.x_hat
-    assert symmetric_f(s, d, r.x_hat) == pytest.approx(r.x_hat, rel=1e-13)
+    assert symmetric_map(s, d)(r.x_hat) == pytest.approx(r.x_hat, rel=1e-13)
     # (beta*x + 1) * (x + gamma) overflows past about 1.3e154/sqrt(beta); the
     # derivative must not read 0.0 there
     b, g, x = Fraction(s.beta), Fraction(s.gamma), Fraction(r.x_hat)
@@ -287,14 +287,14 @@ def test_derivative_unit_roots_identities():
     assert r.x_low * r.x_high == pytest.approx(gamma / beta, rel=1e-12)
     for x, lam in ((r.x_low, r.lam_low), (r.x_high, r.lam_high)):
         s = SpinSystem(beta, gamma, lam)
-        assert symmetric_f(s, d, x) == pytest.approx(x, rel=1e-9)
+        assert symmetric_map(s, d)(x) == pytest.approx(x, rel=1e-9)
     with pytest.raises(InvalidParameterError):
         derivative_unit_roots(0.5, 1.9, 2)  # discriminant negative
     # hardcore: the one root of d*x = x + gamma
     r = derivative_unit_roots(0.0, gamma, d)
     assert r.x_low == gamma / (d - 1) and r.x_high == r.lam_high == math.inf
     s = SpinSystem(0.0, gamma, r.lam_low)
-    assert symmetric_f(s, d, r.x_low) == pytest.approx(r.x_low, rel=1e-12)
+    assert symmetric_map(s, d)(r.x_low) == pytest.approx(r.x_low, rel=1e-12)
 
 
 def test_unit_root_activities_stay_finite_past_exp_700():
@@ -341,6 +341,22 @@ def test_touching_arities_give_point_windows():
         assert lo == hi
     lo, hi = soft_thresholds(0.9, 0.9, 24).values
     assert lo < hi and lo * hi == pytest.approx(1.0, abs=1e-12)
+
+
+def test_an_admissible_arity_is_decided_without_a_search(monkeypatch):
+    # threshold searches ask for the roots at every probe; admissibility is
+    # one comparison there, and the start is searched for only to be named
+    # in the refusal
+    calls = []
+    first_arity = uniqueness._first_arity
+    monkeypatch.setattr(uniqueness, "_first_arity",
+                        lambda *args: calls.append(args) or first_arity(*args))
+    for beta, gamma, d in ((0.9, 0.9, 19), (0.9, 0.9, 10**6), (0.2, 2.0, 5), (0.0, 1.0, 2)):
+        derivative_unit_roots(beta, gamma, d)
+    assert calls == []
+    with pytest.raises(InvalidParameterError, match="first holds at d = 19"):
+        derivative_unit_roots(0.9, 0.9, 18)
+    assert len(calls) == 1
 
 
 def test_threshold_minimisers_past_the_old_scan_caps():
@@ -436,6 +452,19 @@ def test_threshold_searches_equal_a_plain_scan(case):
         rep = (hardcore_threshold(gamma, math.inf) if beta == 0
                else universal_lambda_threshold(beta, gamma))
         assert (rep.values, rep.witness_d) == ((lo,), lo_d)
+
+
+@given(threshold_cases(), st.integers(0, 40))
+@settings(max_examples=300, deadline=None)
+def test_the_admissibility_comparison_agrees_with_the_searched_start(case, offset):
+    beta, gamma, _ = case
+    start = uniqueness._admissible_start(beta, gamma)
+    for d in {max(2, start - 1 - offset), max(2, start - 1), start, start + offset}:
+        if d < start:
+            with pytest.raises(InvalidParameterError, match=f"first holds at d = {start}$"):
+                derivative_unit_roots(beta, gamma, d)
+        else:
+            assert derivative_unit_roots(beta, gamma, d).d == d
 
 
 @given(threshold_cases())
