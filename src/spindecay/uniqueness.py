@@ -452,11 +452,26 @@ def _activity_at(beta: float, gamma: float, d: int, x: float) -> float:
     return guarded_exp(math.log(x) + d * (math.log(x + gamma) - math.log(beta * x + 1.0)))
 
 
+def _admissible(r: float, d: int) -> bool:
+    """(d-1) >= r*(d+1) for r = sqrt(beta*gamma), as floats decide it.
+
+    Below 2**53 both sides are exact but for the one rounding of the product,
+    to a spacing of at most 1.  Past it float(d + 1) rounds as well, and the
+    float comparison fails at some d above one where it holds; there the test
+    is r*(d+1) <= d - 1/2 exactly, what rounding to a spacing of 1 gives.
+    It only gets easier as d grows, since r < 1, so the test is monotone in d.
+    """
+    if d < 2**53:
+        return d - 1 >= r * (d + 1)
+    p, q = r.as_integer_ratio()
+    return 2 * p * (d + 1) <= (2 * d - 1) * q
+
+
 def _admissible_start(beta: float, gamma: float) -> int:
     """Smallest arity d >= 2 with (d-1) >= sqrt(beta*gamma)*(d+1), the
     admissible arities: exactly those where the unit-derivative roots exist."""
     r = math.sqrt(beta * gamma)
-    return _first_arity(lambda d: d - 1 >= r * (d + 1), 2)
+    return _first_arity(lambda d: _admissible(r, d), 2)
 
 
 def _require_soft(name: str, beta: float, gamma: float) -> None:
@@ -474,7 +489,7 @@ def derivative_unit_roots(beta: float, gamma: float, d: int) -> DerivativeUnitRo
         raise InvalidParameterError(f"arity must be at least 2, got {d}")
     # _admissible_start's predicate, monotone in d: it fails exactly below
     # the start, which is searched for only to be named in the message
-    if not d - 1 >= math.sqrt(beta * gamma) * (d + 1):
+    if not _admissible(math.sqrt(beta * gamma), d):
         raise InvalidParameterError(
             f"arity {d} is below the admissible range: sqrt(beta*gamma) "
             f"<= (d-1)/(d+1) first holds at d = {_admissible_start(beta, gamma)}"

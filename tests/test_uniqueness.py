@@ -454,6 +454,21 @@ def test_threshold_searches_equal_a_plain_scan(case):
         assert (rep.values, rep.witness_d) == ((lo,), lo_d)
 
 
+def test_admissibility_stays_monotone_past_2_53():
+    # beta*gamma = 1 - 2**-53 puts the start past 2**53, where float(d + 1)
+    # rounds: a plain float comparison refuses d = 2**53 + 2 after admitting
+    # 2**53, so the search and the one comparison disagreed
+    beta, gamma = 0.6234823183425618, 1.603894722561429
+    start = uniqueness._admissible_start(beta, gamma)
+    assert start > 2**53
+    r = math.sqrt(beta * gamma)
+    for d in (*range(2**53 - 8, 2**53 + 8), *range(start - 8, start + 8)):
+        assert uniqueness._admissible(r, d) == (d >= start)
+    with pytest.raises(InvalidParameterError, match=f"first holds at d = {start}$"):
+        derivative_unit_roots(beta, gamma, 2**53 + 2)
+    assert derivative_unit_roots(beta, gamma, start).d == start
+
+
 @given(threshold_cases(), st.integers(0, 40))
 @settings(max_examples=300, deadline=None)
 def test_the_admissibility_comparison_agrees_with_the_searched_start(case, offset):
